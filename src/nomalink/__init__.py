@@ -1,89 +1,31 @@
 """Average-BER toolkit for relay-assisted downlink NOMA under hardware and
 channel-estimation impairments: closed forms, a symbol-level Monte Carlo
-simulator that cross-checks them, and sweep tooling."""
+simulator that cross-checks them, and sweep tooling.
 
-from .analytic import (
-    SCHEMES,
-    USERS,
-    aber_mrc_pair,
-    aber_p2p_m1,
-    aber_p2p_m2,
-    e2e_cnoma,
-    e2e_cnoma_wdl_u1,
-    e2e_cnoma_wdl_u2,
-    prop_error,
-    q_function,
-    scheme_ber,
-    scheme_ber_floor,
-)
-from .experiments import (
-    ConfigError,
-    SweepResult,
-    SweepRow,
-    SweepSpec,
-    emit_csv,
-    parse_config,
-    run_sweep,
-)
-from .model import (
-    CoefficientTables,
-    LinkBudget,
-    SystemConfig,
-    build_coefficient_tables,
-    link_variance,
-    mean_sinr_m1,
-    mean_sinr_m1_limit,
-    mean_sinr_m2,
-    mean_sinr_m2_limit,
-)
-from .simulator import (
-    CondPropStats,
-    McResult,
-    SimSpec,
-    conditional_prop_stats,
-    simulate,
-    simulate_cnoma,
-    simulate_cnoma_wdl,
-    simulate_noma,
-)
+The package root re-exports the documented entry points; every other name
+is imported from its submodule (``nomalink.model``, ``nomalink.analytic``,
+``nomalink.simulator``, ``nomalink.experiments``, ``nomalink.cli``).
+"""
+
+from .analytic import SCHEMES, USERS, scheme_ber, scheme_ber_floor
+from .experiments import ConfigError, SweepSpec, emit_csv, parse_config, run_sweep
+from .model import SystemConfig
+from .simulator import McResult, SimSpec, simulate
 
 __all__ = [
     "SCHEMES",
     "USERS",
-    "CoefficientTables",
-    "CondPropStats",
     "ConfigError",
-    "LinkBudget",
     "McResult",
     "SimSpec",
-    "SweepResult",
-    "SweepRow",
     "SweepSpec",
     "SystemConfig",
-    "aber_mrc_pair",
-    "aber_p2p_m1",
-    "aber_p2p_m2",
-    "build_coefficient_tables",
-    "conditional_prop_stats",
-    "e2e_cnoma",
-    "e2e_cnoma_wdl_u1",
-    "e2e_cnoma_wdl_u2",
     "emit_csv",
-    "link_variance",
-    "mean_sinr_m1",
-    "mean_sinr_m1_limit",
-    "mean_sinr_m2",
-    "mean_sinr_m2_limit",
     "parse_config",
-    "prop_error",
-    "q_function",
     "run_sweep",
     "scheme_ber",
     "scheme_ber_floor",
     "simulate",
-    "simulate_cnoma",
-    "simulate_cnoma_wdl",
-    "simulate_noma",
 ]
 
 __version__ = "0.1.0"

@@ -19,14 +19,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import erfc
 
-from .model import (
-    SystemConfig,
-    build_coefficient_tables,
-    mean_sinr_m1,
-    mean_sinr_m1_limit,
-    mean_sinr_m2,
-    mean_sinr_m2_limit,
-)
+from .model import SystemConfig, build_coefficient_tables, mean_sinr_m2, mean_sinr_m2_limit
 
 SCHEMES = ("noma", "cnoma", "cnoma-wdl")
 USERS = ("u1", "u2")
@@ -77,8 +70,11 @@ def aber_p2p_m2(delta_bars, g_v) -> float:
     g = np.asarray(g_v, dtype=float)
     if d.shape != (6,) or g.shape != (6,):
         raise ValueError("expected six branch SINRs and six signs")
-    p = float(np.sum(g * _fade_term(d)) / 2.0)
-    return _checked_probability(p, "near-user branch sum")
+    return _signed_fade_sum(d, g, "near-user branch sum")
+
+
+def _signed_fade_sum(delta_bars, signs, label) -> float:
+    return _checked_probability(float(np.sum(signs * _fade_term(delta_bars)) / 2.0), label)
 
 
 def aber_mrc_pair(delta_bar_a: float, delta_bar_b: float) -> float:
@@ -161,26 +157,6 @@ def _checked_probability(p: float, label: str) -> float:
 # -- scheme-level composition -----------------------------------------------
 
 
-def _branch_sinrs_m1(cfg: SystemConfig, link: str, psi, limit: bool) -> np.ndarray:
-    budget = cfg.link_budget(link)
-    if limit:
-        return np.atleast_1d(mean_sinr_m1_limit(budget, cfg.hwi(link), cfg.sigma_eps_sq, psi))
-    return np.atleast_1d(
-        mean_sinr_m1(cfg.power(link), budget, cfg.hwi(link), cfg.sigma_eps_sq, cfg.N0, psi)
-    )
-
-
-def _branch_sinrs_m2(cfg: SystemConfig, link: str, zeta, xi, limit: bool) -> np.ndarray:
-    budget = cfg.link_budget(link)
-    if limit:
-        return np.atleast_1d(
-            mean_sinr_m2_limit(budget, cfg.hwi(link), cfg.sigma_eps_sq, zeta, xi)
-        )
-    return np.atleast_1d(
-        mean_sinr_m2(cfg.power(link), budget, cfg.hwi(link), cfg.sigma_eps_sq, cfg.N0, zeta, xi)
-    )
-
-
 def _prop_branches(cfg: SystemConfig, direct: str, rel: str, amp_sq) -> np.ndarray:
     """Per-branch probability that a flipped relay copy outweighs the direct copy.
 
@@ -200,40 +176,33 @@ def _prop_branches(cfg: SystemConfig, direct: str, rel: str, amp_sq) -> np.ndarr
 
 def _scheme_ber(cfg: SystemConfig, scheme: str, user: str, limit: bool) -> float:
     tables = build_coefficient_tables(cfg.alpha1, cfg.alpha2)
+    # The user picks its branch table and links; the far user's bit is the
+    # SIC table with zeta = xi = psi and two unit signs.
+    if user == "u1":
+        amp, air, signs = tables.psi, tables.psi, tables.g_z
+    else:
+        amp, air, signs = tables.zeta, tables.xi, tables.g_v
+    direct, rel = "s" + user[1], "r" + user[1]
+    label = f"{scheme} {user} branch sum"
+
+    def sinrs(link):
+        budget, k = cfg.link_budget(link), cfg.hwi(link)
+        if limit:
+            return np.atleast_1d(mean_sinr_m2_limit(budget, k, cfg.sigma_eps_sq, amp, air))
+        return np.atleast_1d(
+            mean_sinr_m2(cfg.power(link), budget, k, cfg.sigma_eps_sq, cfg.N0, amp, air))
+
+    def link_ber(link):
+        return _signed_fade_sum(sinrs(link), signs, label)
+
     if scheme == "noma":
-        if user == "u1":
-            return aber_p2p_m1(_branch_sinrs_m1(cfg, "s1", tables.psi, limit))
-        return aber_p2p_m2(
-            _branch_sinrs_m2(cfg, "s2", tables.zeta, tables.xi, limit), tables.g_v
-        )
+        return link_ber(direct)
     if scheme == "cnoma":
-        if user == "u1":
-            p = aber_p2p_m1(_branch_sinrs_m1(cfg, "sr", tables.psi, limit))
-            q = aber_p2p_m1(_branch_sinrs_m1(cfg, "r1", tables.psi, limit))
-        else:
-            p = aber_p2p_m2(
-                _branch_sinrs_m2(cfg, "sr", tables.zeta, tables.xi, limit), tables.g_v
-            )
-            q = aber_p2p_m2(
-                _branch_sinrs_m2(cfg, "r2", tables.zeta, tables.xi, limit), tables.g_v
-            )
-        return e2e_cnoma(p, q)
+        return e2e_cnoma(link_ber("sr"), link_ber(rel))
     if scheme == "cnoma-wdl":
-        if user == "u1":
-            sr = _branch_sinrs_m1(cfg, "sr", tables.psi, limit)
-            direct = _branch_sinrs_m1(cfg, "s1", tables.psi, limit)
-            rel = _branch_sinrs_m1(cfg, "r1", tables.psi, limit)
-            p_sr = _fade_term(sr)
-            p_coop = np.array([aber_mrc_pair(da, dr) for da, dr in zip(direct, rel)])
-            p_prop = _prop_branches(cfg, "s1", "r1", tables.psi)
-            return e2e_cnoma_wdl_u1(p_sr, p_prop, p_coop, tables.g_z)
-        sr = _branch_sinrs_m2(cfg, "sr", tables.zeta, tables.xi, limit)
-        direct = _branch_sinrs_m2(cfg, "s2", tables.zeta, tables.xi, limit)
-        rel = _branch_sinrs_m2(cfg, "r2", tables.zeta, tables.xi, limit)
-        p_sr = _fade_term(sr)
-        p_coop = np.array([aber_mrc_pair(da, dr) for da, dr in zip(direct, rel)])
-        p_prop = _prop_branches(cfg, "s2", "r2", tables.zeta)
-        return e2e_cnoma_wdl_u2(p_sr, p_prop, p_coop, tables.g_v)
+        p_coop = np.array([aber_mrc_pair(da, dr) for da, dr in zip(sinrs(direct), sinrs(rel))])
+        return _e2e_wdl(_fade_term(sinrs("sr")), _prop_branches(cfg, direct, rel, amp),
+                        p_coop, signs, label)
     raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
 
 

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Four subcommands: ``sweep-snr``, ``sweep-hwi`` and ``sweep-pa`` run the
-corresponding parameter sweep and write CSV; ``validate`` replays the
-closed-form-versus-simulation comparison over the reference grid and exits
-nonzero if any point disagrees beyond three standard errors.
+corresponding parameter sweep and write CSV; ``validate`` runs both methods
+over the reference SNR grid on the sweep pool, compares them with
+:func:`nomalink.experiments.compare` and exits nonzero if any point
+disagrees beyond three standard errors.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import analytic, experiments, simulator
+from . import analytic, experiments
 from .model import SystemConfig
 
 _SWEEP_OF_COMMAND = {
@@ -23,13 +24,7 @@ _SWEEP_OF_COMMAND = {
 VALIDATE_SNR_GRID = tuple(float(v) for v in range(0, 35, 5))
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", metavar="PATH",
-                        help="flat key = value sweep config (see the README)")
-    parser.add_argument("--out", metavar="PATH", default="-",
-                        help="output CSV path, '-' for stdout (default)")
-    parser.add_argument("--methods", metavar="LIST",
-                        help="comma-separated subset of: analytic, mc")
+def _add_sim_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--schemes", metavar="LIST",
                         help="comma-separated subset of: noma, cnoma, cnoma-wdl")
     parser.add_argument("--symbols", type=int, metavar="N",
@@ -46,42 +41,39 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, swept in _SWEEP_OF_COMMAND.items():
         p = sub.add_parser(command, help=f"sweep {swept} and write CSV")
-        _add_common(p)
+        p.add_argument("--config", metavar="PATH",
+                       help="flat key = value sweep config (see the README)")
+        p.add_argument("--out", metavar="PATH", default="-",
+                       help="output CSV path, '-' for stdout (default)")
+        p.add_argument("--methods", metavar="LIST",
+                       help="comma-separated subset of: analytic, mc")
+        _add_sim_flags(p)
     v = sub.add_parser("validate",
                        help="compare simulation against the closed forms "
                             "on the reference grid")
-    _add_common(v)
+    _add_sim_flags(v)
+    v.set_defaults(symbols=1_000_000, seed=1)
     return parser
 
 
-def _split_list(raw: str | None, aliases: dict, what: str):
-    if raw is None:
-        return None
-    names = []
-    for part in raw.split(","):
-        part = part.strip().lower()
-        if not part:
-            continue
-        if part not in aliases:
-            raise experiments.ConfigError(f"unknown {what} {part!r}")
-        names.append(aliases[part])
-    if not names:
-        raise experiments.ConfigError(f"empty {what} list")
-    return tuple(names)
+def _names(raw: str | None, known: tuple[str, ...], what: str):
+    return None if raw is None else experiments.parse_names(raw, known, what)
 
 
 def _load_spec(args) -> experiments.SweepSpec:
-    default_sweep = _SWEEP_OF_COMMAND.get(args.command, "snr_db")
+    swept = _SWEEP_OF_COMMAND[args.command]
+    text = ""
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            spec = experiments.parse_config(fh.read(), default_sweep=default_sweep)
-    else:
-        spec = experiments.parse_config("", default_sweep=default_sweep)
-    methods = _split_list(args.methods, experiments._METHOD_ALIASES, "method")
-    schemes = _split_list(args.schemes, experiments._SCHEME_ALIASES, "scheme")
-    swept = _SWEEP_OF_COMMAND.get(args.command)
+            text = fh.read()
+    spec = experiments.parse_config(text, default_sweep=swept)
+    if spec.swept_parameter != swept:
+        raise experiments.ConfigError(
+            f"{args.config} sweeps {spec.swept_parameter} but {args.command} "
+            f"sweeps {swept}")
     return experiments.spec_with(
-        spec, swept_parameter=swept, schemes=schemes, methods=methods,
+        spec, schemes=_names(args.schemes, analytic.SCHEMES, "scheme"),
+        methods=_names(args.methods, experiments.METHODS, "method"),
         n_symbols=args.symbols, seed=args.seed,
     )
 
@@ -110,43 +102,30 @@ def run_validation(n_symbols: int = 1_000_000, seed: int = 1,
                    out=None):
     """Closed forms versus Monte Carlo on the reference scenario.
 
-    Returns the list of per-point records; a record is compared only when
-    the closed form predicts at least ten expected error events.
+    Runs both methods over ``snr_grid`` on the sweep pool and returns the
+    records of :func:`nomalink.experiments.compare`; a point is compared
+    only when the closed form predicts at least ten expected error events.
+    A symbol count, seed or scheme the sweep rejects raises ConfigError.
     """
     if out is None:
         out = sys.stdout
-    sim = simulator.SimSpec(n_symbols=n_symbols, seed=seed)
-    records = []
-    for snr in snr_grid:
-        cfg = SystemConfig.defaults(snr_db=snr)
-        for scheme in schemes:
-            mc = simulator.simulate(cfg, scheme, sim)
-            for user in analytic.USERS:
-                ana = analytic.scheme_ber(cfg, scheme, user)
-                se = mc.std_err(user)
-                gap = abs(mc.ber(user) - ana)
-                checked = ana >= 10.0 / n_symbols
-                ok = (not checked) or gap <= 3.0 * se
-                records.append({
-                    "snr_db": snr, "scheme": scheme, "user": user,
-                    "analytic": ana, "mc": mc.ber(user), "std_err": se,
-                    "sigmas": gap / se if se else float("inf"),
-                    "checked": checked, "ok": ok,
-                })
-                status = "pass" if ok else ("FAIL" if checked else "skip")
-                print(f"{status}  snr={snr:5.1f}  {scheme:9s} {user}  "
-                      f"analytic={ana:.6e}  mc={mc.ber(user):.6e}  "
-                      f"|diff|={gap:.2e}  ({records[-1]['sigmas']:.2f} sigma)",
-                      file=out)
+    spec = experiments.spec_with(
+        experiments.SweepSpec("snr_db", snr_grid, SystemConfig.defaults()),
+        schemes=schemes, n_symbols=n_symbols, seed=seed)
+    records = experiments.compare(experiments.run_sweep(spec), 10.0 / n_symbols)
+    for r in records:
+        status = "FAIL" if not r["ok"] else ("pass" if r["checked"] else "skip")
+        print(f"{status}  snr={r['snr_db']:5.1f}  {r['scheme']:9s} {r['user']}  "
+              f"analytic={r['analytic']:.6e}  mc={r['mc']:.6e}  "
+              f"|diff|={abs(r['mc'] - r['analytic']):.2e}  "
+              f"({abs(r['sigmas']):.2f} sigma)", file=out)
     return records
 
 
 def _validate_command(args) -> int:
-    n_symbols = args.symbols or 1_000_000
-    seed = args.seed if args.seed is not None else 1
-    schemes = _split_list(args.schemes, experiments._SCHEME_ALIASES, "scheme") \
-        or analytic.SCHEMES
-    records = run_validation(n_symbols=n_symbols, seed=seed, schemes=schemes)
+    records = run_validation(n_symbols=args.symbols, seed=args.seed,
+                             schemes=_names(args.schemes, analytic.SCHEMES, "scheme")
+                             or analytic.SCHEMES)
     bad = [r for r in records if not r["ok"]]
     print(f"{len(records) - len(bad)}/{len(records)} points within 3 standard errors")
     return 1 if bad else 0

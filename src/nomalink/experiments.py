@@ -23,6 +23,8 @@ CSV_HEADER = "swept_param,value,scheme,user,method,ber,std_err"
 DEFAULT_SNR_GRID = tuple(float(v) for v in range(0, 45, 5))
 DEFAULT_HWI_GRID = tuple(i * 0.025 for i in range(0, 9))
 DEFAULT_ALPHA_GRID = tuple(round(0.55 + 0.05 * i, 2) for i in range(0, 9))
+DEFAULT_GRIDS = {"snr_db": DEFAULT_SNR_GRID, "hwi_k": DEFAULT_HWI_GRID,
+                 "alpha1": DEFAULT_ALPHA_GRID}
 
 
 class ConfigError(ValueError):
@@ -150,6 +152,44 @@ def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> SweepResult:
     return SweepResult(spec=spec, rows=rows)
 
 
+def compare(result: SweepResult, threshold: float) -> list[dict]:
+    """Pair each closed-form row of ``result`` with its Monte Carlo row.
+
+    One record per (grid value, scheme, user), in row order, keyed by the
+    swept parameter's name (``snr_db`` for an SNR sweep) and ``scheme``,
+    ``user``, ``analytic``, ``mc``, ``std_err``, ``sigmas`` (the signed
+    distance ``(mc - analytic) / std_err``; a zero ``std_err`` gives +-inf,
+    or 0 when the two agree), ``checked`` and ``ok``.  A point is checked
+    when the closed form is at least ``threshold`` and is then ok within
+    three standard errors; a row whose evaluation failed (NaN) is checked
+    and not ok, never skipped.
+    """
+    if set(result.spec.methods) != set(METHODS):
+        raise ValueError(f"compare needs a sweep over both methods {METHODS}")
+    mc_rows = {(r.value, r.scheme, r.user): r for r in result.rows
+               if r.method == "monte-carlo"}
+    records = []
+    for row in result.rows:
+        if row.method != "analytic":
+            continue
+        mc = mc_rows[(row.value, row.scheme, row.user)]
+        se = math.nan if mc.std_err is None else mc.std_err
+        gap = mc.ber - row.ber
+        broken = math.isnan(gap) or math.isnan(se)
+        checked = broken or row.ber >= threshold
+        if se:
+            sigmas = gap / se
+        else:
+            sigmas = math.copysign(math.inf, gap) if gap else 0.0
+        records.append({
+            result.spec.swept_parameter: row.value, "scheme": row.scheme,
+            "user": row.user, "analytic": row.ber, "mc": mc.ber, "std_err": se,
+            "sigmas": sigmas, "checked": checked,
+            "ok": not broken and (not checked or abs(gap) <= 3.0 * se),
+        })
+    return records
+
+
 def emit_csv(result: SweepResult) -> str:
     """Render a sweep as CSV with round-trippable float formatting."""
     lines = [CSV_HEADER]
@@ -169,8 +209,7 @@ def emit_csv(result: SweepResult) -> str:
 
 # -- flat key = value config files -------------------------------------------
 
-_SCHEME_ALIASES = {s: s for s in analytic.SCHEMES}
-_METHOD_ALIASES = {"analytic": "analytic", "mc": "monte-carlo", "monte-carlo": "monte-carlo"}
+_ALIASES = {"mc": "monte-carlo"}
 
 _SCALAR_KEYS = ("d_s1", "d_s2", "d_sr", "d_r1", "d_r2", "a",
                 "alpha1", "hwi_k", "sigma_eps_sq", "snr_db")
@@ -188,6 +227,25 @@ def _parse_int(key, value, line_no):
         return int(value)
     except ValueError:
         raise ConfigError(f"line {line_no}: invalid integer for {key!r}: {value!r}") from None
+
+
+def parse_names(raw: str, known: tuple[str, ...], what: str) -> tuple[str, ...]:
+    """Split a comma-separated list of ``known`` names, case-insensitively
+    (``mc`` stands for ``monte-carlo``).  An empty or unknown entry raises
+    :class:`ConfigError` naming ``what``."""
+    names = []
+    for part in raw.split(","):
+        part = part.strip().lower()
+        if not part:
+            raise ConfigError(f"empty entry in {what} list {raw!r}")
+        name = _ALIASES.get(part, part)
+        if name not in known:
+            raise ConfigError(f"unknown {what} {part!r}")
+        names.append(name)
+    return tuple(names)
+
+
+_LIST_KEYS = {"schemes": (analytic.SCHEMES, "scheme"), "methods": (METHODS, "method")}
 
 
 def parse_config(text: str, default_sweep: str = "snr_db") -> SweepSpec:
@@ -225,22 +283,11 @@ def parse_config(text: str, default_sweep: str = "snr_db") -> SweepSpec:
         elif key == "grid":
             seen[key] = tuple(_parse_float(key, v.strip(), line_no)
                               for v in value.split(",") if v.strip())
-        elif key == "schemes":
-            names = []
-            for v in value.split(","):
-                v = v.strip().lower()
-                if v not in _SCHEME_ALIASES:
-                    raise ConfigError(f"line {line_no}: unknown scheme {v!r}")
-                names.append(_SCHEME_ALIASES[v])
-            seen[key] = tuple(names)
-        elif key == "methods":
-            names = []
-            for v in value.split(","):
-                v = v.strip().lower()
-                if v not in _METHOD_ALIASES:
-                    raise ConfigError(f"line {line_no}: unknown method {v!r}")
-                names.append(_METHOD_ALIASES[v])
-            seen[key] = tuple(names)
+        elif key in _LIST_KEYS:
+            try:
+                seen[key] = parse_names(value, *_LIST_KEYS[key])
+            except ConfigError as exc:
+                raise ConfigError(f"line {line_no}: {exc}") from None
         elif key in ("symbols", "seed", "batch_size"):
             seen[key] = _parse_int(key, value, line_no)
         elif key in _SCALAR_KEYS:
@@ -259,9 +306,7 @@ _DEFAULT_OPERATING_SNR = {"snr_db": 40.0, "hwi_k": 40.0, "alpha1": 20.0}
 
 def _spec_from_keys(seen: dict, default_sweep: str = "snr_db") -> SweepSpec:
     swept = seen.get("sweep", default_sweep)
-    default_grids = {"snr_db": DEFAULT_SNR_GRID, "hwi_k": DEFAULT_HWI_GRID,
-                     "alpha1": DEFAULT_ALPHA_GRID}
-    grid = seen.get("grid", default_grids[swept])
+    grid = seen.get("grid", DEFAULT_GRIDS[swept])
 
     base_kw = {}
     for key in ("d_s1", "d_s2", "d_sr", "d_r1", "d_r2", "a", "sigma_eps_sq"):
@@ -304,13 +349,14 @@ def _spec_from_keys(seen: dict, default_sweep: str = "snr_db") -> SweepSpec:
 def spec_with(spec: SweepSpec, *, swept_parameter: str | None = None,
               schemes=None, methods=None, n_symbols: int | None = None,
               seed: int | None = None) -> SweepSpec:
-    """Copy of ``spec`` with CLI-style overrides applied."""
+    """Copy of ``spec`` with CLI-style overrides applied.
+
+    An override that makes the spec invalid raises :class:`ConfigError`.
+    """
     kw = {}
     if swept_parameter is not None and swept_parameter != spec.swept_parameter:
-        default_grids = {"snr_db": DEFAULT_SNR_GRID, "hwi_k": DEFAULT_HWI_GRID,
-                         "alpha1": DEFAULT_ALPHA_GRID}
         kw["swept_parameter"] = swept_parameter
-        kw["grid"] = default_grids[swept_parameter]
+        kw["grid"] = DEFAULT_GRIDS[swept_parameter]
     if schemes is not None:
         kw["schemes"] = schemes
     if methods is not None:
@@ -320,6 +366,9 @@ def spec_with(spec: SweepSpec, *, swept_parameter: str | None = None,
         sim_kw["n_symbols"] = n_symbols
     if seed is not None:
         sim_kw["seed"] = seed
-    if sim_kw:
-        kw["sim"] = replace(spec.sim, **sim_kw)
-    return replace(spec, **kw) if kw else spec
+    try:
+        if sim_kw:
+            kw["sim"] = replace(spec.sim, **sim_kw)
+        return replace(spec, **kw) if kw else spec
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None

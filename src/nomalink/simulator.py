@@ -50,6 +50,8 @@ class SimSpec:
     def __post_init__(self):
         if self.n_symbols < _MIN_SYMBOLS:
             raise ValueError(f"n_symbols must be at least {_MIN_SYMBOLS}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.impairment_convention not in CONVENTIONS:
             raise ValueError(
                 f"impairment_convention must be one of {CONVENTIONS}, "

@@ -46,22 +46,15 @@ def test_acceptance_01_simulation_agrees_with_closed_forms():
     errors of the closed form wherever the closed form predicts at least
     1e-4, with the reference impairment levels, inside a 10 minute budget."""
     started = time.monotonic()
-    spec = simulator.SimSpec(n_symbols=1_000_000, seed=1)
+    spec = experiments.SweepSpec("snr_db", tuple(range(0, 35, 5)), SystemConfig.defaults(),
+                                 sim=simulator.SimSpec(n_symbols=1_000_000, seed=1))
+    records = experiments.compare(experiments.run_sweep(spec), 1e-4)
     rows = []
-    for snr_db in range(0, 35, 5):
-        cfg = SystemConfig.defaults(snr_db=snr_db)
-        for scheme in analytic.SCHEMES:
-            mc = simulator.simulate(cfg, scheme, spec)
-            for user in analytic.USERS:
-                ana = analytic.scheme_ber(cfg, scheme, user)
-                se = mc.std_err(user)
-                checked = ana >= 1e-4
-                ok = (not checked) or abs(mc.ber(user) - ana) <= 3.0 * se
-                rows.append(ok)
-                status = "ok" if ok else "BAD"
-                print(f"  {status} snr={snr_db:2d} {scheme:9s} {user} "
-                      f"analytic={ana:.6f} mc={mc.ber(user):.6f} "
-                      f"({(mc.ber(user) - ana) / se:+7.2f} sigma)")
+    for r in records:
+        rows.append(r["ok"])
+        print(f"  {'ok' if r['ok'] else 'BAD'} snr={r['snr_db']:2.0f} {r['scheme']:9s} "
+              f"{r['user']} analytic={r['analytic']:.6f} mc={r['mc']:.6f} "
+              f"({r['sigmas']:+7.2f} sigma)")
     elapsed = time.monotonic() - started
     bad = rows.count(False)
     ok = bad == 0 and elapsed < 600.0

@@ -200,6 +200,8 @@ def test_parse_config_operating_point_defaults():
     ("sweep = power", "sweep must be one of"),
     ("schemes = noma, pdma", "unknown scheme"),
     ("methods = quadrature", "unknown method"),
+    ("schemes = noma,,cnoma", "line 1: empty entry in scheme list"),
+    ("methods = analytic,", "empty entry in method list"),
 ])
 def test_parse_config_diagnostics(text, fragment):
     with pytest.raises(ConfigError, match=re.escape(fragment)):
@@ -279,8 +281,37 @@ def test_cli_rejects_bad_inputs(tmp_path, capsys):
     bad.write_text("flux = 3\n")
     assert cli.main(["sweep-snr", "--config", str(bad)]) == 2
     assert cli.main(["sweep-snr", "--methods", "quadrature"]) == 2
+    assert cli.main(["validate", "--schemes", "noma,"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+@pytest.mark.parametrize("command", ["sweep-snr", "validate"])
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--symbols", "100"],
+                                   ["--symbols", "0"]])
+def test_cli_bad_numbers_exit_2_with_one_error_line(command, flags, capsys):
+    assert cli.main([command, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize("flag", ["--config", "--out", "--methods"])
+def test_validate_rejects_sweep_only_flags(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["validate", flag, "x"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_cli_rejects_config_sweeping_another_parameter(tmp_path, capsys):
+    cfg = tmp_path / "hwi.cfg"
+    cfg.write_text("sweep = hwi_k\ngrid = 0, 0.1\n")
+    assert cli.main(["sweep-snr", "--config", str(cfg), "--methods", "analytic"]) == 2
+    assert "sweeps hwi_k but sweep-snr sweeps snr_db" in capsys.readouterr().err
+    assert cli.main(["sweep-hwi", "--config", str(cfg), "--methods", "analytic",
+                     "--out", str(tmp_path / "out.csv")]) == 0
 
 
 def test_validation_report_grammar():
@@ -297,7 +328,47 @@ def test_validation_report_grammar():
     for line in lines:
         assert pattern.match(line), line
     for record, line in zip(records, lines):
-        assert line.startswith("pass" if record["ok"] else "FAIL")
+        status = "FAIL" if not record["ok"] else ("pass" if record["checked"] else "skip")
+        assert line.startswith(status + "  ")
+
+
+def _row(value, method, ber, std_err=None, error=None, scheme="noma", user="u1"):
+    return experiments.SweepRow("snr_db", value, scheme, user, method, ber, std_err, error)
+
+
+def test_compare_pairs_rows_and_flags_failures():
+    spec = SweepSpec(swept_parameter="snr_db", grid=(0.0, 10.0, 20.0, 30.0, 40.0),
+                     schemes=("noma",), sim=FAST_SIM)
+    rows = (
+        # zero std_err: +-inf when the values differ, 0 when they agree
+        _row(0.0, "analytic", 0.1), _row(0.0, "monte-carlo", 0.0, 0.0),
+        _row(0.0, "analytic", 0.2, user="u2"), _row(0.0, "monte-carlo", 0.2, 0.0, user="u2"),
+        # a failed evaluation is checked and not ok, on either side
+        _row(10.0, "analytic", math.nan, error="boom"), _row(10.0, "monte-carlo", 0.1, 0.01),
+        _row(10.0, "analytic", 0.1, user="u2"),
+        _row(10.0, "monte-carlo", math.nan, error="boom", user="u2"),
+        # below the threshold: skipped, ok even far off
+        _row(20.0, "analytic", 1e-5), _row(20.0, "monte-carlo", 1e-3, 1e-4),
+        # signed distance: mc below the closed form is negative
+        _row(30.0, "analytic", 0.1), _row(30.0, "monte-carlo", 0.07, 0.01),
+        _row(40.0, "analytic", 0.1), _row(40.0, "monte-carlo", 0.12, 0.01),
+    )
+    records = experiments.compare(experiments.SweepResult(spec=spec, rows=rows), 1e-4)
+    assert [(r["snr_db"], r["user"]) for r in records] == [
+        (0.0, "u1"), (0.0, "u2"), (10.0, "u1"), (10.0, "u2"), (20.0, "u1"),
+        (30.0, "u1"), (40.0, "u1")]
+    zero, equal, bad_ana, bad_mc, skip, below, above = records
+    assert zero["sigmas"] == -math.inf and zero["checked"] and not zero["ok"]
+    assert equal["sigmas"] == 0.0 and equal["ok"]
+    for bad in (bad_ana, bad_mc):
+        assert bad["checked"] and not bad["ok"]
+    assert not skip["checked"] and skip["ok"]
+    assert below["sigmas"] == pytest.approx(-3.0) and below["ok"]
+    assert above["sigmas"] == pytest.approx(2.0) and above["ok"]
+    assert set(above) == {"snr_db", "scheme", "user", "analytic", "mc", "std_err",
+                          "sigmas", "checked", "ok"}
+    with pytest.raises(ValueError):
+        experiments.compare(run_sweep(analytic_spec()), 1e-4)
 
 
 def test_validate_command_exit_code_tracks_failures(capsys):

@@ -27,6 +27,8 @@ def test_spec_validation():
         SimSpec(n_symbols=100_000, batch_size=30_000)
     with pytest.raises(ValueError):
         SimSpec(n_symbols=100_000, batch_size=0)
+    with pytest.raises(ValueError, match="seed"):
+        SimSpec(seed=-1)
 
 
 def test_batches_cover_the_workload():
