@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 
 from . import analytic, experiments
 from .model import SystemConfig
@@ -97,6 +98,10 @@ def _run_sweep_command(args) -> int:
     return 1 if failed else 0
 
 
+def _status(record: dict) -> str:
+    return "FAIL" if not record["ok"] else ("pass" if record["checked"] else "skip")
+
+
 def run_validation(n_symbols: int = 1_000_000, seed: int = 1,
                    schemes=analytic.SCHEMES, snr_grid=VALIDATE_SNR_GRID,
                    out=None):
@@ -105,6 +110,7 @@ def run_validation(n_symbols: int = 1_000_000, seed: int = 1,
     Runs both methods over ``snr_grid`` on the sweep pool and returns the
     records of :func:`nomalink.experiments.compare`; a point is compared
     only when the closed form predicts at least ten expected error events.
+    A failed evaluation's reason goes to stderr as a ``warning:`` line.
     A symbol count, seed or scheme the sweep rejects raises ConfigError.
     """
     if out is None:
@@ -114,8 +120,10 @@ def run_validation(n_symbols: int = 1_000_000, seed: int = 1,
         schemes=schemes, n_symbols=n_symbols, seed=seed)
     records = experiments.compare(experiments.run_sweep(spec), 10.0 / n_symbols)
     for r in records:
-        status = "FAIL" if not r["ok"] else ("pass" if r["checked"] else "skip")
-        print(f"{status}  snr={r['snr_db']:5.1f}  {r['scheme']:9s} {r['user']}  "
+        if r["error"] is not None:
+            print(f"warning: {r['scheme']}/{r['user']} at snr_db={r['snr_db']}: "
+                  f"{r['error']}", file=sys.stderr)
+        print(f"{_status(r)}  snr={r['snr_db']:5.1f}  {r['scheme']:9s} {r['user']}  "
               f"analytic={r['analytic']:.6e}  mc={r['mc']:.6e}  "
               f"|diff|={abs(r['mc'] - r['analytic']):.2e}  "
               f"({abs(r['sigmas']):.2f} sigma)", file=out)
@@ -126,9 +134,10 @@ def _validate_command(args) -> int:
     records = run_validation(n_symbols=args.symbols, seed=args.seed,
                              schemes=_names(args.schemes, analytic.SCHEMES, "scheme")
                              or analytic.SCHEMES)
-    bad = [r for r in records if not r["ok"]]
-    print(f"{len(records) - len(bad)}/{len(records)} points within 3 standard errors")
-    return 1 if bad else 0
+    counts = Counter(_status(r) for r in records)
+    print(f"{counts['pass']} pass (within 3 standard errors), {counts['skip']} skip "
+          f"(closed form below 10/N), {counts['FAIL']} FAIL, of {len(records)} points")
+    return 1 if counts["FAIL"] else 0
 
 
 def main(argv=None) -> int:

@@ -159,10 +159,11 @@ def compare(result: SweepResult, threshold: float) -> list[dict]:
     swept parameter's name (``snr_db`` for an SNR sweep) and ``scheme``,
     ``user``, ``analytic``, ``mc``, ``std_err``, ``sigmas`` (the signed
     distance ``(mc - analytic) / std_err``; a zero ``std_err`` gives +-inf,
-    or 0 when the two agree), ``checked`` and ``ok``.  A point is checked
-    when the closed form is at least ``threshold`` and is then ok within
-    three standard errors; a row whose evaluation failed (NaN) is checked
-    and not ok, never skipped.
+    or 0 when the two agree), ``checked``, ``ok`` and ``error`` (None, or
+    each failed evaluation's message prefixed with its method).  A point is
+    checked when the closed form is at least ``threshold`` and is then ok
+    within three standard errors; a row whose evaluation failed (NaN) is
+    checked and not ok, never skipped.
     """
     if set(result.spec.methods) != set(METHODS):
         raise ValueError(f"compare needs a sweep over both methods {METHODS}")
@@ -186,6 +187,8 @@ def compare(result: SweepResult, threshold: float) -> list[dict]:
             "user": row.user, "analytic": row.ber, "mc": mc.ber, "std_err": se,
             "sigmas": sigmas, "checked": checked,
             "ok": not broken and (not checked or abs(gap) <= 3.0 * se),
+            "error": "; ".join(f"{r.method}: {r.error}" for r in (row, mc)
+                               if r.error is not None) or None,
         })
     return records
 
@@ -346,17 +349,13 @@ def _spec_from_keys(seen: dict, default_sweep: str = "snr_db") -> SweepSpec:
         raise ConfigError(str(exc)) from None
 
 
-def spec_with(spec: SweepSpec, *, swept_parameter: str | None = None,
-              schemes=None, methods=None, n_symbols: int | None = None,
-              seed: int | None = None) -> SweepSpec:
+def spec_with(spec: SweepSpec, *, schemes=None, methods=None,
+              n_symbols: int | None = None, seed: int | None = None) -> SweepSpec:
     """Copy of ``spec`` with CLI-style overrides applied.
 
     An override that makes the spec invalid raises :class:`ConfigError`.
     """
     kw = {}
-    if swept_parameter is not None and swept_parameter != spec.swept_parameter:
-        kw["swept_parameter"] = swept_parameter
-        kw["grid"] = DEFAULT_GRIDS[swept_parameter]
     if schemes is not None:
         kw["schemes"] = schemes
     if methods is not None:

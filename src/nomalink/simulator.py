@@ -2,7 +2,9 @@
 
 Each trial transmits one fresh BPSK pair through independently drawn
 channels, estimation errors, hardware distortion and thermal noise; the
-receivers detect with the channel estimate only.  Successive interference
+receivers detect with the channel estimate only, and each receiver draws
+the exact joint law of the two numbers its detector reads (see
+``_Receiver``) rather than the complex observation.  Successive interference
 cancellation is genuine: the near user (and the relay) subtracts its own
 hard decision, so detection errors propagate exactly as they would on the
 air, and the relay re-encodes whatever it decided before forwarding.
@@ -127,35 +129,43 @@ def _rngs(spec: SimSpec):
         yield np.random.default_rng(np.random.SeedSequence((spec.seed, index))), size
 
 
-def _cn(rng, var: float, n: int) -> np.ndarray:
-    """Zero-mean circular complex Gaussian samples with total variance ``var``."""
-    if var == 0.0:
-        return np.zeros(n, dtype=complex)
-    scale = math.sqrt(var / 2.0)
-    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scale
-
-
 def _bits(rng, n: int) -> np.ndarray:
     return rng.integers(0, 2, n).astype(float) * 2.0 - 1.0
 
 
 class _Receiver:
-    """One link's receive chain for a batch: estimate, observation, projection."""
+    """One link's receive chain for a batch, reduced to what detection reads.
 
-    __slots__ = ("h_tilde", "gain", "proj_y")
+    Detection uses only the estimate power ``gain`` = |h~|^2 and the
+    projection ``proj_y`` = Re(conj(h~) y) of the observation
+    y = (h~ + e)(sqrt(P) tx + d) + n.  Distortion d and noise n are
+    independent circular Gaussians, so given h~ and the estimation error e
+    the projection is Gaussian with mean Re(conj(h~)(h~ + e)) sqrt(P) tx and
+    variance |h~|^2 (|h~ + e|^2 s k^2 P + N0) / 2, with s the convention's
+    variance factor (``_IMPAIRMENT_SCALE``).  Writing e in the frame
+    of h~ as (e_par, e_perp) gives Re(conj(h~) e) = |h~| e_par and
+    |h~ + e|^2 = (|h~| + e_par)^2 + e_perp^2, so one receiver needs four
+    real draws: |h~|^2 (exponential), e_par and e_perp, and one standard
+    normal for the projected distortion plus noise.  All four are drawn
+    even when a variance is zero, so a seed fixes the same stream for every
+    scenario.
+    """
+
+    __slots__ = ("gain", "proj_y")
 
     def __init__(self, rng, cfg: SystemConfig, scale: float, link: str, tx: np.ndarray, n: int):
-        budget = cfg.link_budget(link)
         P = cfg.power(link)
         k = cfg.hwi(link)
-        h_tilde = _cn(rng, budget.sigma_tilde_sq, n)
-        est_err = _cn(rng, scale * cfg.sigma_eps_sq, n)
-        distortion = _cn(rng, scale * k * k * P, n)
-        noise = _cn(rng, cfg.N0, n)
-        y = (h_tilde + est_err) * (math.sqrt(P) * tx + distortion) + noise
-        self.h_tilde = h_tilde
-        self.gain = np.abs(h_tilde) ** 2
-        self.proj_y = (np.conj(h_tilde) * y).real
+        gain = cfg.link_budget(link).sigma_tilde_sq * rng.standard_exponential(n)
+        err_sd = math.sqrt(scale * cfg.sigma_eps_sq / 2.0)
+        e_par = rng.standard_normal(n) * err_sd
+        e_perp = rng.standard_normal(n) * err_sd
+        z = rng.standard_normal(n)
+        amp = np.sqrt(gain)
+        field = amp + e_par  # component of h~ + e along h~
+        spread = np.sqrt(((field * field + e_perp * e_perp) * (scale * k * k * P) + cfg.N0) / 2.0)
+        self.gain = gain
+        self.proj_y = amp * (field * math.sqrt(P) * tx + spread * z)
 
 
 def _slice_sign(x: np.ndarray) -> np.ndarray:

@@ -9,7 +9,6 @@ import pytest
 from nomalink import analytic, cli, experiments, simulator
 from nomalink.experiments import (
     CSV_HEADER,
-    DEFAULT_ALPHA_GRID,
     DEFAULT_HWI_GRID,
     DEFAULT_SNR_GRID,
     ConfigError,
@@ -218,16 +217,11 @@ def test_parse_config_invariant_violation_names_the_key():
 def test_spec_with_overrides():
     spec = parse_config("grid = 3, 7")
     assert spec_with(spec) is spec
-    # same swept parameter keeps a custom grid
-    assert spec_with(spec, swept_parameter="snr_db").grid == (3.0, 7.0)
-    # switching the swept parameter replaces it with that sweep's reference grid
-    pa = spec_with(spec, swept_parameter="alpha1")
-    assert pa.grid == DEFAULT_ALPHA_GRID
-    hw = spec_with(spec, swept_parameter="hwi_k", schemes=("noma",),
-                   methods=("analytic",), n_symbols=50_000, seed=4)
-    assert hw.grid == DEFAULT_HWI_GRID
-    assert hw.schemes == ("noma",) and hw.methods == ("analytic",)
-    assert hw.sim.n_symbols == 50_000 and hw.sim.seed == 4
+    out = spec_with(spec, schemes=("noma",), methods=("analytic",),
+                    n_symbols=50_000, seed=4)
+    assert out.grid == (3.0, 7.0)
+    assert out.schemes == ("noma",) and out.methods == ("analytic",)
+    assert out.sim.n_symbols == 50_000 and out.sim.seed == 4
 
 
 # -- command line --------------------------------------------------------------
@@ -362,11 +356,14 @@ def test_compare_pairs_rows_and_flags_failures():
     assert equal["sigmas"] == 0.0 and equal["ok"]
     for bad in (bad_ana, bad_mc):
         assert bad["checked"] and not bad["ok"]
+    assert bad_ana["error"] == "analytic: boom"
+    assert bad_mc["error"] == "monte-carlo: boom"
+    assert all(r["error"] is None for r in (zero, equal, skip, below, above))
     assert not skip["checked"] and skip["ok"]
     assert below["sigmas"] == pytest.approx(-3.0) and below["ok"]
     assert above["sigmas"] == pytest.approx(2.0) and above["ok"]
     assert set(above) == {"snr_db", "scheme", "user", "analytic", "mc", "std_err",
-                          "sigmas", "checked", "ok"}
+                          "sigmas", "checked", "ok", "error"}
     with pytest.raises(ValueError):
         experiments.compare(run_sweep(analytic_spec()), 1e-4)
 
@@ -379,3 +376,25 @@ def test_validate_command_exit_code_tracks_failures(capsys):
     has_fail = any(line.startswith("FAIL") for line in lines)
     assert code == (1 if has_fail else 0)
     assert "within 3 standard errors" in out
+
+
+def test_validate_summary_counts_pass_skip_and_fail_apart(monkeypatch, capsys):
+    """A skipped point (closed form below 10/N) is not counted as within,
+    and a failed evaluation's reason reaches stderr."""
+    spec = SweepSpec(swept_parameter="snr_db", grid=(0.0, 10.0), schemes=("noma",),
+                     sim=FAST_SIM)
+    rows = (
+        _row(0.0, "analytic", 0.1), _row(0.0, "monte-carlo", 0.1, 0.01),
+        _row(0.0, "analytic", 1e-5, user="u2"),
+        _row(0.0, "monte-carlo", 0.0, 0.0, user="u2"),
+        _row(10.0, "analytic", 0.1), _row(10.0, "monte-carlo", math.nan, None, "boom"),
+    )
+    monkeypatch.setattr(experiments, "run_sweep",
+                        lambda spec_: experiments.SweepResult(spec=spec, rows=rows))
+    code = cli.main(["validate", "--symbols", "10000", "--schemes", "noma"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.splitlines()[-1] == (
+        "1 pass (within 3 standard errors), 1 skip (closed form below 10/N), "
+        "1 FAIL, of 3 points")
+    assert captured.err == "warning: noma/u1 at snr_db=10.0: monte-carlo: boom\n"

@@ -1,17 +1,23 @@
 """Monte Carlo engine: reproducibility, degenerate limits, and agreement
 with oracles that share no code with it.
 
-The strongest check is the conditional-Gaussian average in
-``semi_analytic_far_bit``: given the drawn estimate and estimation error,
-the projected decision statistic is exactly Gaussian, so averaging the
-closed conditional error probability over fresh channel draws gives an
-independent estimate of the same quantity the simulator counts.
+The simulator draws each receiver's sufficient statistic (|h~|^2 and the
+projection Re(conj(h~) y)) instead of the complex observation.
+``_FullFieldReceiver`` keeps the literal signal model as a test-only
+reference, and the whole schemes must agree with it.  Two oracles share no
+code with the closed forms: the conditional-Gaussian average in
+``semi_analytic_far_bit`` (with impairments on, the projected statistic is
+exactly Gaussian given the estimate and the estimation error) and
+``exact_clean_ber`` (with impairments off, every scheme's BER is a
+deterministic integral over the link gains).
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from nomalink import analytic, simulator
 from nomalink.model import SystemConfig
@@ -72,17 +78,152 @@ def test_disjoint_seeds_agree_within_sampling_noise():
 
 def test_impairment_free_runs_match_closed_forms():
     """Without hardware distortion and estimation error the single-link
-    closed forms are exact.  The relay compositions are not: they treat the
-    hops as independent binary channels, which at 0 dB puts them -32 to
-    -216 standard errors off.  At this 20 dB point relay slips are rare
-    enough that every scheme agrees within plain sampling noise."""
+    closed forms are exact, so the direct scheme must agree within plain
+    sampling noise.  The relay compositions are not exact (see
+    ``test_impairment_free_relayed_runs_match_exact_oracle``)."""
+    cfg = SystemConfig.defaults(snr_db=20.0, hwi_k=0.0, sigma_eps_sq=0.0)
+    mc = simulator.simulate(cfg, "noma", SimSpec(n_symbols=1_000_000, seed=1))
+    for user in analytic.USERS:
+        ana = analytic.scheme_ber(cfg, "noma", user)
+        assert abs(mc.ber(user) - ana) <= 3.0 * mc.std_err(user), user
+
+
+_PAIRS = tuple(itertools.product((1.0, -1.0), repeat=2))
+
+
+def _fade_nodes(sigma_tilde_sq, n_nodes=300):
+    """Nodes and weights for E[f(g)], g ~ sigma~^2 Exp(1): substitute
+    g = sigma~^2 t^2 (density 2t exp(-t^2)) and use Gauss-Legendre on
+    t in [0, 7]."""
+    t, w = np.polynomial.legendre.leggauss(n_nodes)
+    t = 3.5 * (t + 1.0)
+    return sigma_tilde_sq * t * t, 3.5 * w * 2.0 * t * np.exp(-t * t)
+
+
+def _decision_probs(mean, energy, cut, N0):
+    """Probabilities of the four (far, near) decisions of a sign slicer
+    followed by SIC on a statistic N(mean, energy N0 / 2): the nearest-point
+    boundaries sit at -cut, 0 and +cut."""
+    sd = np.sqrt(energy * N0 / 2.0)
+    lo, mid, hi = (ndtr((c - mean) / sd) for c in (-cut, 0.0, cut))
+    return dict(zip(_PAIRS, (1.0 - hi, hi - mid, mid - lo, lo)))
+
+
+def exact_clean_ber(cfg, scheme, user):
+    """Exact BER of ``scheme`` for ``user`` with hardware and estimation
+    clean, by quadrature over the link gains.
+
+    A receiver (or an MRC pair) weighting each phase by sqrt(P) sees
+    sum P g tx + noise of variance (sum P g) N0 / 2, and SIC cuts at
+    sqrt(alpha1) sum P g.  The relay's four decision pairs are averaged
+    over the source-relay gain and forwarded; cnoma-wdl integrates its
+    direct and relayed gains on a two-dimensional grid.  Flipping every
+    bit maps errors to errors, so half the transmitted pairs suffice.
+    """
+    r1, r2 = math.sqrt(cfg.alpha1), math.sqrt(cfg.alpha2)
+    tx = {pair: r1 * pair[0] + r2 * pair[1] for pair in _PAIRS}
+    bit = 0 if user == "u1" else 1
+    direct, relayed = ("s1", "r1") if user == "u1" else ("s2", "r2")
+
+    def energies(link):
+        g, w = _fade_nodes(cfg.link_budget(link).sigma_tilde_sq)
+        return cfg.power(link) * g, w
+
+    def decide(branches, weights):
+        total = sum(e for e, _ in branches)
+        mean = sum(e * amp for e, amp in branches)
+        probs = _decision_probs(mean, total, r1 * total, cfg.N0)
+        return {d: float(np.sum(weights * p)) for d, p in probs.items()}
+
+    def wrong(probs, sent):
+        return sum(p for d, p in probs.items() if d[bit] != sent[bit])
+
+    e_d, w_d = energies(direct)
+    e_r, w_r = energies(relayed)
+    e_sr, w_sr = energies("sr")
+    ber = 0.0
+    for m in _PAIRS[:2]:
+        if scheme == "noma":
+            ber += 0.5 * wrong(decide([(e_d, tx[m])], w_d), m)
+            continue
+        for f, p_f in decide([(e_sr, tx[m])], w_sr).items():
+            if scheme == "cnoma":
+                probs = decide([(e_r, tx[f])], w_r)
+            else:
+                probs = decide([(e_d[:, None], tx[m]), (e_r[None, :], tx[f])],
+                               w_d[:, None] * w_r[None, :])
+            ber += 0.5 * p_f * wrong(probs, m)
+    return ber
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 20.0])
+def test_exact_oracle_reproduces_the_direct_closed_form(snr_db):
+    cfg = SystemConfig.defaults(snr_db=snr_db, hwi_k=0.0, sigma_eps_sq=0.0)
+    for user in analytic.USERS:
+        assert exact_clean_ber(cfg, "noma", user) == pytest.approx(
+            analytic.scheme_ber(cfg, "noma", user), rel=1e-6)
+
+
+def test_impairment_free_relayed_runs_match_exact_oracle():
+    """The relay closed forms treat the hops as independent binary
+    channels and are biased even at clean 20 dB (cnoma u1 0.054478 against
+    an exact 0.054058), so the relayed schemes are checked against the
+    exact clean-case oracle instead."""
     cfg = SystemConfig.defaults(snr_db=20.0, hwi_k=0.0, sigma_eps_sq=0.0)
     spec = SimSpec(n_symbols=1_000_000, seed=1)
-    for scheme in analytic.SCHEMES:
+    for scheme in ("cnoma", "cnoma-wdl"):
         mc = simulator.simulate(cfg, scheme, spec)
         for user in analytic.USERS:
-            ana = analytic.scheme_ber(cfg, scheme, user)
-            assert abs(mc.ber(user) - ana) <= 3.0 * mc.std_err(user), (scheme, user)
+            exact = exact_clean_ber(cfg, scheme, user)
+            assert abs(mc.ber(user) - exact) <= 3.0 * mc.std_err(user), (scheme, user)
+
+
+class _FullFieldReceiver:
+    """The literal signal model: draw h~, e, d and n as circular complex
+    Gaussians, form y = (h~ + e)(sqrt(P) x + d) + n and project it on
+    conj(h~).  Same constructor and attributes as ``simulator._Receiver``."""
+
+    def __init__(self, rng, cfg, scale, link, tx, n):
+        P, k = cfg.power(link), cfg.hwi(link)
+
+        def cn(var):
+            return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * math.sqrt(var / 2.0)
+
+        h_tilde = cn(cfg.link_budget(link).sigma_tilde_sq)
+        est_err = cn(scale * cfg.sigma_eps_sq)
+        distortion = cn(scale * k * k * P)
+        noise = cn(cfg.N0)
+        y = (h_tilde + est_err) * (math.sqrt(P) * tx + distortion) + noise
+        self.gain = np.abs(h_tilde) ** 2
+        self.proj_y = (np.conj(h_tilde) * y).real
+
+
+@pytest.mark.parametrize("cfg", [
+    SystemConfig.defaults(snr_db=20.0),
+    SystemConfig.defaults(snr_db=30.0, hwi_k=0.0, sigma_eps_sq=0.02),
+], ids=["reference-20dB", "estimation-only-30dB"])
+def test_sufficient_statistic_receiver_matches_full_field(cfg, monkeypatch):
+    fast = {s: simulator.simulate(cfg, s, SimSpec(n_symbols=1_000_000, seed=1))
+            for s in analytic.SCHEMES}
+    monkeypatch.setattr(simulator, "_Receiver", _FullFieldReceiver)
+    full = {s: simulator.simulate(cfg, s, SimSpec(n_symbols=1_000_000, seed=2))
+            for s in analytic.SCHEMES}
+    for scheme in analytic.SCHEMES:
+        a, b = fast[scheme], full[scheme]
+        for user in analytic.USERS:
+            combined = math.hypot(a.std_err(user), b.std_err(user))
+            assert abs(a.ber(user) - b.ber(user)) <= 4.0 * combined, (scheme, user)
+
+
+def test_stream_layout_does_not_depend_on_the_scenario():
+    """Each receiver draws the same variates whether or not a variance is
+    zero, so one seed gives common random numbers across scenarios: a
+    vanishing impairment changes no count."""
+    clean = SystemConfig.defaults(snr_db=20.0, hwi_k=0.0, sigma_eps_sq=0.0)
+    tiny = SystemConfig.defaults(snr_db=20.0, hwi_k=1e-12, sigma_eps_sq=1e-12)
+    spec = SimSpec(n_symbols=100_000, seed=1)
+    for scheme in analytic.SCHEMES:
+        assert simulator.simulate(clean, scheme, spec) == simulator.simulate(tiny, scheme, spec)
 
 
 def test_classic_rayleigh_reduction():
