@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import erfc
 
-from .model import SystemConfig, build_coefficient_tables, mean_sinr_m2, mean_sinr_m2_limit
+from .model import SystemConfig, build_coefficient_tables, mean_sinr, mean_sinr_limit
 
 SCHEMES = ("noma", "cnoma", "cnoma-wdl")
 USERS = ("u1", "u2")
@@ -188,9 +188,9 @@ def _scheme_ber(cfg: SystemConfig, scheme: str, user: str, limit: bool) -> float
     def sinrs(link):
         budget, k = cfg.link_budget(link), cfg.hwi(link)
         if limit:
-            return np.atleast_1d(mean_sinr_m2_limit(budget, k, cfg.sigma_eps_sq, amp, air))
+            return np.atleast_1d(mean_sinr_limit(budget, k, cfg.sigma_eps_sq, amp, air))
         return np.atleast_1d(
-            mean_sinr_m2(cfg.power(link), budget, k, cfg.sigma_eps_sq, cfg.N0, amp, air))
+            mean_sinr(cfg.power(link), budget, k, cfg.sigma_eps_sq, cfg.N0, amp, air))
 
     def link_ber(link):
         return _signed_fade_sum(sinrs(link), signs, label)

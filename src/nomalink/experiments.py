@@ -260,11 +260,10 @@ def parse_config(text: str, default_sweep: str = "snr_db") -> SweepSpec:
     keys:
 
     ``sweep`` (snr_db | hwi_k | alpha1), ``grid``, ``schemes``, ``methods``,
-    ``symbols``, ``seed``, ``batch_size``, ``snr_db`` (the operating point
-    for non-SNR sweeps: 40 dB for hardware sweeps, 20 dB for power-split
-    sweeps unless set here), ``alpha1``, ``hwi_k`` (all five links),
-    ``sigma_eps_sq``, the five distances ``d_s1 .. d_r2`` and the path-loss
-    exponent ``a``.
+    ``symbols``, ``seed``, ``snr_db`` (the operating point for non-SNR
+    sweeps: 40 dB for hardware sweeps, 20 dB for power-split sweeps unless
+    set here), ``alpha1``, ``hwi_k`` (all five links), ``sigma_eps_sq``,
+    the five distances ``d_s1 .. d_r2`` and the path-loss exponent ``a``.
     """
     seen: dict[str, object] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -291,7 +290,7 @@ def parse_config(text: str, default_sweep: str = "snr_db") -> SweepSpec:
                 seen[key] = parse_names(value, *_LIST_KEYS[key])
             except ConfigError as exc:
                 raise ConfigError(f"line {line_no}: {exc}") from None
-        elif key in ("symbols", "seed", "batch_size"):
+        elif key in ("symbols", "seed"):
             seen[key] = _parse_int(key, value, line_no)
         elif key in _SCALAR_KEYS:
             seen[key] = _parse_float(key, value, line_no)
@@ -333,8 +332,6 @@ def _spec_from_keys(seen: dict, default_sweep: str = "snr_db") -> SweepSpec:
         sim_kw["n_symbols"] = seen["symbols"]
     if "seed" in seen:
         sim_kw["seed"] = seen["seed"]
-    if "batch_size" in seen:
-        sim_kw["batch_size"] = seen["batch_size"]
     try:
         sim = simulator.SimSpec(**sim_kw)
         return SweepSpec(

@@ -236,56 +236,33 @@ def build_coefficient_tables(alpha1: float, alpha2: float) -> CoefficientTables:
     return CoefficientTables(psi=psi, g_z=g_z, zeta=zeta, xi=xi, g_v=g_v)
 
 
-def _mean_sinr(P, sigma_tilde_sq, k, sigma_eps_sq, N0, amp_sq, air_sq):
-    num = P * amp_sq * sigma_tilde_sq
-    den = N0 + 2.0 * P * k * k * sigma_tilde_sq + 2.0 * (k * k + air_sq) * P * sigma_eps_sq
+def mean_sinr(P: float, budget: LinkBudget, k: float, sigma_eps_sq: float,
+              N0: float, amp_sq, air_sq) -> float | np.ndarray:
+    """Mean effective SINR of one detection branch on one link.
+
+    ``amp_sq`` scales the useful branch amplitude, ``air_sq`` is the squared
+    amplitude of the composite symbol on the air for that branch (only the
+    latter multiplies the estimation-error penalty).  A far-user bit
+    decision passes the ``psi`` entries as both; the near user's SIC
+    branches pass ``zeta`` and ``xi``.  Scalars or arrays; the result
+    matches their shape.  The denominator collects thermal noise, hardware
+    distortion riding the estimated channel, and the residual
+    self-interference of the estimation error.
+    """
+    _check_sinr_inputs(P, k, sigma_eps_sq, N0, amp_sq)
+    amp, air = np.asarray(amp_sq, dtype=float), np.asarray(air_sq, dtype=float)
+    num = P * amp * budget.sigma_tilde_sq
+    den = (N0 + 2.0 * P * k * k * budget.sigma_tilde_sq
+           + 2.0 * (k * k + air) * P * sigma_eps_sq)
     return num / den
 
 
-def mean_sinr_m1(P: float, budget: LinkBudget, k: float, sigma_eps_sq: float,
-                 N0: float, psi_z) -> float | np.ndarray:
-    """Mean effective SINR of a far-user bit decision on one link.
-
-    ``psi_z`` may be a scalar or an array of squared composite amplitudes;
-    the result matches its shape.  The denominator collects thermal noise,
-    hardware distortion riding the estimated channel, and the residual
-    self-interference of the estimation error.
-    """
-    _check_sinr_inputs(P, k, sigma_eps_sq, N0, psi_z)
-    return _mean_sinr(P, budget.sigma_tilde_sq, k, sigma_eps_sq, N0,
-                      np.asarray(psi_z, dtype=float), np.asarray(psi_z, dtype=float))
-
-
-def mean_sinr_m2(P: float, budget: LinkBudget, k: float, sigma_eps_sq: float,
-                 N0: float, zeta_v, xi_v) -> float | np.ndarray:
-    """Mean effective SINR of one branch of the near-user SIC receiver.
-
-    ``zeta_v`` scales the useful branch amplitude, ``xi_v`` the squared
-    amplitude of the transmitted composite for that branch (only the latter
-    multiplies the estimation-error penalty).
-    """
-    _check_sinr_inputs(P, k, sigma_eps_sq, N0, zeta_v)
-    return _mean_sinr(P, budget.sigma_tilde_sq, k, sigma_eps_sq, N0,
-                      np.asarray(zeta_v, dtype=float), np.asarray(xi_v, dtype=float))
-
-
-def mean_sinr_m1_limit(budget: LinkBudget, k: float, sigma_eps_sq: float,
-                       psi_z) -> float | np.ndarray:
-    """Power-to-infinity limit of :func:`mean_sinr_m1` (the error-floor SINR)."""
-    psi = np.asarray(psi_z, dtype=float)
-    return _sinr_limit(budget.sigma_tilde_sq, k, sigma_eps_sq, psi, psi)
-
-
-def mean_sinr_m2_limit(budget: LinkBudget, k: float, sigma_eps_sq: float,
-                       zeta_v, xi_v) -> float | np.ndarray:
-    """Power-to-infinity limit of :func:`mean_sinr_m2`."""
-    return _sinr_limit(budget.sigma_tilde_sq, k, sigma_eps_sq,
-                       np.asarray(zeta_v, dtype=float), np.asarray(xi_v, dtype=float))
-
-
-def _sinr_limit(sigma_tilde_sq, k, sigma_eps_sq, amp_sq, air_sq):
-    num = amp_sq * sigma_tilde_sq
-    den = 2.0 * k * k * sigma_tilde_sq + 2.0 * (k * k + air_sq) * sigma_eps_sq
+def mean_sinr_limit(budget: LinkBudget, k: float, sigma_eps_sq: float,
+                    amp_sq, air_sq) -> float | np.ndarray:
+    """Power-to-infinity limit of :func:`mean_sinr` (the error-floor SINR)."""
+    amp, air = np.asarray(amp_sq, dtype=float), np.asarray(air_sq, dtype=float)
+    num = amp * budget.sigma_tilde_sq
+    den = 2.0 * k * k * budget.sigma_tilde_sq + 2.0 * (k * k + air) * sigma_eps_sq
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(den > 0, num / np.where(den > 0, den, 1.0), np.inf)
     # 0/0 (zero amplitude and no impairments) is taken as zero signal.

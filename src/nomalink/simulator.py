@@ -17,63 +17,39 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .model import SystemConfig
 
-CONVENTIONS = ("doubled", "literal")
-
-#: Extra variance factor on distortion and estimation error per convention.
-#: "doubled" draws the aggregate distortion with total variance 2*k^2*P and
-#: the estimation error with total variance 2*sigma_eps_sq, which is the
-#: accounting the closed forms use; "literal" drops the factor of two.
-_IMPAIRMENT_SCALE = {"doubled": 2.0, "literal": 1.0}
-
+_BATCH_SYMBOLS = 100_000
 _MIN_SYMBOLS = 10_000
 _LOW_CONFIDENCE_EVENTS = 100
 
 
 @dataclass(frozen=True)
 class SimSpec:
-    """How much to simulate and how.
+    """How much to simulate.
 
     ``n_symbols`` counts transmitted symbol pairs, split into batches of
-    ``batch_size`` (None picks batches of at most 100000).  Each batch owns
+    100000 and one shorter final batch for the remainder.  Each batch owns
     a private random stream derived from ``(seed, batch index)``, so results
     are bit-identical for identical inputs regardless of evaluation order.
     """
 
     n_symbols: int = 1_000_000
     seed: int = 1
-    impairment_convention: str = "doubled"
-    batch_size: int | None = None
 
     def __post_init__(self):
         if self.n_symbols < _MIN_SYMBOLS:
             raise ValueError(f"n_symbols must be at least {_MIN_SYMBOLS}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.impairment_convention not in CONVENTIONS:
-            raise ValueError(
-                f"impairment_convention must be one of {CONVENTIONS}, "
-                f"got {self.impairment_convention!r}"
-            )
-        if self.batch_size is not None:
-            if self.batch_size <= 0:
-                raise ValueError("batch_size must be positive")
-            if self.n_symbols % self.batch_size:
-                raise ValueError(
-                    f"batch_size {self.batch_size} does not divide "
-                    f"n_symbols {self.n_symbols}"
-                )
 
     def batches(self) -> list[int]:
-        if self.batch_size is not None:
-            return [self.batch_size] * (self.n_symbols // self.batch_size)
-        size = min(self.n_symbols, 100_000)
-        full, rem = divmod(self.n_symbols, size)
-        return [size] * full + ([rem] if rem else [])
+        full, rem = divmod(self.n_symbols, _BATCH_SYMBOLS)
+        return [_BATCH_SYMBOLS] * full + ([rem] if rem else [])
 
 
 @dataclass(frozen=True)
@@ -138,12 +114,13 @@ class _Receiver:
 
     Detection uses only the estimate power ``gain`` = |h~|^2 and the
     projection ``proj_y`` = Re(conj(h~) y) of the observation
-    y = (h~ + e)(sqrt(P) tx + d) + n.  Distortion d and noise n are
-    independent circular Gaussians, so given h~ and the estimation error e
-    the projection is Gaussian with mean Re(conj(h~)(h~ + e)) sqrt(P) tx and
-    variance |h~|^2 (|h~ + e|^2 s k^2 P + N0) / 2, with s the convention's
-    variance factor (``_IMPAIRMENT_SCALE``).  Writing e in the frame
-    of h~ as (e_par, e_perp) gives Re(conj(h~) e) = |h~| e_par and
+    y = (h~ + e)(sqrt(P) tx + d) + n.  The distortion d has total variance
+    2 k^2 P and the estimation error e total variance 2 sigma_eps_sq, the
+    accounting the closed forms use.  Distortion and noise n are
+    independent circular Gaussians, so given h~ and e the projection is
+    Gaussian with mean Re(conj(h~)(h~ + e)) sqrt(P) tx and variance
+    |h~|^2 (|h~ + e|^2 2 k^2 P + N0) / 2.  Writing e in the frame of h~ as
+    (e_par, e_perp) gives Re(conj(h~) e) = |h~| e_par and
     |h~ + e|^2 = (|h~| + e_par)^2 + e_perp^2, so one receiver needs four
     real draws: |h~|^2 (exponential), e_par and e_perp, and one standard
     normal for the projected distortion plus noise.  All four are drawn
@@ -153,17 +130,17 @@ class _Receiver:
 
     __slots__ = ("gain", "proj_y")
 
-    def __init__(self, rng, cfg: SystemConfig, scale: float, link: str, tx: np.ndarray, n: int):
+    def __init__(self, rng, cfg: SystemConfig, link: str, tx: np.ndarray, n: int):
         P = cfg.power(link)
         k = cfg.hwi(link)
         gain = cfg.link_budget(link).sigma_tilde_sq * rng.standard_exponential(n)
-        err_sd = math.sqrt(scale * cfg.sigma_eps_sq / 2.0)
+        err_sd = math.sqrt(cfg.sigma_eps_sq)  # each of the two parts of e
         e_par = rng.standard_normal(n) * err_sd
         e_perp = rng.standard_normal(n) * err_sd
         z = rng.standard_normal(n)
         amp = np.sqrt(gain)
         field = amp + e_par  # component of h~ + e along h~
-        spread = np.sqrt(((field * field + e_perp * e_perp) * (scale * k * k * P) + cfg.N0) / 2.0)
+        spread = np.sqrt(((field * field + e_perp * e_perp) * (2.0 * k * k * P) + cfg.N0) / 2.0)
         self.gain = gain
         self.proj_y = amp * (field * math.sqrt(P) * tx + spread * z)
 
@@ -197,8 +174,8 @@ def _superpose(cfg: SystemConfig, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     return math.sqrt(cfg.alpha1) * m1 + math.sqrt(cfg.alpha2) * m2
 
 
-def _relay_decisions(rng, cfg, scale, s, m1, m2, n, genie_relay, genie_sic):
-    rx_sr = _Receiver(rng, cfg, scale, "sr", s, n)
+def _relay_decisions(rng, cfg, s, m1, m2, n, genie_relay, genie_sic):
+    rx_sr = _Receiver(rng, cfg, "sr", s, n)
     m1_r = _detect_m1(rx_sr)
     m2_r = _sic_detect_m2(rx_sr, cfg, "sr", m1 if genie_sic else m1_r)
     if genie_relay:
@@ -206,69 +183,45 @@ def _relay_decisions(rng, cfg, scale, s, m1, m2, n, genie_relay, genie_sic):
     return m1_r, m2_r, m1_r, m2_r
 
 
-def simulate_noma(cfg: SystemConfig, spec: SimSpec, *, genie_sic: bool = False) -> McResult:
-    """Direct downlink: both users hear one superposed transmission.
+def _broadcast_batches(cfg, spec, genie_relay, genie_sic, hop):
+    """noma (``hop`` "s") and cnoma (``hop`` "r"): both users detect one
+    superposed broadcast on links ``{hop}1`` and ``{hop}2``.
 
-    ``genie_sic`` feeds the true far-user bit to the near user's subtraction
-    (the detection itself is unchanged); it exists to isolate imperfect-SIC
-    losses and is deliberately not reachable from file configs.
+    For cnoma the source reaches only the relay, which SIC-detects both bits
+    and re-encodes its decisions at the relay power; that is the
+    transmission the users hear.  Yields the two users' error masks.
     """
-    scale = _IMPAIRMENT_SCALE[spec.impairment_convention]
-    e1 = e2 = 0
+    # All batches run in this one frame, so a batch's arrays stay referenced
+    # until the next batch rebinds the same names.  Freeing them on return
+    # from a per-batch function instead lets glibc trim the heap between
+    # receivers, and the next receiver faults the pages back in: on two
+    # cores about 50% more minor faults and 10% more sweep-snr wall time.
     for rng, n in _rngs(spec):
         m1, m2 = _bits(rng, n), _bits(rng, n)
-        s = _superpose(cfg, m1, m2)
-        rx1 = _Receiver(rng, cfg, scale, "s1", s, n)
+        tx = _superpose(cfg, m1, m2)
+        if hop == "r":
+            fwd1, fwd2, _, _ = _relay_decisions(rng, cfg, tx, m1, m2, n, genie_relay, genie_sic)
+            tx = _superpose(cfg, fwd1, fwd2)
+        rx1 = _Receiver(rng, cfg, hop + "1", tx, n)
         det1 = _detect_m1(rx1)
-        rx2 = _Receiver(rng, cfg, scale, "s2", s, n)
+        rx2 = _Receiver(rng, cfg, hop + "2", tx, n)
         m1_at_u2 = _detect_m1(rx2)
-        det2 = _sic_detect_m2(rx2, cfg, "s2", m1 if genie_sic else m1_at_u2)
-        e1 += int(np.count_nonzero(det1 != m1))
-        e2 += int(np.count_nonzero(det2 != m2))
-    return McResult.from_counts(spec.n_symbols, e1, e2)
+        det2 = _sic_detect_m2(rx2, cfg, hop + "2", m1 if genie_sic else m1_at_u2)
+        yield det1 != m1, det2 != m2
 
 
-def simulate_cnoma(cfg: SystemConfig, spec: SimSpec, *, genie_relay: bool = False,
-                   genie_sic: bool = False) -> McResult:
-    """Two-hop relaying without direct links.
-
-    Phase one reaches only the relay, which SIC-detects both bits and
-    re-encodes its decisions at the relay power; phase two reaches the
-    users.  ``genie_relay`` forwards the true bits regardless of what the
-    relay detected; ``genie_sic`` applies to every subtraction (relay and
-    near user).
-    """
-    scale = _IMPAIRMENT_SCALE[spec.impairment_convention]
-    e1 = e2 = 0
-    for rng, n in _rngs(spec):
-        m1, m2 = _bits(rng, n), _bits(rng, n)
-        s = _superpose(cfg, m1, m2)
-        fwd1, fwd2, _, _ = _relay_decisions(rng, cfg, scale, s, m1, m2, n,
-                                            genie_relay, genie_sic)
-        s_fwd = _superpose(cfg, fwd1, fwd2)
-        rx1 = _Receiver(rng, cfg, scale, "r1", s_fwd, n)
-        det1 = _detect_m1(rx1)
-        rx2 = _Receiver(rng, cfg, scale, "r2", s_fwd, n)
-        m1_at_u2 = _detect_m1(rx2)
-        det2 = _sic_detect_m2(rx2, cfg, "r2", m1 if genie_sic else m1_at_u2)
-        e1 += int(np.count_nonzero(det1 != m1))
-        e2 += int(np.count_nonzero(det2 != m2))
-    return McResult.from_counts(spec.n_symbols, e1, e2)
-
-
-def _wdl_batch(rng, cfg, scale, n, genie_relay, genie_sic):
+def _wdl_batch(rng, cfg, n, genie_relay, genie_sic):
     """One batch of the combined scheme; returns error masks and relay masks."""
     m1, m2 = _bits(rng, n), _bits(rng, n)
     s = _superpose(cfg, m1, m2)
     # Phase one: one transmission, three independent receivers.
-    rx_s1 = _Receiver(rng, cfg, scale, "s1", s, n)
-    rx_s2 = _Receiver(rng, cfg, scale, "s2", s, n)
-    fwd1, fwd2, m1_r, m2_r = _relay_decisions(rng, cfg, scale, s, m1, m2, n,
-                                              genie_relay, genie_sic)
+    rx_s1 = _Receiver(rng, cfg, "s1", s, n)
+    rx_s2 = _Receiver(rng, cfg, "s2", s, n)
+    fwd1, fwd2, m1_r, m2_r = _relay_decisions(rng, cfg, s, m1, m2, n, genie_relay, genie_sic)
     # Phase two: the relay forwards its re-encoded decisions.
     s_fwd = _superpose(cfg, fwd1, fwd2)
-    rx_r1 = _Receiver(rng, cfg, scale, "r1", s_fwd, n)
-    rx_r2 = _Receiver(rng, cfg, scale, "r2", s_fwd, n)
+    rx_r1 = _Receiver(rng, cfg, "r1", s_fwd, n)
+    rx_r2 = _Receiver(rng, cfg, "r2", s_fwd, n)
 
     # Far user: maximum-ratio combination of both phases, then slice.  Each
     # projection already carries conj(h~); the MRC weight adds the branch's
@@ -288,14 +241,40 @@ def _wdl_batch(rng, cfg, scale, n, genie_relay, genie_sic):
     return det1 != m1, det2 != m2, m1_r != m1, m2_r != m2
 
 
-def simulate_cnoma_wdl(cfg: SystemConfig, spec: SimSpec, *, genie_relay: bool = False,
-                       genie_sic: bool = False) -> McResult:
-    """Relaying with direct links: each user combines both phases by MRC,
-    weighting each phase's projection by its transmit amplitude sqrt(P)."""
-    scale = _IMPAIRMENT_SCALE[spec.impairment_convention]
-    e1 = e2 = 0
+def _wdl_batches(cfg, spec, genie_relay, genie_sic):
+    """cnoma-wdl: each user combines both phases by MRC, weighting each
+    phase's projection by its transmit amplitude sqrt(P).  Yields the two
+    users' error masks and the relay's two error masks."""
     for rng, n in _rngs(spec):
-        err1, err2, _, _ = _wdl_batch(rng, cfg, scale, n, genie_relay, genie_sic)
+        yield _wdl_batch(rng, cfg, n, genie_relay, genie_sic)
+
+
+#: Each scheme's batch stream: ``(cfg, spec, genie_relay, genie_sic)`` to one
+#: tuple of error masks per batch, the two users' first.
+_BATCHES = {
+    "noma": partial(_broadcast_batches, hop="s"),
+    "cnoma": partial(_broadcast_batches, hop="r"),
+    "cnoma-wdl": _wdl_batches,
+}
+
+
+def simulate(cfg: SystemConfig, scheme: str, spec: SimSpec, *, genie_relay: bool = False,
+             genie_sic: bool = False) -> McResult:
+    """Simulate ``scheme`` (noma, cnoma or cnoma-wdl, any case) and count bit errors.
+
+    ``genie_relay`` forwards the true bits regardless of what the relay
+    detected (noma has no relay and rejects it); ``genie_sic`` feeds the
+    true far-user bit to every subtraction, relay and near user, leaving
+    the detections themselves unchanged.  Both isolate one loss for
+    instrumentation and are deliberately not reachable from file configs.
+    """
+    scheme = scheme.lower()
+    if scheme not in _BATCHES:
+        raise ValueError(f"unknown scheme {scheme!r}, expected one of {tuple(_BATCHES)}")
+    if genie_relay and scheme == "noma":
+        raise ValueError("genie_relay needs a relay, and noma has none")
+    e1 = e2 = 0
+    for err1, err2, *_ in _BATCHES[scheme](cfg, spec, genie_relay, genie_sic):
         e1 += int(np.count_nonzero(err1))
         e2 += int(np.count_nonzero(err2))
     return McResult.from_counts(spec.n_symbols, e1, e2)
@@ -309,10 +288,8 @@ def conditional_prop_stats(cfg: SystemConfig, spec: SimSpec) -> CondPropStats:
     is wrong too.  Fewer than 100 conditioning events flags the estimate as
     low-confidence rather than failing.
     """
-    scale = _IMPAIRMENT_SCALE[spec.impairment_convention]
     ev1 = er1 = ev2 = er2 = 0
-    for rng, n in _rngs(spec):
-        err1, err2, rel1, rel2 = _wdl_batch(rng, cfg, scale, n, False, False)
+    for err1, err2, rel1, rel2 in _wdl_batches(cfg, spec, False, False):
         ev1 += int(np.count_nonzero(rel1))
         er1 += int(np.count_nonzero(err1 & rel1))
         ev2 += int(np.count_nonzero(rel2))
@@ -327,15 +304,3 @@ def conditional_prop_stats(cfg: SystemConfig, spec: SimSpec) -> CondPropStats:
         low_confidence_u1=ev1 < _LOW_CONFIDENCE_EVENTS,
         low_confidence_u2=ev2 < _LOW_CONFIDENCE_EVENTS,
     )
-
-
-def simulate(cfg: SystemConfig, scheme: str, spec: SimSpec) -> McResult:
-    """Dispatch on scheme name; see the per-scheme functions."""
-    scheme = scheme.lower()
-    if scheme == "noma":
-        return simulate_noma(cfg, spec)
-    if scheme == "cnoma":
-        return simulate_cnoma(cfg, spec)
-    if scheme == "cnoma-wdl":
-        return simulate_cnoma_wdl(cfg, spec)
-    raise ValueError(f"unknown scheme {scheme!r}")

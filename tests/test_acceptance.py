@@ -35,7 +35,7 @@ from dataclasses import replace
 import numpy as np
 
 from nomalink import analytic, experiments, simulator
-from nomalink.model import SystemConfig, mean_sinr_m1, mean_sinr_m2
+from nomalink.model import SystemConfig, mean_sinr
 
 
 def _verdict(number: int, ok: bool, detail: str) -> bool:
@@ -79,7 +79,7 @@ def test_acceptance_02_classic_rayleigh_limit():
                            k_s1=0, k_s2=0, k_sr=0, k_r1=0, k_r2=0, sigma_eps_sq=0.0)
         classic = 0.5 * (1.0 - math.sqrt(gamma / (1.0 + gamma)))
         worst_gap = max(worst_gap, abs(analytic.scheme_ber(cfg, "noma", "u1") - classic))
-        mc = simulator.simulate_noma(cfg, simulator.SimSpec(n_symbols=1_000_000, seed=1))
+        mc = simulator.simulate(cfg, "noma", simulator.SimSpec(n_symbols=1_000_000, seed=1))
         worst_sigma = max(worst_sigma, abs(mc.ber_u1 - classic) / mc.std_err_u1)
     ok = worst_gap <= 1e-12 and worst_sigma <= 3.0
     _verdict(2, ok, f"analytic gap {worst_gap:.1e}, simulation {worst_sigma:.2f} sigma")
@@ -239,12 +239,12 @@ def test_acceptance_07_invariant_suite():
     # mean SINRs depend on power only through P/N0
     budget = cfg.link_budget("s1")
     for c in (1e-3, 7.0, 1e3):
-        a = mean_sinr_m1(3.0, budget, 0.175, 0.005, 1.0, 1.8)
-        b = mean_sinr_m1(c * 3.0, budget, 0.175, 0.005, c * 1.0, 1.8)
+        a = mean_sinr(3.0, budget, 0.175, 0.005, 1.0, 1.8, 1.8)
+        b = mean_sinr(c * 3.0, budget, 0.175, 0.005, c * 1.0, 1.8, 1.8)
         if abs(a - b) > 1e-9 * a:
             failures.append(f"m1 homogeneity c={c}")
-        a = mean_sinr_m2(3.0, budget, 0.175, 0.005, 1.0, 0.2, 1.8)
-        b = mean_sinr_m2(c * 3.0, budget, 0.175, 0.005, c * 1.0, 0.2, 1.8)
+        a = mean_sinr(3.0, budget, 0.175, 0.005, 1.0, 0.2, 1.8)
+        b = mean_sinr(c * 3.0, budget, 0.175, 0.005, c * 1.0, 0.2, 1.8)
         if abs(a - b) > 1e-9 * a:
             failures.append(f"m2 homogeneity c={c}")
 

@@ -27,7 +27,7 @@ from nomalink.analytic import (
     scheme_ber,
     scheme_ber_floor,
 )
-from nomalink.model import SystemConfig, build_coefficient_tables, mean_sinr_m1, mean_sinr_m2
+from nomalink.model import SystemConfig, build_coefficient_tables, mean_sinr
 
 
 def fade_quadrature(delta_bar: float) -> float:
@@ -82,8 +82,8 @@ def test_near_bit_signed_sum_matches_quadrature():
     cfg = SystemConfig.defaults(snr_db=10.0)
     t = build_coefficient_tables(cfg.alpha1, cfg.alpha2)
     budget = cfg.link_budget("s2")
-    sinrs = mean_sinr_m2(cfg.P_s, budget, cfg.hwi("s2"), cfg.sigma_eps_sq,
-                         cfg.N0, t.zeta, t.xi)
+    sinrs = mean_sinr(cfg.P_s, budget, cfg.hwi("s2"), cfg.sigma_eps_sq,
+                      cfg.N0, t.zeta, t.xi)
     expect = sum(g * fade_quadrature(d) for g, d in zip(t.g_v, sinrs)) / 2.0
     assert aber_p2p_m2(sinrs, t.g_v) == pytest.approx(expect, rel=1e-9)
 
@@ -223,11 +223,11 @@ def test_combined_composition_signed_branches():
 def test_direct_scheme_unwinds_to_building_blocks():
     cfg = SystemConfig.defaults(snr_db=10.0)
     t = build_coefficient_tables(cfg.alpha1, cfg.alpha2)
-    far = aber_p2p_m1(mean_sinr_m1(cfg.P_s, cfg.link_budget("s1"), cfg.hwi("s1"),
-                                   cfg.sigma_eps_sq, cfg.N0, t.psi))
+    far = aber_p2p_m1(mean_sinr(cfg.P_s, cfg.link_budget("s1"), cfg.hwi("s1"),
+                                cfg.sigma_eps_sq, cfg.N0, t.psi, t.psi))
     assert scheme_ber(cfg, "noma", "u1") == far
-    near = aber_p2p_m2(mean_sinr_m2(cfg.P_s, cfg.link_budget("s2"), cfg.hwi("s2"),
-                                    cfg.sigma_eps_sq, cfg.N0, t.zeta, t.xi), t.g_v)
+    near = aber_p2p_m2(mean_sinr(cfg.P_s, cfg.link_budget("s2"), cfg.hwi("s2"),
+                                 cfg.sigma_eps_sq, cfg.N0, t.zeta, t.xi), t.g_v)
     assert scheme_ber(cfg, "noma", "u2") == near
 
 
@@ -236,8 +236,8 @@ def test_relayed_scheme_unwinds_to_two_hops():
     t = build_coefficient_tables(cfg.alpha1, cfg.alpha2)
 
     def far_hop(link):
-        return aber_p2p_m1(mean_sinr_m1(cfg.power(link), cfg.link_budget(link),
-                                        cfg.hwi(link), cfg.sigma_eps_sq, cfg.N0, t.psi))
+        return aber_p2p_m1(mean_sinr(cfg.power(link), cfg.link_budget(link),
+                                     cfg.hwi(link), cfg.sigma_eps_sq, cfg.N0, t.psi, t.psi))
 
     assert scheme_ber(cfg, "cnoma", "u1") == e2e_cnoma(far_hop("sr"), far_hop("r1"))
 
@@ -247,8 +247,8 @@ def test_combined_scheme_unwinds_to_building_blocks():
     t = build_coefficient_tables(cfg.alpha1, cfg.alpha2)
 
     def branch_sinrs(link):
-        return mean_sinr_m1(cfg.power(link), cfg.link_budget(link), cfg.hwi(link),
-                            cfg.sigma_eps_sq, cfg.N0, t.psi)
+        return mean_sinr(cfg.power(link), cfg.link_budget(link), cfg.hwi(link),
+                         cfg.sigma_eps_sq, cfg.N0, t.psi, t.psi)
 
     sr, direct, rel = branch_sinrs("sr"), branch_sinrs("s1"), branch_sinrs("r1")
     p_sr = [0.5 * (1 - math.sqrt(d / (1 + d))) for d in sr]

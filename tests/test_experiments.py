@@ -158,7 +158,6 @@ def test_parse_config_full_file():
     methods = mc
     symbols = 20000
     seed = 7
-    batch_size = 5000
     snr_db = 10
     alpha1 = 0.7
     sigma_eps_sq = 0.002
@@ -169,7 +168,7 @@ def test_parse_config_full_file():
     assert spec.grid == (0.0, 0.1, 0.2)
     assert spec.schemes == ("noma", "cnoma")
     assert spec.methods == ("monte-carlo",)
-    assert spec.sim == SimSpec(n_symbols=20_000, seed=7, batch_size=5_000)
+    assert spec.sim == SimSpec(n_symbols=20_000, seed=7)
     assert spec.base.P_s == pytest.approx(10.0)
     assert spec.base.alpha1 == 0.7 and spec.base.alpha2 == pytest.approx(0.3)
     assert spec.base.sigma_eps_sq == 0.002
@@ -192,6 +191,7 @@ def test_parse_config_operating_point_defaults():
 
 @pytest.mark.parametrize("text,fragment", [
     ("flux = 3", "line 1"),
+    ("batch_size = 5000", "unknown key"),
     ("symbols 20000", "expected 'key = value'"),
     ("seed = 1\nseed = 2", "line 2: duplicate"),
     ("grid = 1, two, 3", "invalid number"),

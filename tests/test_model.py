@@ -11,10 +11,8 @@ from nomalink.model import (
     SystemConfig,
     build_coefficient_tables,
     link_variance,
-    mean_sinr_m1,
-    mean_sinr_m1_limit,
-    mean_sinr_m2,
-    mean_sinr_m2_limit,
+    mean_sinr,
+    mean_sinr_limit,
 )
 
 
@@ -163,7 +161,7 @@ def test_mean_sinr_m1_hand_value():
     # numerator 10 * 1.8 * 0.0575 = 1.035
     # denominator 1 + 2*10*0.030625*0.0575 + 2*(0.030625 + 1.8)*10*0.005
     #           = 1 + 0.03521875 + 0.1830625 = 1.21828125
-    got = mean_sinr_m1(10.0, _budget(0.0625, 0.0575), 0.175, 0.005, 1.0, 1.8)
+    got = mean_sinr(10.0, _budget(0.0625, 0.0575), 0.175, 0.005, 1.0, 1.8, 1.8)
     assert isinstance(got, float)
     assert got == pytest.approx(1.035 / 1.21828125, rel=1e-14)
 
@@ -173,46 +171,40 @@ def test_mean_sinr_m2_hand_value():
     # numerator 10 * 0.2 * 0.245 = 0.49
     # denominator 1 + 2*10*0.030625*0.245 + 2*(0.030625 + 1.8)*10*0.005
     #           = 1 + 0.1500625 + 0.1830625 = 1.333125
-    got = mean_sinr_m2(10.0, _budget(0.25, 0.245), 0.175, 0.005, 1.0, 0.2, 1.8)
+    got = mean_sinr(10.0, _budget(0.25, 0.245), 0.175, 0.005, 1.0, 0.2, 1.8)
     assert got == pytest.approx(0.49 / 1.333125, rel=1e-14)
 
 
 def test_mean_sinr_zero_power():
     b = _budget(0.0625, 0.0575)
-    assert mean_sinr_m1(0.0, b, 0.175, 0.005, 1.0, 1.8) == 0.0
-    assert mean_sinr_m2(0.0, b, 0.175, 0.005, 1.0, 0.2, 1.8) == 0.0
-
-
-def test_mean_sinr_m2_collapses_to_m1_for_equal_coefficients():
-    b = _budget(0.25, 0.245)
-    for amp in (0.2, 1.0, 1.8):
-        assert mean_sinr_m2(10.0, b, 0.175, 0.005, 1.0, amp, amp) == \
-            mean_sinr_m1(10.0, b, 0.175, 0.005, 1.0, amp)
+    assert mean_sinr(0.0, b, 0.175, 0.005, 1.0, 1.8, 1.8) == 0.0
+    assert mean_sinr(0.0, b, 0.175, 0.005, 1.0, 0.2, 1.8) == 0.0
 
 
 def test_mean_sinr_clean_reduces_to_average_snr():
     b = _budget(0.25, 0.25)
-    assert mean_sinr_m1(8.0, b, 0.0, 0.0, 2.0, 1.0) == pytest.approx(8.0 * 0.25 / 2.0, rel=1e-15)
+    assert mean_sinr(8.0, b, 0.0, 0.0, 2.0, 1.0, 1.0) == pytest.approx(8.0 * 0.25 / 2.0, rel=1e-15)
 
 
 def test_mean_sinr_accepts_arrays():
     b = _budget(0.0625, 0.0575)
-    got = mean_sinr_m1(10.0, b, 0.175, 0.005, 1.0, np.array([1.8, 0.2]))
+    amps = np.array([1.8, 0.2])
+    got = mean_sinr(10.0, b, 0.175, 0.005, 1.0, amps, amps)
     assert got.shape == (2,)
     assert got[0] > got[1] > 0
 
 
 def test_mean_sinr_strictly_increasing_in_power_when_clean():
     b = _budget(0.0625, 0.0625)
-    values = [mean_sinr_m1(p, b, 0.0, 0.0, 1.0, 1.8) for p in (0.1, 1.0, 10.0, 100.0)]
+    values = [mean_sinr(p, b, 0.0, 0.0, 1.0, 1.8, 1.8) for p in (0.1, 1.0, 10.0, 100.0)]
     assert all(lo < hi for lo, hi in zip(values, values[1:]))
 
 
 def test_mean_sinr_strictly_decreasing_in_impairments():
     b = _budget(0.0625, 0.0575)
-    by_k = [mean_sinr_m1(10.0, b, k, 0.005, 1.0, 1.8) for k in (0.0, 0.1, 0.2)]
+    by_k = [mean_sinr(10.0, b, k, 0.005, 1.0, 1.8, 1.8) for k in (0.0, 0.1, 0.2)]
     assert by_k[0] > by_k[1] > by_k[2]
-    by_eps = [mean_sinr_m1(10.0, b, 0.175, e, 1.0, 1.8) for e in (0.0, 0.005, 0.02)]
+    by_eps = [mean_sinr(10.0, b, 0.175, e, 1.0, 1.8, 1.8) for e in (0.0, 0.005, 0.02)]
     assert by_eps[0] > by_eps[1] > by_eps[2]
 
 
@@ -221,44 +213,45 @@ def test_mean_sinr_strictly_decreasing_in_impairments():
 def test_mean_sinr_homogeneity(P, c):
     """Scaling transmit power and noise together leaves the SINR unchanged."""
     b = _budget(0.0625, 0.0575)
-    base = mean_sinr_m1(P, b, 0.175, 0.005, 1.0, 1.8)
-    scaled = mean_sinr_m1(c * P, b, 0.175, 0.005, c * 1.0, 1.8)
+    base = mean_sinr(P, b, 0.175, 0.005, 1.0, 1.8, 1.8)
+    scaled = mean_sinr(c * P, b, 0.175, 0.005, c * 1.0, 1.8, 1.8)
     assert scaled == pytest.approx(base, rel=1e-9)
 
 
 def test_sinr_limit_matches_formula_and_large_power():
     b = _budget(0.0625, 0.0575)
-    lim = mean_sinr_m1_limit(b, 0.175, 0.005, 1.8)
+    lim = mean_sinr_limit(b, 0.175, 0.005, 1.8, 1.8)
     k2 = 0.175 ** 2
     expect = 1.8 * 0.0575 / (2 * k2 * 0.0575 + 2 * (k2 + 1.8) * 0.005)
     assert lim == pytest.approx(expect, rel=1e-14)
-    at_huge_power = mean_sinr_m1(1e12, b, 0.175, 0.005, 1.0, 1.8)
+    at_huge_power = mean_sinr(1e12, b, 0.175, 0.005, 1.0, 1.8, 1.8)
     assert at_huge_power == pytest.approx(lim, rel=1e-9)
-    lim2 = mean_sinr_m2_limit(b, 0.175, 0.005, 0.2, 1.8)
+    lim2 = mean_sinr_limit(b, 0.175, 0.005, 0.2, 1.8)
     assert lim2 == pytest.approx(
         0.2 * 0.0575 / (2 * k2 * 0.0575 + 2 * (k2 + 1.8) * 0.005), rel=1e-14)
 
 
 def test_sinr_limit_degenerate_cases():
     b = _budget(0.0625, 0.0575)
-    assert mean_sinr_m1_limit(b, 0.0, 0.0, 1.8) == np.inf
-    assert mean_sinr_m1_limit(b, 0.0, 0.0, 0.0) == 0.0
-    got = mean_sinr_m1_limit(b, 0.0, 0.0, np.array([1.8, 0.0]))
+    assert mean_sinr_limit(b, 0.0, 0.0, 1.8, 1.8) == np.inf
+    assert mean_sinr_limit(b, 0.0, 0.0, 0.0, 0.0) == 0.0
+    amps = np.array([1.8, 0.0])
+    got = mean_sinr_limit(b, 0.0, 0.0, amps, amps)
     assert got[0] == np.inf and got[1] == 0.0
 
 
 def test_mean_sinr_rejects_bad_inputs():
     b = _budget(0.0625, 0.0575)
     with pytest.raises(ValueError):
-        mean_sinr_m1(-1.0, b, 0.175, 0.005, 1.0, 1.8)
+        mean_sinr(-1.0, b, 0.175, 0.005, 1.0, 1.8, 1.8)
     with pytest.raises(ValueError):
-        mean_sinr_m1(10.0, b, -0.1, 0.005, 1.0, 1.8)
+        mean_sinr(10.0, b, -0.1, 0.005, 1.0, 1.8, 1.8)
     with pytest.raises(ValueError):
-        mean_sinr_m1(10.0, b, 0.175, -0.005, 1.0, 1.8)
+        mean_sinr(10.0, b, 0.175, -0.005, 1.0, 1.8, 1.8)
     with pytest.raises(ValueError):
-        mean_sinr_m1(10.0, b, 0.175, 0.005, 0.0, 1.8)
+        mean_sinr(10.0, b, 0.175, 0.005, 0.0, 1.8, 1.8)
     with pytest.raises(ValueError):
-        mean_sinr_m1(10.0, b, 0.175, 0.005, 1.0, -1.8)
+        mean_sinr(10.0, b, 0.175, 0.005, 1.0, -1.8, -1.8)
 
 
 def test_config_is_immutable():

@@ -27,20 +27,14 @@ from nomalink.simulator import McResult, SimSpec
 def test_spec_validation():
     with pytest.raises(ValueError):
         SimSpec(n_symbols=9_999)
-    with pytest.raises(ValueError):
-        SimSpec(impairment_convention="halved")
-    with pytest.raises(ValueError):
-        SimSpec(n_symbols=100_000, batch_size=30_000)
-    with pytest.raises(ValueError):
-        SimSpec(n_symbols=100_000, batch_size=0)
     with pytest.raises(ValueError, match="seed"):
         SimSpec(seed=-1)
 
 
 def test_batches_cover_the_workload():
     assert SimSpec(n_symbols=250_000).batches() == [100_000, 100_000, 50_000]
-    assert SimSpec(n_symbols=250_000, batch_size=50_000).batches() == [50_000] * 5
-    assert sum(SimSpec(n_symbols=1_234_567 * 2, batch_size=None).batches()) == 2_469_134
+    assert SimSpec(n_symbols=37_123).batches() == [37_123]
+    assert sum(SimSpec(n_symbols=1_234_567 * 2).batches()) == 2_469_134
 
 
 def test_result_from_counts():
@@ -53,24 +47,43 @@ def test_result_from_counts():
 def test_runs_are_reproducible():
     cfg = SystemConfig.defaults(snr_db=10.0)
     spec = SimSpec(n_symbols=50_000, seed=42)
-    assert simulator.simulate_noma(cfg, spec) == simulator.simulate_noma(cfg, spec)
-    assert simulator.simulate_cnoma(cfg, spec) == simulator.simulate_cnoma(cfg, spec)
-    assert simulator.simulate_cnoma_wdl(cfg, spec) == simulator.simulate_cnoma_wdl(cfg, spec)
+    for scheme in analytic.SCHEMES:
+        assert simulator.simulate(cfg, scheme, spec) == simulator.simulate(cfg, scheme, spec)
 
 
-def test_dispatcher_matches_direct_calls():
+def test_scheme_names_ignore_case_and_unknown_ones_are_rejected():
     cfg = SystemConfig.defaults(snr_db=5.0)
     spec = SimSpec(n_symbols=20_000, seed=3)
-    assert simulator.simulate(cfg, "noma", spec) == simulator.simulate_noma(cfg, spec)
-    assert simulator.simulate(cfg, "CNOMA", spec) == simulator.simulate_cnoma(cfg, spec)
-    with pytest.raises(ValueError):
+    assert simulator.simulate(cfg, "CNOMA", spec) == simulator.simulate(cfg, "cnoma", spec)
+    with pytest.raises(ValueError, match="unknown scheme"):
         simulator.simulate(cfg, "dnoma", spec)
+
+
+def test_relay_genie_without_a_relay_is_rejected():
+    with pytest.raises(ValueError, match="relay"):
+        simulator.simulate(SystemConfig.defaults(), "noma", SimSpec(n_symbols=10_000),
+                           genie_relay=True)
+
+
+#: Error counts of the reference scenario at 20 dB, seed 1, 150000 symbols
+#: (one full batch and one half batch).  Any change to the random stream or
+#: to the detection chain moves them.
+_GOLDEN_COUNTS = {"noma": (17_320, 19_407), "cnoma": (14_084, 15_099),
+                  "cnoma-wdl": (6_365, 8_828)}
+
+
+def test_seeded_counts_are_pinned():
+    cfg = SystemConfig.defaults(snr_db=20.0)
+    spec = SimSpec(n_symbols=150_000, seed=1)
+    for scheme, counts in _GOLDEN_COUNTS.items():
+        mc = simulator.simulate(cfg, scheme, spec)
+        assert (mc.errors_u1, mc.errors_u2) == counts, scheme
 
 
 def test_disjoint_seeds_agree_within_sampling_noise():
     cfg = SystemConfig.defaults(snr_db=10.0)
-    a = simulator.simulate_noma(cfg, SimSpec(n_symbols=1_000_000, seed=11))
-    b = simulator.simulate_noma(cfg, SimSpec(n_symbols=1_000_000, seed=12))
+    a = simulator.simulate(cfg, "noma", SimSpec(n_symbols=1_000_000, seed=11))
+    b = simulator.simulate(cfg, "noma", SimSpec(n_symbols=1_000_000, seed=12))
     for user in analytic.USERS:
         combined = math.hypot(a.std_err(user), b.std_err(user))
         assert abs(a.ber(user) - b.ber(user)) <= 4.0 * combined
@@ -181,21 +194,31 @@ def test_impairment_free_relayed_runs_match_exact_oracle():
 class _FullFieldReceiver:
     """The literal signal model: draw h~, e, d and n as circular complex
     Gaussians, form y = (h~ + e)(sqrt(P) x + d) + n and project it on
-    conj(h~).  Same constructor and attributes as ``simulator._Receiver``."""
+    conj(h~).  Same constructor and attributes as ``simulator._Receiver``.
+    ``scale`` multiplies the distortion variance k^2 P and the
+    estimation-error variance sigma_eps_sq; the simulator doubles both."""
 
-    def __init__(self, rng, cfg, scale, link, tx, n):
+    scale = 2.0
+
+    def __init__(self, rng, cfg, link, tx, n):
         P, k = cfg.power(link), cfg.hwi(link)
 
         def cn(var):
             return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * math.sqrt(var / 2.0)
 
         h_tilde = cn(cfg.link_budget(link).sigma_tilde_sq)
-        est_err = cn(scale * cfg.sigma_eps_sq)
-        distortion = cn(scale * k * k * P)
+        est_err = cn(self.scale * cfg.sigma_eps_sq)
+        distortion = cn(self.scale * k * k * P)
         noise = cn(cfg.N0)
         y = (h_tilde + est_err) * (math.sqrt(P) * tx + distortion) + noise
         self.gain = np.abs(h_tilde) ** 2
         self.proj_y = (np.conj(h_tilde) * y).real
+
+
+class _HalvedFullFieldReceiver(_FullFieldReceiver):
+    """The full field at half the simulator's impairment variances."""
+
+    scale = 1.0
 
 
 @pytest.mark.parametrize("cfg", [
@@ -230,62 +253,66 @@ def test_classic_rayleigh_reduction():
     gamma = 1.0
     cfg = SystemConfig(P_s=16.0, P_r=16.0, alpha1=1.0, alpha2=0.0,
                        k_s1=0, k_s2=0, k_sr=0, k_r1=0, k_r2=0, sigma_eps_sq=0.0)
-    mc = simulator.simulate_noma(cfg, SimSpec(n_symbols=1_000_000, seed=1))
+    mc = simulator.simulate(cfg, "noma", SimSpec(n_symbols=1_000_000, seed=1))
     classic = 0.5 * (1.0 - math.sqrt(gamma / (1.0 + gamma)))
     assert abs(mc.ber_u1 - classic) <= 3.0 * mc.std_err_u1
 
 
 def test_impairments_create_an_error_floor_and_removing_them_removes_it():
-    clean30 = simulator.simulate_noma(
-        SystemConfig.defaults(snr_db=30.0, hwi_k=0.0, sigma_eps_sq=0.0),
+    clean30 = simulator.simulate(
+        SystemConfig.defaults(snr_db=30.0, hwi_k=0.0, sigma_eps_sq=0.0), "noma",
         SimSpec(n_symbols=2_000_000, seed=3))
-    clean40 = simulator.simulate_noma(
-        SystemConfig.defaults(snr_db=40.0, hwi_k=0.0, sigma_eps_sq=0.0),
+    clean40 = simulator.simulate(
+        SystemConfig.defaults(snr_db=40.0, hwi_k=0.0, sigma_eps_sq=0.0), "noma",
         SimSpec(n_symbols=2_000_000, seed=3))
     assert clean40.ber_u1 * 5.0 < clean30.ber_u1
     # with impairments left in, another 10 dB buys almost nothing
-    dirty30 = simulator.simulate_noma(SystemConfig.defaults(snr_db=30.0),
-                                      SimSpec(n_symbols=200_000, seed=3))
-    dirty40 = simulator.simulate_noma(SystemConfig.defaults(snr_db=40.0),
-                                      SimSpec(n_symbols=200_000, seed=3))
+    dirty30 = simulator.simulate(SystemConfig.defaults(snr_db=30.0), "noma",
+                                 SimSpec(n_symbols=200_000, seed=3))
+    dirty40 = simulator.simulate(SystemConfig.defaults(snr_db=40.0), "noma",
+                                 SimSpec(n_symbols=200_000, seed=3))
     assert dirty40.ber_u1 > 0.5 * dirty30.ber_u1
 
 
 def test_interference_cancellation_errors_hurt_the_near_user():
     cfg = SystemConfig.defaults(snr_db=5.0)
     spec = SimSpec(n_symbols=400_000, seed=7)
-    real = simulator.simulate_noma(cfg, spec)
-    genie = simulator.simulate_noma(cfg, spec, genie_sic=True)
+    real = simulator.simulate(cfg, "noma", spec)
+    genie = simulator.simulate(cfg, "noma", spec, genie_sic=True)
     combined = math.hypot(real.std_err_u2, genie.std_err_u2)
     assert real.ber_u2 - genie.ber_u2 > 3.0 * combined
     # the far user never subtracts, so the switch must not touch it
     assert real.errors_u1 == genie.errors_u1
 
 
-def test_impairment_conventions_differ_and_default_calibrates():
+def test_impairment_conventions_differ_and_default_calibrates(monkeypatch):
+    """The simulator draws distortion with total variance 2 k^2 P and the
+    estimation error with 2 sigma_eps_sq, the accounting the closed forms
+    use; the full field at half those variances lands further away."""
     cfg = SystemConfig.defaults(snr_db=10.0)
-    doubled = simulator.simulate_noma(cfg, SimSpec(n_symbols=1_000_000, seed=1))
-    literal = simulator.simulate_noma(
-        cfg, SimSpec(n_symbols=1_000_000, seed=1, impairment_convention="literal"))
-    assert doubled != literal
+    spec = SimSpec(n_symbols=1_000_000, seed=1)
+    doubled = simulator.simulate(cfg, "noma", spec)
+    monkeypatch.setattr(simulator, "_Receiver", _HalvedFullFieldReceiver)
+    halved = simulator.simulate(cfg, "noma", spec)
+    assert doubled != halved
     ana = analytic.scheme_ber(cfg, "noma", "u1")
-    assert abs(doubled.ber_u1 - ana) < abs(literal.ber_u1 - ana)
+    assert abs(doubled.ber_u1 - ana) < abs(halved.ber_u1 - ana)
 
 
 def test_noiseless_perfect_runs_make_no_errors():
     clean = SystemConfig.defaults(snr_db=120.0, hwi_k=0.0, sigma_eps_sq=0.0)
     spec = SimSpec(n_symbols=100_000, seed=2)
-    mc = simulator.simulate_noma(clean, spec)
+    mc = simulator.simulate(clean, "noma", spec)
     assert (mc.errors_u1, mc.errors_u2) == (0, 0)
-    mc = simulator.simulate_cnoma(clean, spec, genie_relay=True)
+    mc = simulator.simulate(clean, "cnoma", spec, genie_relay=True)
     assert (mc.errors_u1, mc.errors_u2) == (0, 0)
-    mc = simulator.simulate_cnoma_wdl(clean, spec, genie_relay=True)
+    mc = simulator.simulate(clean, "cnoma-wdl", spec, genie_relay=True)
     assert (mc.errors_u1, mc.errors_u2) == (0, 0)
 
 
 def test_silent_source_makes_the_relayed_chain_a_coin_flip():
     cfg = SystemConfig.defaults(snr_db=10.0, P_s=0.0)
-    mc = simulator.simulate_cnoma(cfg, SimSpec(n_symbols=400_000, seed=2))
+    mc = simulator.simulate(cfg, "cnoma", SimSpec(n_symbols=400_000, seed=2))
     assert abs(mc.ber_u1 - 0.5) <= 3.0 * mc.std_err_u1
 
 
@@ -318,7 +345,7 @@ def semi_analytic_far_bit(cfg, link, n, seed):
 def test_simulator_matches_conditional_gaussian_average(snr_db):
     cfg = SystemConfig.defaults(snr_db=snr_db)
     oracle, oracle_se = semi_analytic_far_bit(cfg, "s1", 400_000, seed=21)
-    mc = simulator.simulate_noma(cfg, SimSpec(n_symbols=400_000, seed=22))
+    mc = simulator.simulate(cfg, "noma", SimSpec(n_symbols=400_000, seed=22))
     combined = math.hypot(oracle_se, mc.std_err_u1)
     assert abs(mc.ber_u1 - oracle) <= 4.0 * combined
 
@@ -327,7 +354,7 @@ def test_conditional_stats_without_relay_power():
     cfg = SystemConfig.defaults(snr_db=10.0, P_r=0.0)
     spec = SimSpec(n_symbols=400_000, seed=5)
     stats = simulator.conditional_prop_stats(cfg, spec)
-    mc = simulator.simulate_cnoma_wdl(cfg, spec)
+    mc = simulator.simulate(cfg, "cnoma-wdl", spec)
     # a silent relay contributes no energy, so the analytic propagation
     # probability is zero and the user's fate rests on the direct link alone
     assert analytic.prop_error(cfg.P_s * cfg.link_budget("s1").sigma_tilde_sq,
