@@ -9,15 +9,15 @@ branch (see :mod:`nomalink.model`).  Three schemes are covered:
 * ``cnoma``      - two-hop decode-and-forward relaying, no direct links;
 * ``cnoma-wdl``  - relaying plus direct links, maximum-ratio combining.
 
-``scheme_ber`` is the single entry point used by sweeps and tests; the
-lower-level pieces are exposed for composition and for validating each step
-on its own.
+``scheme_ber`` and ``scheme_ber_floor`` are the entry points; they read a
+validated :class:`~nomalink.model.SystemConfig`, so the private composition
+steps trust their inputs.  The public single-link, combiner, propagation and
+two-hop pieces still check theirs, because they take bare numbers.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erfc
 
 from .model import SystemConfig, build_coefficient_tables, mean_sinr, mean_sinr_limit
 
@@ -27,21 +27,12 @@ USERS = ("u1", "u2")
 _PROB_TOL = 1e-12
 
 
-def q_function(x) -> float | np.ndarray:
-    """Gaussian tail probability Q(x)."""
-    x = np.asarray(x, dtype=float)
-    out = 0.5 * erfc(x / np.sqrt(2.0))
-    return out if out.ndim else float(out)
-
-
 def _fade_term(delta_bar) -> np.ndarray:
     """Rayleigh average of Q(sqrt(2*g)) for g exponential with mean delta_bar.
 
     Returns (1/2) * (1 - sqrt(d/(1+d))) per entry; infinite means map to 0.
     """
     d = np.asarray(delta_bar, dtype=float)
-    if np.any(d < 0):
-        raise ValueError("mean SINRs must be nonnegative")
     with np.errstate(invalid="ignore"):
         ratio = np.where(np.isinf(d), 1.0, d / (1.0 + d))
     return 0.5 * (1.0 - np.sqrt(ratio))
@@ -54,23 +45,9 @@ def aber_p2p_m1(delta_bars) -> float:
     agreeing / disagreeing).
     """
     d = np.asarray(delta_bars, dtype=float)
-    if d.shape != (2,):
-        raise ValueError(f"expected two branch SINRs, got shape {d.shape}")
+    if d.shape != (2,) or np.any(d < 0):
+        raise ValueError(f"expected two nonnegative branch SINRs, got {d}")
     return float(np.mean(_fade_term(d)))
-
-
-def aber_p2p_m2(delta_bars, g_v) -> float:
-    """Average BER of the near user's bit on a single link (SIC receiver).
-
-    ``delta_bars`` and ``g_v`` hold the six branch mean SINRs and signs.
-    The signed sum must land in [0, 1]; anything further out than 1e-12
-    indicates inconsistent branch inputs and raises.
-    """
-    d = np.asarray(delta_bars, dtype=float)
-    g = np.asarray(g_v, dtype=float)
-    if d.shape != (6,) or g.shape != (6,):
-        raise ValueError("expected six branch SINRs and six signs")
-    return _signed_fade_sum(d, g, "near-user branch sum")
 
 
 def _signed_fade_sum(delta_bars, signs, label) -> float:
@@ -123,29 +100,10 @@ def e2e_cnoma(p_first_hop: float, p_second_hop: float) -> float:
 
 
 def _e2e_wdl(p_sr, p_prop, p_coop, signs, label) -> float:
-    p_sr = np.asarray(p_sr, dtype=float)
-    p_prop = np.asarray(p_prop, dtype=float)
-    p_coop = np.asarray(p_coop, dtype=float)
-    signs = np.asarray(signs, dtype=float)
-    if not (p_sr.shape == p_prop.shape == p_coop.shape == signs.shape):
-        raise ValueError("per-branch inputs must share one shape")
+    """Signed branch sum of the combined scheme: a relay-hop error leaves the
+    propagated-error probability, a correct hop the cooperative one."""
     total = 0.5 * float(np.sum(signs * (p_prop * p_sr + (1.0 - p_sr) * p_coop)))
     return _checked_probability(total, label)
-
-
-def e2e_cnoma_wdl_u1(p_sr_z, p_prop_z, p_coop_z, g_z) -> float:
-    """End-to-end far-user BER with direct link and relay combined.
-
-    All inputs are per-branch (two entries): relay-hop error probability,
-    error probability under a propagated relay error, and the cooperative
-    (both-branch) error probability.
-    """
-    return _e2e_wdl(p_sr_z, p_prop_z, p_coop_z, g_z, "far-user combined sum")
-
-
-def e2e_cnoma_wdl_u2(p_sr_v, p_prop_v, p_coop_v, g_v) -> float:
-    """End-to-end near-user BER with direct link and relay combined (six signed branches)."""
-    return _e2e_wdl(p_sr_v, p_prop_v, p_coop_v, g_v, "near-user combined sum")
 
 
 def _checked_probability(p: float, label: str) -> float:
@@ -166,16 +124,18 @@ def _prop_branches(cfg: SystemConfig, direct: str, rel: str, amp_sq) -> np.ndarr
     dead near-user stream).  With no energy on either arm the combined
     statistic is pure noise and the conditional error is a coin flip.
     """
-    amp = np.atleast_1d(np.asarray(amp_sq, dtype=float))
     d_energy = cfg.P_s * cfg.link_budget(direct).sigma_tilde_sq
     r_energy = cfg.P_r * cfg.link_budget(rel).sigma_tilde_sq
     if d_energy == 0.0 and r_energy == 0.0:
-        return np.full(amp.shape, 0.5)
-    return np.full(amp.shape, prop_error(d_energy, r_energy))
+        return np.full(len(amp_sq), 0.5)
+    return np.full(len(amp_sq), prop_error(d_energy, r_energy))
 
 
 def _scheme_ber(cfg: SystemConfig, scheme: str, user: str, limit: bool) -> float:
-    tables = build_coefficient_tables(cfg.alpha1, cfg.alpha2)
+    if user not in USERS:
+        raise ValueError(f"unknown user {user!r}, expected one of {USERS}")
+    scheme = scheme.lower()
+    tables = build_coefficient_tables(cfg)
     # The user picks its branch table and links; the far user's bit is the
     # SIC table with zeta = xi = psi and two unit signs.
     if user == "u1":
@@ -185,12 +145,10 @@ def _scheme_ber(cfg: SystemConfig, scheme: str, user: str, limit: bool) -> float
     direct, rel = "s" + user[1], "r" + user[1]
     label = f"{scheme} {user} branch sum"
 
+    branch_sinr = mean_sinr_limit if limit else mean_sinr
+
     def sinrs(link):
-        budget, k = cfg.link_budget(link), cfg.hwi(link)
-        if limit:
-            return np.atleast_1d(mean_sinr_limit(budget, k, cfg.sigma_eps_sq, amp, air))
-        return np.atleast_1d(
-            mean_sinr(cfg.power(link), budget, k, cfg.sigma_eps_sq, cfg.N0, amp, air))
+        return branch_sinr(cfg, link, amp, air)
 
     def link_ber(link):
         return _signed_fade_sum(sinrs(link), signs, label)
@@ -206,19 +164,12 @@ def _scheme_ber(cfg: SystemConfig, scheme: str, user: str, limit: bool) -> float
     raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
 
 
-def _check_user(user: str):
-    if user not in USERS:
-        raise ValueError(f"unknown user {user!r}, expected one of {USERS}")
-
-
 def scheme_ber(cfg: SystemConfig, scheme: str, user: str) -> float:
     """Closed-form average BER of ``user`` under ``scheme`` for a scenario."""
-    _check_user(user)
-    return _scheme_ber(cfg, scheme.lower(), user, limit=False)
+    return _scheme_ber(cfg, scheme, user, limit=False)
 
 
 def scheme_ber_floor(cfg: SystemConfig, scheme: str, user: str) -> float:
     """Error floor of ``user`` under ``scheme``: the BER limit as both
     transmit powers grow without bound at their configured ratio."""
-    _check_user(user)
-    return _scheme_ber(cfg, scheme.lower(), user, limit=True)
+    return _scheme_ber(cfg, scheme, user, limit=True)

@@ -15,7 +15,12 @@ from dataclasses import dataclass, field, replace
 from . import analytic, simulator
 from .model import SystemConfig
 
-SWEPT_PARAMETERS = ("snr_db", "hwi_k", "alpha1")
+# The SystemConfig copy constructor that sets each swept parameter.  It is
+# looked up by name on each call, so a wrapper installed on the class (as
+# benchmarks/tracing.py does) sees every grid point.
+_CONSTRUCTOR_OF_PARAMETER = {"snr_db": "with_snr_db", "hwi_k": "with_hwi",
+                             "alpha1": "with_alpha1"}
+SWEPT_PARAMETERS = tuple(_CONSTRUCTOR_OF_PARAMETER)
 METHODS = ("analytic", "monte-carlo")
 
 CSV_HEADER = "swept_param,value,scheme,user,method,ber,std_err"
@@ -74,11 +79,7 @@ class SweepSpec:
             self.config_at(value)  # every grid point must yield a valid scenario
 
     def config_at(self, value: float) -> SystemConfig:
-        if self.swept_parameter == "snr_db":
-            return self.base.with_snr_db(value)
-        if self.swept_parameter == "hwi_k":
-            return self.base.with_hwi(value)
-        return self.base.with_alpha1(value)
+        return getattr(self.base, _CONSTRUCTOR_OF_PARAMETER[self.swept_parameter])(value)
 
 
 @dataclass(frozen=True)
@@ -283,8 +284,10 @@ def parse_config(text: str, default_sweep: str = "snr_db") -> SweepSpec:
                 )
             seen[key] = value
         elif key == "grid":
-            seen[key] = tuple(_parse_float(key, v.strip(), line_no)
-                              for v in value.split(",") if v.strip())
+            entries = [v.strip() for v in value.split(",")]
+            if "" in entries:
+                raise ConfigError(f"line {line_no}: empty entry in grid list {value!r}")
+            seen[key] = tuple(_parse_float(key, v, line_no) for v in entries)
         elif key in _LIST_KEYS:
             try:
                 seen[key] = parse_names(value, *_LIST_KEYS[key])
@@ -310,20 +313,14 @@ def _spec_from_keys(seen: dict, default_sweep: str = "snr_db") -> SweepSpec:
     swept = seen.get("sweep", default_sweep)
     grid = seen.get("grid", DEFAULT_GRIDS[swept])
 
-    base_kw = {}
-    for key in ("d_s1", "d_s2", "d_sr", "d_r1", "d_r2", "a", "sigma_eps_sq"):
-        if key in seen:
-            base_kw[key] = seen[key]
+    base_kw = {key: seen[key] for key in ("d_s1", "d_s2", "d_sr", "d_r1", "d_r2", "a",
+                                          "sigma_eps_sq", "hwi_k") if key in seen}
     if "alpha1" in seen:
         base_kw["alpha1"] = seen["alpha1"]
         base_kw["alpha2"] = 1.0 - seen["alpha1"]
-    operating_snr = seen.get("snr_db", _DEFAULT_OPERATING_SNR[swept])
-    p = 10.0 ** (operating_snr / 10.0)
-    base_kw.update(P_s=p, P_r=p, N0=1.0)
-    hwi_k = seen.get("hwi_k", 0.175)
-    base_kw.update({f"k_{link}": hwi_k for link in ("s1", "s2", "sr", "r1", "r2")})
     try:
-        base = SystemConfig(**base_kw)
+        base = SystemConfig.defaults(
+            snr_db=seen.get("snr_db", _DEFAULT_OPERATING_SNR[swept]), **base_kw)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -11,11 +11,16 @@ per-link fading statistics (:class:`LinkBudget`), the superposition
 coefficient tables (:class:`CoefficientTables`) and the mean effective SINR
 of each detection branch.  Everything downstream (closed forms, simulator,
 sweeps) is built on these.
+
+A scenario's numbers are checked once, when a :class:`SystemConfig` is
+built; the link budgets, tables and SINRs read that validated config and
+only check the branch amplitudes their callers pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -25,16 +30,17 @@ LINKS = ("s1", "s2", "sr", "r1", "r2")
 _ALPHA_SUM_TOL = 1e-12
 
 
-def link_variance(d: float, a: float) -> float:
-    """Rayleigh channel variance of a link of length ``d`` with path-loss exponent ``a``.
+def _power_at_snr_db(snr_db: float) -> float:
+    """Transmit power 10**(snr_db/10) at N0 = 1; an SNR past the float range
+    gives inf, which SystemConfig then rejects by name."""
+    try:
+        return 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        return math.inf
 
-    The channel coefficient is zero-mean circular Gaussian with variance
-    ``d ** -a``.
-    """
-    if d <= 0:
-        raise ValueError(f"link distance must be positive, got {d}")
-    if a <= 0:
-        raise ValueError(f"path-loss exponent must be positive, got {a}")
+
+def _link_variance(d: float, a: float) -> float:
+    """Rayleigh channel variance ``d ** -a`` of a link of length ``d``."""
     return float(d) ** -float(a)
 
 
@@ -44,31 +50,11 @@ class LinkBudget:
 
     ``sigma_h_sq`` is the variance of the true channel, ``sigma_tilde_sq``
     the variance of the estimate after removing the estimation-error power.
+    Built by :meth:`SystemConfig.link_budget` from a validated scenario.
     """
 
     sigma_h_sq: float
     sigma_tilde_sq: float
-
-    def __post_init__(self):
-        if self.sigma_h_sq <= 0:
-            raise ValueError("channel variance must be positive")
-        if not 0 < self.sigma_tilde_sq <= self.sigma_h_sq:
-            raise ValueError(
-                "estimate variance must stay within (0, channel variance]; "
-                "the estimation-error power may not swallow the whole link"
-            )
-
-    @classmethod
-    def from_distance(cls, d: float, a: float, sigma_eps_sq: float) -> "LinkBudget":
-        var = link_variance(d, a)
-        if sigma_eps_sq < 0:
-            raise ValueError("estimation-error variance must be nonnegative")
-        if var <= sigma_eps_sq:
-            raise ValueError(
-                f"estimation-error variance {sigma_eps_sq} exceeds the link "
-                f"variance {var} (d={d}, a={a}); no usable estimate remains"
-            )
-        return cls(sigma_h_sq=var, sigma_tilde_sq=var - sigma_eps_sq)
 
 
 @dataclass(frozen=True)
@@ -101,13 +87,16 @@ class SystemConfig:
     sigma_eps_sq: float = 0.005
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for name in ("d_s1", "d_s2", "d_sr", "d_r1", "d_r2"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.a <= 0:
             raise ValueError("a must be positive")
         if self.P_s < 0 or self.P_r < 0:
-            raise ValueError("transmit powers must be nonnegative")
+            raise ValueError("transmit powers P_s and P_r must be nonnegative")
         if self.N0 <= 0:
             raise ValueError("N0 must be positive")
         if not 0 <= self.alpha2 <= self.alpha1 <= 1:
@@ -125,11 +114,11 @@ class SystemConfig:
         if self.sigma_eps_sq < 0:
             raise ValueError("sigma_eps_sq must be nonnegative")
         for link in LINKS:
-            var = link_variance(getattr(self, f"d_{link}"), self.a)
+            var = _link_variance(getattr(self, f"d_{link}"), self.a)
             if var <= self.sigma_eps_sq:
                 raise ValueError(
-                    f"estimation-error variance {self.sigma_eps_sq} exceeds the "
-                    f"variance {var} of link {link}"
+                    f"sigma_eps_sq {self.sigma_eps_sq} must stay below the "
+                    f"variance {var} of link {link}; no usable estimate remains"
                 )
 
     # -- per-link accessors -------------------------------------------------
@@ -137,7 +126,8 @@ class SystemConfig:
     def link_budget(self, link: str) -> LinkBudget:
         """Fading statistics of one of the five links."""
         self._check_link(link)
-        return LinkBudget.from_distance(getattr(self, f"d_{link}"), self.a, self.sigma_eps_sq)
+        var = _link_variance(getattr(self, f"d_{link}"), self.a)
+        return LinkBudget(sigma_h_sq=var, sigma_tilde_sq=var - self.sigma_eps_sq)
 
     def power(self, link: str) -> float:
         """Transmit power feeding a link (source power or relay power)."""
@@ -164,7 +154,7 @@ class SystemConfig:
         source power and all five links share the same hardware-quality
         factor unless overridden.
         """
-        p = 10.0 ** (snr_db / 10.0)
+        p = _power_at_snr_db(snr_db)
         kw = dict(P_s=p, P_r=p, N0=1.0)
         kw.update({f"k_{link}": hwi_k for link in LINKS})
         kw.update(overrides)
@@ -172,7 +162,7 @@ class SystemConfig:
 
     def with_snr_db(self, snr_db: float) -> "SystemConfig":
         """Copy of this scenario with P_s = P_r = 10**(snr_db/10) and N0 = 1."""
-        p = 10.0 ** (snr_db / 10.0)
+        p = _power_at_snr_db(snr_db)
         return replace(self, P_s=p, P_r=p, N0=1.0)
 
     def with_hwi(self, k: float) -> "SystemConfig":
@@ -198,47 +188,37 @@ class CoefficientTables:
     estimation-error penalty).  ``g_z`` and ``g_v`` are the branch signs.
     """
 
-    psi: np.ndarray
-    g_z: np.ndarray
-    zeta: np.ndarray
-    xi: np.ndarray
-    g_v: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "psi", _frozen(self.psi))
-        object.__setattr__(self, "g_z", _frozen(self.g_z))
-        object.__setattr__(self, "zeta", _frozen(self.zeta))
-        object.__setattr__(self, "xi", _frozen(self.xi))
-        object.__setattr__(self, "g_v", _frozen(self.g_v))
+    psi: tuple[float, ...]
+    g_z: tuple[float, ...]
+    zeta: tuple[float, ...]
+    xi: tuple[float, ...]
+    g_v: tuple[float, ...]
 
 
-def _frozen(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    arr.setflags(write=False)
-    return arr
-
-
-def build_coefficient_tables(alpha1: float, alpha2: float) -> CoefficientTables:
-    """Expand a power split into the detection-branch coefficient tables."""
-    if abs(alpha1 + alpha2 - 1.0) > _ALPHA_SUM_TOL:
-        raise ValueError(f"power fractions must sum to 1, got {alpha1 + alpha2}")
-    if not 0 <= alpha2 <= alpha1 <= 1:
-        raise ValueError("power fractions must satisfy 0 <= alpha2 <= alpha1 <= 1")
-    r1, r2 = np.sqrt(alpha1), np.sqrt(alpha2)
+def build_coefficient_tables(cfg: SystemConfig) -> CoefficientTables:
+    """Expand a scenario's power split into the detection-branch coefficient tables."""
+    r1, r2 = np.sqrt(cfg.alpha1), np.sqrt(cfg.alpha2)
     plus, minus = (r1 + r2) ** 2, (r1 - r2) ** 2
-    psi = [plus, minus]
     # Branches 4 and 6 carry the doubled far-user amplitude left behind by a
     # wrong subtraction.
-    zeta = [alpha2, alpha2, plus, (2 * r1 + r2) ** 2, minus, (2 * r1 - r2) ** 2]
-    xi = [plus, minus, plus, plus, minus, minus]
-    g_v = [1.0, 1.0, -1.0, 1.0, 1.0, -1.0]
-    g_z = [1.0, 1.0]
-    return CoefficientTables(psi=psi, g_z=g_z, zeta=zeta, xi=xi, g_v=g_v)
+    return CoefficientTables(
+        psi=(plus, minus),
+        g_z=(1.0, 1.0),
+        zeta=(cfg.alpha2, cfg.alpha2, plus, (2 * r1 + r2) ** 2, minus, (2 * r1 - r2) ** 2),
+        xi=(plus, minus, plus, plus, minus, minus),
+        g_v=(1.0, 1.0, -1.0, 1.0, 1.0, -1.0),
+    )
 
 
-def mean_sinr(P: float, budget: LinkBudget, k: float, sigma_eps_sq: float,
-              N0: float, amp_sq, air_sq) -> float | np.ndarray:
-    """Mean effective SINR of one detection branch on one link.
+def _squared_amplitudes(amp_sq, air_sq) -> tuple[np.ndarray, np.ndarray]:
+    amp, air = np.asarray(amp_sq, dtype=float), np.asarray(air_sq, dtype=float)
+    if (amp < 0).any() or (air < 0).any():
+        raise ValueError("squared amplitudes must be nonnegative")
+    return amp, air
+
+
+def mean_sinr(cfg: SystemConfig, link: str, amp_sq, air_sq) -> float | np.ndarray:
+    """Mean effective SINR of one detection branch on one link of ``cfg``.
 
     ``amp_sq`` scales the useful branch amplitude, ``air_sq`` is the squared
     amplitude of the composite symbol on the air for that branch (only the
@@ -249,35 +229,22 @@ def mean_sinr(P: float, budget: LinkBudget, k: float, sigma_eps_sq: float,
     distortion riding the estimated channel, and the residual
     self-interference of the estimation error.
     """
-    _check_sinr_inputs(P, k, sigma_eps_sq, N0, amp_sq)
-    amp, air = np.asarray(amp_sq, dtype=float), np.asarray(air_sq, dtype=float)
+    amp, air = _squared_amplitudes(amp_sq, air_sq)
+    P, k, budget = cfg.power(link), cfg.hwi(link), cfg.link_budget(link)
     num = P * amp * budget.sigma_tilde_sq
-    den = (N0 + 2.0 * P * k * k * budget.sigma_tilde_sq
-           + 2.0 * (k * k + air) * P * sigma_eps_sq)
+    den = (cfg.N0 + 2.0 * P * k * k * budget.sigma_tilde_sq
+           + 2.0 * (k * k + air) * P * cfg.sigma_eps_sq)
     return num / den
 
 
-def mean_sinr_limit(budget: LinkBudget, k: float, sigma_eps_sq: float,
-                    amp_sq, air_sq) -> float | np.ndarray:
+def mean_sinr_limit(cfg: SystemConfig, link: str, amp_sq, air_sq) -> float | np.ndarray:
     """Power-to-infinity limit of :func:`mean_sinr` (the error-floor SINR)."""
-    amp, air = np.asarray(amp_sq, dtype=float), np.asarray(air_sq, dtype=float)
+    amp, air = _squared_amplitudes(amp_sq, air_sq)
+    k, budget = cfg.hwi(link), cfg.link_budget(link)
     num = amp * budget.sigma_tilde_sq
-    den = 2.0 * k * k * budget.sigma_tilde_sq + 2.0 * (k * k + air) * sigma_eps_sq
+    den = 2.0 * k * k * budget.sigma_tilde_sq + 2.0 * (k * k + air) * cfg.sigma_eps_sq
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(den > 0, num / np.where(den > 0, den, 1.0), np.inf)
     # 0/0 (zero amplitude and no impairments) is taken as zero signal.
     out = np.where((num == 0) & (den == 0), 0.0, out)
     return out if out.ndim else float(out)
-
-
-def _check_sinr_inputs(P, k, sigma_eps_sq, N0, amp_sq):
-    if P < 0:
-        raise ValueError("power must be nonnegative")
-    if k < 0:
-        raise ValueError("hardware-quality factor must be nonnegative")
-    if sigma_eps_sq < 0:
-        raise ValueError("estimation-error variance must be nonnegative")
-    if N0 <= 0:
-        raise ValueError("N0 must be positive")
-    if np.any(np.asarray(amp_sq, dtype=float) < 0):
-        raise ValueError("squared amplitudes must be nonnegative")

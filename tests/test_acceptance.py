@@ -35,7 +35,7 @@ from dataclasses import replace
 import numpy as np
 
 from nomalink import analytic, experiments, simulator
-from nomalink.model import SystemConfig, mean_sinr
+from nomalink.model import SystemConfig, build_coefficient_tables, mean_sinr
 
 
 def _verdict(number: int, ok: bool, detail: str) -> bool:
@@ -230,21 +230,21 @@ def test_acceptance_07_invariant_suite():
 
     # the propagation probability is branch-index free: amplitudes cancel
     cfg = SystemConfig.defaults(snr_db=10.0)
-    tables = analytic.build_coefficient_tables(cfg.alpha1, cfg.alpha2)
+    tables = build_coefficient_tables(cfg)
     two = analytic._prop_branches(cfg, "s1", "r1", tables.psi)
     six = analytic._prop_branches(cfg, "s2", "r2", tables.zeta)
     if not (two[0] == two[1] and np.all(six == six[0])):
         failures.append("propagation branch invariance")
 
     # mean SINRs depend on power only through P/N0
-    budget = cfg.link_budget("s1")
     for c in (1e-3, 7.0, 1e3):
-        a = mean_sinr(3.0, budget, 0.175, 0.005, 1.0, 1.8, 1.8)
-        b = mean_sinr(c * 3.0, budget, 0.175, 0.005, c * 1.0, 1.8, 1.8)
+        base, scaled = replace(cfg, P_s=3.0, N0=1.0), replace(cfg, P_s=c * 3.0, N0=c * 1.0)
+        a = mean_sinr(base, "s1", 1.8, 1.8)
+        b = mean_sinr(scaled, "s1", 1.8, 1.8)
         if abs(a - b) > 1e-9 * a:
             failures.append(f"m1 homogeneity c={c}")
-        a = mean_sinr(3.0, budget, 0.175, 0.005, 1.0, 0.2, 1.8)
-        b = mean_sinr(c * 3.0, budget, 0.175, 0.005, c * 1.0, 0.2, 1.8)
+        a = mean_sinr(base, "s1", 0.2, 1.8)
+        b = mean_sinr(scaled, "s1", 0.2, 1.8)
         if abs(a - b) > 1e-9 * a:
             failures.append(f"m2 homogeneity c={c}")
 

@@ -2,15 +2,18 @@
 
 The fading averages used by the closed forms are one-dimensional integrals
 with known densities, so every block is cross-checked here against
-scipy.integrate.quad with no shared code beyond the Q-function.
+scipy.integrate.quad with no shared code: the oracles take the Gaussian tail
+from scipy.special.ndtr.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from nomalink import analytic
 from nomalink.analytic import (
@@ -18,12 +21,8 @@ from nomalink.analytic import (
     USERS,
     aber_mrc_pair,
     aber_p2p_m1,
-    aber_p2p_m2,
     e2e_cnoma,
-    e2e_cnoma_wdl_u1,
-    e2e_cnoma_wdl_u2,
     prop_error,
-    q_function,
     scheme_ber,
     scheme_ber_floor,
 )
@@ -32,7 +31,7 @@ from nomalink.model import SystemConfig, build_coefficient_tables, mean_sinr
 
 def fade_quadrature(delta_bar: float) -> float:
     """Average of Q(sqrt(2 g)) over g exponential with the given mean."""
-    val, _ = quad(lambda t: q_function(math.sqrt(2.0 * t)) *
+    val, _ = quad(lambda t: ndtr(-math.sqrt(2.0 * t)) *
                   math.exp(-t / delta_bar) / delta_bar, 0.0, np.inf)
     return val
 
@@ -43,18 +42,8 @@ def mrc_quadrature(a: float, b: float) -> float:
         density = lambda t: t * math.exp(-t / a) / (a * a)
     else:
         density = lambda t: (math.exp(-t / a) - math.exp(-t / b)) / (a - b)
-    val, _ = quad(lambda t: q_function(math.sqrt(2.0 * t)) * density(t), 0.0, np.inf)
+    val, _ = quad(lambda t: ndtr(-math.sqrt(2.0 * t)) * density(t), 0.0, np.inf)
     return val
-
-
-def test_q_function_values():
-    assert q_function(0.0) == 0.5
-    assert q_function(np.inf) == 0.0
-    tail, _ = quad(lambda t: math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi), 1.3, np.inf)
-    assert q_function(1.3) == pytest.approx(tail, rel=1e-10)
-    out = q_function([0.0, 1.0, 2.0])
-    assert out.shape == (3,)
-    assert np.all(np.diff(out) < 0)
 
 
 @pytest.mark.parametrize("delta", [0.05, 0.5, 2.0, 25.0])
@@ -79,22 +68,19 @@ def test_far_bit_rejects_wrong_branch_count():
 
 
 def test_near_bit_signed_sum_matches_quadrature():
+    # the direct scheme's near user is the signed six-branch sum on s2
     cfg = SystemConfig.defaults(snr_db=10.0)
-    t = build_coefficient_tables(cfg.alpha1, cfg.alpha2)
-    budget = cfg.link_budget("s2")
-    sinrs = mean_sinr(cfg.P_s, budget, cfg.hwi("s2"), cfg.sigma_eps_sq,
-                      cfg.N0, t.zeta, t.xi)
+    t = build_coefficient_tables(cfg)
+    sinrs = mean_sinr(cfg, "s2", t.zeta, t.xi)
     expect = sum(g * fade_quadrature(d) for g, d in zip(t.g_v, sinrs)) / 2.0
-    assert aber_p2p_m2(sinrs, t.g_v) == pytest.approx(expect, rel=1e-9)
+    assert scheme_ber(cfg, "noma", "u2") == pytest.approx(expect, rel=1e-9)
 
 
 def test_near_bit_rejects_inconsistent_branches():
     # branch means whose signed sum lands at -0.5, far outside [0, 1]
-    bad = [np.inf, np.inf, 0.0, np.inf, np.inf, 0.0]
-    with pytest.raises(ValueError):
-        aber_p2p_m2(bad, [1, 1, -1, 1, 1, -1])
-    with pytest.raises(ValueError):
-        aber_p2p_m2([1.0] * 5, [1] * 5)
+    bad = np.array([np.inf, np.inf, 0.0, np.inf, np.inf, 0.0])
+    with pytest.raises(ValueError, match=r"near-user branch sum left \[0, 1\]: -0.5"):
+        analytic._signed_fade_sum(bad, (1.0, 1.0, -1.0, 1.0, 1.0, -1.0), "near-user branch sum")
 
 
 def test_mrc_pair_value():
@@ -155,7 +141,7 @@ def test_prop_branches_identical_because_amplitude_cancels():
     # the per-branch amplitude multiplies both arms, so every branch gets
     # the same ratio; the entries must be equal exactly, not just close
     cfg = SystemConfig.defaults(snr_db=10.0)
-    t = build_coefficient_tables(cfg.alpha1, cfg.alpha2)
+    t = build_coefficient_tables(cfg)
     rows = analytic._prop_branches(cfg, "s1", "r1", t.psi)
     assert rows.shape == (2,)
     assert rows[0] == rows[1]
@@ -191,15 +177,20 @@ def test_two_hop_composition_symmetric(p, q):
     assert e2e_cnoma(0.5, q) == pytest.approx(0.5, abs=1e-15)
 
 
+def _combined(p_sr, p_prop, p_coop, signs):
+    return analytic._e2e_wdl(np.array(p_sr), np.array(p_prop), np.array(p_coop),
+                             signs, "combined sum")
+
+
 def test_combined_composition_hand_sum():
-    got = e2e_cnoma_wdl_u1([0.1, 0.2], [0.6, 0.6], [0.05, 0.07], [1, 1])
+    got = _combined([0.1, 0.2], [0.6, 0.6], [0.05, 0.07], (1.0, 1.0))
     expect = 0.5 * ((0.6 * 0.1 + 0.9 * 0.05) + (0.6 * 0.2 + 0.8 * 0.07))
     assert got == pytest.approx(expect, rel=1e-15)
     # all relay hops failing leaves only the propagated branch
-    assert e2e_cnoma_wdl_u1([1.0, 1.0], [0.6, 0.4], [0.05, 0.07], [1, 1]) == \
+    assert _combined([1.0, 1.0], [0.6, 0.4], [0.05, 0.07], (1.0, 1.0)) == \
         pytest.approx(0.5, rel=1e-15)
     # perfect relay hops leave only the cooperative branch
-    assert e2e_cnoma_wdl_u1([0.0, 0.0], [0.6, 0.4], [0.05, 0.07], [1, 1]) == \
+    assert _combined([0.0, 0.0], [0.6, 0.4], [0.05, 0.07], (1.0, 1.0)) == \
         pytest.approx(0.06, rel=1e-15)
 
 
@@ -207,14 +198,12 @@ def test_combined_composition_signed_branches():
     p_sr = [0.1] * 6
     p_prop = [0.5] * 6
     p_coop = [0.2, 0.1, 0.15, 0.05, 0.08, 0.03]
-    g = [1, 1, -1, 1, 1, -1]
+    g = (1.0, 1.0, -1.0, 1.0, 1.0, -1.0)
     expect = 0.5 * sum(gv * (0.5 * 0.1 + 0.9 * pc) for gv, pc in zip(g, p_coop))
-    assert e2e_cnoma_wdl_u2(p_sr, p_prop, p_coop, g) == pytest.approx(expect, rel=1e-14)
-    with pytest.raises(ValueError):
-        e2e_cnoma_wdl_u1([0.1, 0.2, 0.3], [0.6, 0.6], [0.05, 0.07], [1, 1])
-    with pytest.raises(ValueError):
+    assert _combined(p_sr, p_prop, p_coop, g) == pytest.approx(expect, rel=1e-14)
+    with pytest.raises(ValueError, match=r"combined sum left \[0, 1\]"):
         # signed sum escapes [0, 1]
-        e2e_cnoma_wdl_u2([0.0] * 6, [0.0] * 6, [0.4, 0.4, 0.9, 0.0, 0.0, 0.9], g)
+        _combined([0.0] * 6, [0.0] * 6, [0.4, 0.4, 0.9, 0.0, 0.0, 0.9], g)
 
 
 # -- scheme-level composition -------------------------------------------------
@@ -222,55 +211,84 @@ def test_combined_composition_signed_branches():
 
 def test_direct_scheme_unwinds_to_building_blocks():
     cfg = SystemConfig.defaults(snr_db=10.0)
-    t = build_coefficient_tables(cfg.alpha1, cfg.alpha2)
-    far = aber_p2p_m1(mean_sinr(cfg.P_s, cfg.link_budget("s1"), cfg.hwi("s1"),
-                                cfg.sigma_eps_sq, cfg.N0, t.psi, t.psi))
+    t = build_coefficient_tables(cfg)
+    far = aber_p2p_m1(mean_sinr(cfg, "s1", t.psi, t.psi))
     assert scheme_ber(cfg, "noma", "u1") == far
-    near = aber_p2p_m2(mean_sinr(cfg.P_s, cfg.link_budget("s2"), cfg.hwi("s2"),
-                                 cfg.sigma_eps_sq, cfg.N0, t.zeta, t.xi), t.g_v)
+    near = analytic._signed_fade_sum(mean_sinr(cfg, "s2", t.zeta, t.xi), t.g_v, "u2")
     assert scheme_ber(cfg, "noma", "u2") == near
 
 
 def test_relayed_scheme_unwinds_to_two_hops():
     cfg = SystemConfig.defaults(snr_db=10.0)
-    t = build_coefficient_tables(cfg.alpha1, cfg.alpha2)
+    t = build_coefficient_tables(cfg)
 
     def far_hop(link):
-        return aber_p2p_m1(mean_sinr(cfg.power(link), cfg.link_budget(link),
-                                     cfg.hwi(link), cfg.sigma_eps_sq, cfg.N0, t.psi, t.psi))
+        return aber_p2p_m1(mean_sinr(cfg, link, t.psi, t.psi))
 
     assert scheme_ber(cfg, "cnoma", "u1") == e2e_cnoma(far_hop("sr"), far_hop("r1"))
 
 
 def test_combined_scheme_unwinds_to_building_blocks():
     cfg = SystemConfig.defaults(snr_db=10.0)
-    t = build_coefficient_tables(cfg.alpha1, cfg.alpha2)
-
-    def branch_sinrs(link):
-        return mean_sinr(cfg.power(link), cfg.link_budget(link), cfg.hwi(link),
-                         cfg.sigma_eps_sq, cfg.N0, t.psi, t.psi)
-
-    sr, direct, rel = branch_sinrs("sr"), branch_sinrs("s1"), branch_sinrs("r1")
+    t = build_coefficient_tables(cfg)
+    sr, direct, rel = (mean_sinr(cfg, link, t.psi, t.psi) for link in ("sr", "s1", "r1"))
     p_sr = [0.5 * (1 - math.sqrt(d / (1 + d))) for d in sr]
     p_coop = [aber_mrc_pair(a, b) for a, b in zip(direct, rel)]
     p = prop_error(cfg.P_s * cfg.link_budget("s1").sigma_tilde_sq,
                    cfg.P_r * cfg.link_budget("r1").sigma_tilde_sq)
-    expect = e2e_cnoma_wdl_u1(p_sr, [p, p], p_coop, t.g_z)
+    # a relay-hop error leaves the propagated branch, a correct hop the MRC pair
+    expect = sum((p * e + (1 - e) * c) / 2 for e, c in zip(p_sr, p_coop))
     assert scheme_ber(cfg, "cnoma-wdl", "u1") == pytest.approx(expect, rel=1e-14)
 
 
-def test_scheme_ber_reference_values():
-    cfg = SystemConfig.defaults(snr_db=10.0)
-    expect = {
+_REF_10DB = SystemConfig.defaults(snr_db=10.0)
+_AT_20DB = SystemConfig.defaults(snr_db=20.0)
+
+# Closed-form values pinned bit for bit: a refactor of the closed forms must
+# reproduce every one exactly.
+_PINNED_BER = [
+    (_REF_10DB, {
         ("noma", "u1"): 0.2522965978650431,
         ("noma", "u2"): 0.3028393721056528,
         ("cnoma", "u1"): 0.2496886074652577,
         ("cnoma", "u2"): 0.2953926815805891,
         ("cnoma-wdl", "u1"): 0.17816922541348096,
         ("cnoma-wdl", "u2"): 0.24593597993733257,
-    }
-    for (scheme, user), value in expect.items():
-        assert scheme_ber(cfg, scheme, user) == pytest.approx(value, rel=1e-12), (scheme, user)
+    }),
+    (replace(_AT_20DB, P_r=4.0 * _AT_20DB.P_s), {
+        ("noma", "u1"): 0.11919174087507364,
+        ("noma", "u2"): 0.15266981116899195,
+        ("cnoma", "u1"): 0.10106160717084464,
+        ("cnoma", "u2"): 0.18332388720323572,
+        ("cnoma-wdl", "u1"): 0.061427852856187494,
+        ("cnoma-wdl", "u2"): 0.1304025433846553,
+    }),
+    (SystemConfig.defaults(snr_db=30.0).with_alpha1(1.0), {
+        ("noma", "u1"): 0.05418946894894344,
+        ("noma", "u2"): 0.5,
+        ("cnoma", "u1"): 0.05325054352505958,
+        ("cnoma", "u2"): 0.5,
+        ("cnoma-wdl", "u1"): 0.016948014577684196,
+        ("cnoma-wdl", "u2"): 0.6512096774193548,
+    }),
+]
+
+_PINNED_FLOOR = {
+    ("noma", "u1"): 0.06914825407852004,
+    ("noma", "u2"): 0.11693335091628987,
+    ("cnoma", "u1"): 0.08810742986530883,
+    ("cnoma", "u2"): 0.17250155599362552,
+    ("cnoma-wdl", "u1"): 0.036089966593577036,
+    ("cnoma-wdl", "u2"): 0.09968170075366195,
+}
+
+
+def test_scheme_ber_reference_values():
+    for cfg, expect in _PINNED_BER:
+        for (scheme, user), value in expect.items():
+            assert scheme_ber(cfg, scheme, user) == value, (cfg, scheme, user)
+    for (scheme, user), value in _PINNED_FLOOR.items():
+        assert scheme_ber_floor(_REF_10DB, scheme, user) == value, (scheme, user)
 
 
 def test_scheme_ber_rejects_unknown_names():

@@ -201,6 +201,8 @@ def test_parse_config_operating_point_defaults():
     ("methods = quadrature", "unknown method"),
     ("schemes = noma,,cnoma", "line 1: empty entry in scheme list"),
     ("methods = analytic,", "empty entry in method list"),
+    ("seed = 1\ngrid = 0, , 10", "line 2: empty entry in grid list"),
+    ("grid = 0, 10,", "line 1: empty entry in grid list"),
 ])
 def test_parse_config_diagnostics(text, fragment):
     with pytest.raises(ConfigError, match=re.escape(fragment)):
@@ -289,6 +291,21 @@ def test_cli_bad_numbers_exit_2_with_one_error_line(command, flags, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize("command,text,message", [
+    ("sweep-hwi", "sweep = hwi_k\ngrid = nan\n", "k_s1 must be finite, got nan"),
+    ("sweep-snr", "grid = 0, 4000\n", "P_s must be finite, got inf"),
+    ("sweep-pa", "sweep = alpha1\nsnr_db = inf\n", "P_s must be finite, got inf"),
+])
+def test_cli_rejects_non_finite_scenario_with_one_error_line(command, text, message,
+                                                             tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert cli.main([command, "--config", str(cfg), "--methods", "analytic"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
 
 
 @pytest.mark.parametrize("flag", ["--config", "--out", "--methods"])

@@ -336,7 +336,7 @@ def semi_analytic_far_bit(cfg, link, n, seed):
     r1, r2 = math.sqrt(cfg.alpha1), math.sqrt(cfg.alpha2)
     p = np.zeros(n)
     for amp in (r1 + r2, r1 - r2):
-        p += analytic.q_function(g_eff * amp * math.sqrt(P) / np.sqrt(var))
+        p += ndtr(-g_eff * amp * math.sqrt(P) / np.sqrt(var))
     p /= 2.0
     return float(p.mean()), float(p.std(ddof=1) / math.sqrt(n))
 
