@@ -13,11 +13,15 @@ branch (see :mod:`nomalink.model`).  Three schemes are covered:
 validated :class:`~nomalink.model.SystemConfig`, so the private composition
 steps trust their inputs.  The public single-link, combiner, propagation and
 two-hop pieces still check theirs, because they take bare numbers.
+
+A call composes at most six branches per link, so it runs in scalar float
+math: array bookkeeping cost more than the flops.  Branch sums run left to
+right, as numpy's six-entry sums did (``sum`` compensates from Python 3.12).
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from .model import SystemConfig, build_coefficient_tables, mean_sinr, mean_sinr_limit
 
@@ -27,15 +31,10 @@ USERS = ("u1", "u2")
 _PROB_TOL = 1e-12
 
 
-def _fade_term(delta_bar) -> np.ndarray:
-    """Rayleigh average of Q(sqrt(2*g)) for g exponential with mean delta_bar.
-
-    Returns (1/2) * (1 - sqrt(d/(1+d))) per entry; infinite means map to 0.
-    """
-    d = np.asarray(delta_bar, dtype=float)
-    with np.errstate(invalid="ignore"):
-        ratio = np.where(np.isinf(d), 1.0, d / (1.0 + d))
-    return 0.5 * (1.0 - np.sqrt(ratio))
+def _fade_term(delta_bar: float) -> float:
+    """Rayleigh average of Q(sqrt(2*g)) for g exponential with mean delta_bar:
+    (1/2) * (1 - sqrt(d/(1+d))), and 0 for an infinite mean."""
+    return 0.0 if delta_bar == math.inf else 0.5 * (1.0 - math.sqrt(delta_bar / (1.0 + delta_bar)))
 
 
 def aber_p2p_m1(delta_bars) -> float:
@@ -44,14 +43,10 @@ def aber_p2p_m1(delta_bars) -> float:
     ``delta_bars`` holds the two per-branch mean SINRs (near user's bit
     agreeing / disagreeing).
     """
-    d = np.asarray(delta_bars, dtype=float)
-    if d.shape != (2,) or np.any(d < 0):
+    d = tuple(delta_bars) if hasattr(delta_bars, "__iter__") else (delta_bars,)
+    if len(d) != 2 or not (d[0] >= 0 and d[1] >= 0):
         raise ValueError(f"expected two nonnegative branch SINRs, got {d}")
-    return float(np.mean(_fade_term(d)))
-
-
-def _signed_fade_sum(delta_bars, signs, label) -> float:
-    return _checked_probability(float(np.sum(signs * _fade_term(delta_bars)) / 2.0), label)
+    return (_fade_term(d[0]) + _fade_term(d[1])) / 2.0
 
 
 def aber_mrc_pair(delta_bar_a: float, delta_bar_b: float) -> float:
@@ -62,19 +57,19 @@ def aber_mrc_pair(delta_bar_a: float, delta_bar_b: float) -> float:
     inside 1e-8.  A zero branch reduces to the single-branch form and an
     infinite branch drives the error to zero.
     """
-    a, b = float(delta_bar_a), float(delta_bar_b)
-    if a < 0 or b < 0:
-        raise ValueError("mean SINRs must be nonnegative")
-    if np.isinf(a) or np.isinf(b):
+    a, b = delta_bar_a, delta_bar_b
+    if not (a >= 0 and b >= 0):
+        raise ValueError(f"mean SINRs must be nonnegative, got {a} and {b}")
+    if a == math.inf or b == math.inf:
         return 0.0
     if abs(a - b) < 1e-9 * max(a, b, 1.0):
         mid = 0.5 * (a + b)
         a, b = mid * (1.0 + 1e-6), mid * (1.0 - 1e-6)
         if a == b:  # both zero
             return 0.5
-    fa = a * np.sqrt(a / (1.0 + a))
-    fb = b * np.sqrt(b / (1.0 + b))
-    return float(0.5 * (1.0 - (fa - fb) / (a - b)))
+    fa = a * math.sqrt(a / (1.0 + a))
+    fb = b * math.sqrt(b / (1.0 + b))
+    return 0.5 * (1.0 - (fa - fb) / (a - b))
 
 
 def prop_error(phi_bar_direct: float, phi_bar_relay: float) -> float:
@@ -83,12 +78,12 @@ def prop_error(phi_bar_direct: float, phi_bar_relay: float) -> float:
     Both arguments are mean branch energies (power * amplitude^2 * estimate
     variance).  The additive noise is neglected, so only the ratio matters.
     """
-    if phi_bar_direct < 0 or phi_bar_relay < 0:
-        raise ValueError("branch energies must be nonnegative")
+    if not (0 <= phi_bar_direct < math.inf and 0 <= phi_bar_relay < math.inf):
+        raise ValueError("branch energies must be finite and nonnegative")
     total = phi_bar_direct + phi_bar_relay
     if total == 0:
         raise ValueError("at least one branch energy must be positive")
-    return float(phi_bar_relay / total)
+    return phi_bar_relay / total
 
 
 def e2e_cnoma(p_first_hop: float, p_second_hop: float) -> float:
@@ -99,11 +94,19 @@ def e2e_cnoma(p_first_hop: float, p_second_hop: float) -> float:
     return p_first_hop + p_second_hop - 2.0 * p_first_hop * p_second_hop
 
 
-def _e2e_wdl(p_sr, p_prop, p_coop, signs, label) -> float:
+def _branch_sum(signs, terms, label) -> float:
+    """Half the signed sum of per-branch probabilities, accumulated left to right."""
+    total = 0.0
+    for g, t in zip(signs, terms):
+        total += g * t
+    return _checked_probability(total / 2.0, label)
+
+
+def _e2e_wdl(p_sr, p_prop: float, p_coop, signs, label) -> float:
     """Signed branch sum of the combined scheme: a relay-hop error leaves the
     propagated-error probability, a correct hop the cooperative one."""
-    total = 0.5 * float(np.sum(signs * (p_prop * p_sr + (1.0 - p_sr) * p_coop)))
-    return _checked_probability(total, label)
+    return _branch_sum(signs, [p_prop * e + (1.0 - e) * c for e, c in zip(p_sr, p_coop)],
+                       label)
 
 
 def _checked_probability(p: float, label: str) -> float:
@@ -115,8 +118,8 @@ def _checked_probability(p: float, label: str) -> float:
 # -- scheme-level composition -----------------------------------------------
 
 
-def _prop_branches(cfg: SystemConfig, direct: str, rel: str, amp_sq) -> np.ndarray:
-    """Per-branch probability that a flipped relay copy outweighs the direct copy.
+def _branch_prop_error(cfg: SystemConfig, direct: str, rel: str) -> float:
+    """Probability that a flipped relay copy outweighs the direct copy, on every branch.
 
     The branch amplitude multiplies both mean energies, so it cancels from
     the ratio; computing from powers and estimate variances alone extends the
@@ -127,8 +130,8 @@ def _prop_branches(cfg: SystemConfig, direct: str, rel: str, amp_sq) -> np.ndarr
     d_energy = cfg.P_s * cfg.link_budget(direct).sigma_tilde_sq
     r_energy = cfg.P_r * cfg.link_budget(rel).sigma_tilde_sq
     if d_energy == 0.0 and r_energy == 0.0:
-        return np.full(len(amp_sq), 0.5)
-    return np.full(len(amp_sq), prop_error(d_energy, r_energy))
+        return 0.5
+    return prop_error(d_energy, r_energy)
 
 
 def _scheme_ber(cfg: SystemConfig, scheme: str, user: str, limit: bool) -> float:
@@ -144,23 +147,20 @@ def _scheme_ber(cfg: SystemConfig, scheme: str, user: str, limit: bool) -> float
         amp, air, signs = tables.zeta, tables.xi, tables.g_v
     direct, rel = "s" + user[1], "r" + user[1]
     label = f"{scheme} {user} branch sum"
-
     branch_sinr = mean_sinr_limit if limit else mean_sinr
 
-    def sinrs(link):
-        return branch_sinr(cfg, link, amp, air)
-
-    def link_ber(link):
-        return _signed_fade_sum(sinrs(link), signs, label)
+    def fades(link):
+        return [_fade_term(d) for d in branch_sinr(cfg, link, amp, air)]
 
     if scheme == "noma":
-        return link_ber(direct)
+        return _branch_sum(signs, fades(direct), label)
     if scheme == "cnoma":
-        return e2e_cnoma(link_ber("sr"), link_ber(rel))
+        return e2e_cnoma(_branch_sum(signs, fades("sr"), label),
+                         _branch_sum(signs, fades(rel), label))
     if scheme == "cnoma-wdl":
-        p_coop = np.array([aber_mrc_pair(da, dr) for da, dr in zip(sinrs(direct), sinrs(rel))])
-        return _e2e_wdl(_fade_term(sinrs("sr")), _prop_branches(cfg, direct, rel, amp),
-                        p_coop, signs, label)
+        p_coop = list(map(aber_mrc_pair, branch_sinr(cfg, direct, amp, air),
+                          branch_sinr(cfg, rel, amp, air)))
+        return _e2e_wdl(fades("sr"), _branch_prop_error(cfg, direct, rel), p_coop, signs, label)
     raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
 
 

@@ -10,6 +10,7 @@ disagrees beyond three standard errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from collections import Counter
 
@@ -79,18 +80,14 @@ def _load_spec(args) -> experiments.SweepSpec:
     )
 
 
-def _write(out: str, text: str):
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _run_sweep_command(args) -> int:
     spec = _load_spec(args)
-    result = experiments.run_sweep(spec)
-    _write(args.out, experiments.emit_csv(result))
+    # Open the output before sweeping, so an unwritable path fails before
+    # any simulation runs rather than after all of them.
+    with (contextlib.nullcontext(sys.stdout) if args.out == "-"
+          else open(args.out, "w", encoding="utf-8")) as fh:
+        result = experiments.run_sweep(spec)
+        fh.write(experiments.emit_csv(result))
     failed = [r for r in result.rows if r.error is not None]
     for row in failed:
         print(f"warning: {row.scheme}/{row.user}/{row.method} at "

@@ -14,15 +14,15 @@ sweeps) is built on these.
 
 A scenario's numbers are checked once, when a :class:`SystemConfig` is
 built; the link budgets, tables and SINRs read that validated config and
-only check the branch amplitudes their callers pass.
+only check the branch amplitudes their callers pass.  Tables and SINRs are
+scalar float math over 2- to 6-entry tuples, where numpy's bookkeeping cost
+more than the arithmetic; IEEE ``+ - * / sqrt`` round alike in both.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-
-import numpy as np
 
 # Links are named source->receiver / relay->receiver.
 LINKS = ("s1", "s2", "sr", "r1", "r2")
@@ -197,7 +197,7 @@ class CoefficientTables:
 
 def build_coefficient_tables(cfg: SystemConfig) -> CoefficientTables:
     """Expand a scenario's power split into the detection-branch coefficient tables."""
-    r1, r2 = np.sqrt(cfg.alpha1), np.sqrt(cfg.alpha2)
+    r1, r2 = math.sqrt(cfg.alpha1), math.sqrt(cfg.alpha2)
     plus, minus = (r1 + r2) ** 2, (r1 - r2) ** 2
     # Branches 4 and 6 carry the doubled far-user amplitude left behind by a
     # wrong subtraction.
@@ -210,41 +210,41 @@ def build_coefficient_tables(cfg: SystemConfig) -> CoefficientTables:
     )
 
 
-def _squared_amplitudes(amp_sq, air_sq) -> tuple[np.ndarray, np.ndarray]:
-    amp, air = np.asarray(amp_sq, dtype=float), np.asarray(air_sq, dtype=float)
-    if (amp < 0).any() or (air < 0).any():
-        raise ValueError("squared amplitudes must be nonnegative")
-    return amp, air
+def _per_branch(amp_sq, air_sq, sinr):
+    """``sinr(amp, air)`` of one branch (two numbers), or a tuple of it over
+    the branches of two equal-length sequences; amplitudes checked first."""
+    if not hasattr(amp_sq, "__iter__"):
+        return _per_branch((amp_sq,), (air_sq,), sinr)[0]
+    out = []
+    for amp, air in zip(amp_sq, air_sq, strict=True):
+        if not (amp >= 0 and air >= 0):
+            raise ValueError(f"squared amplitudes must be nonnegative, got {amp} and {air}")
+        out.append(sinr(amp, air))
+    return tuple(out)
 
 
-def mean_sinr(cfg: SystemConfig, link: str, amp_sq, air_sq) -> float | np.ndarray:
+def mean_sinr(cfg: SystemConfig, link: str, amp_sq, air_sq) -> float | tuple[float, ...]:
     """Mean effective SINR of one detection branch on one link of ``cfg``.
 
     ``amp_sq`` scales the useful branch amplitude, ``air_sq`` is the squared
     amplitude of the composite symbol on the air for that branch (only the
     latter multiplies the estimation-error penalty).  A far-user bit
-    decision passes the ``psi`` entries as both; the near user's SIC
-    branches pass ``zeta`` and ``xi``.  Scalars or arrays; the result
-    matches their shape.  The denominator collects thermal noise, hardware
-    distortion riding the estimated channel, and the residual
-    self-interference of the estimation error.
+    decision passes the ``psi`` entries as both, the near user's SIC
+    branches ``zeta`` and ``xi``; numbers give a float, sequences a tuple.
+    The denominator collects thermal noise, hardware distortion riding the
+    estimated channel, and the estimation error's self-interference.
     """
-    amp, air = _squared_amplitudes(amp_sq, air_sq)
-    P, k, budget = cfg.power(link), cfg.hwi(link), cfg.link_budget(link)
-    num = P * amp * budget.sigma_tilde_sq
-    den = (cfg.N0 + 2.0 * P * k * k * budget.sigma_tilde_sq
-           + 2.0 * (k * k + air) * P * cfg.sigma_eps_sq)
-    return num / den
+    P, k, st = cfg.power(link), cfg.hwi(link), cfg.link_budget(link).sigma_tilde_sq
+    return _per_branch(amp_sq, air_sq, lambda amp, air: P * amp * st / (
+        cfg.N0 + 2.0 * P * k * k * st + 2.0 * (k * k + air) * P * cfg.sigma_eps_sq))
 
 
-def mean_sinr_limit(cfg: SystemConfig, link: str, amp_sq, air_sq) -> float | np.ndarray:
+def mean_sinr_limit(cfg: SystemConfig, link: str, amp_sq, air_sq) -> float | tuple[float, ...]:
     """Power-to-infinity limit of :func:`mean_sinr` (the error-floor SINR)."""
-    amp, air = _squared_amplitudes(amp_sq, air_sq)
-    k, budget = cfg.hwi(link), cfg.link_budget(link)
-    num = amp * budget.sigma_tilde_sq
-    den = 2.0 * k * k * budget.sigma_tilde_sq + 2.0 * (k * k + air) * cfg.sigma_eps_sq
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(den > 0, num / np.where(den > 0, den, 1.0), np.inf)
-    # 0/0 (zero amplitude and no impairments) is taken as zero signal.
-    out = np.where((num == 0) & (den == 0), 0.0, out)
-    return out if out.ndim else float(out)
+    k, st = cfg.hwi(link), cfg.link_budget(link).sigma_tilde_sq
+
+    def floor_sinr(amp, air):
+        num, den = amp * st, 2.0 * k * k * st + 2.0 * (k * k + air) * cfg.sigma_eps_sq
+        # 0/0 (zero amplitude and no impairments) is taken as zero signal.
+        return num / den if den > 0 else (0.0 if num == 0 else math.inf)
+    return _per_branch(amp_sq, air_sq, floor_sinr)

@@ -231,10 +231,13 @@ def test_acceptance_07_invariant_suite():
     # the propagation probability is branch-index free: amplitudes cancel
     cfg = SystemConfig.defaults(snr_db=10.0)
     tables = build_coefficient_tables(cfg)
-    two = analytic._prop_branches(cfg, "s1", "r1", tables.psi)
-    six = analytic._prop_branches(cfg, "s2", "r2", tables.zeta)
-    if not (two[0] == two[1] and np.all(six == six[0])):
-        failures.append("propagation branch invariance")
+    for user, amps in (("1", tables.psi), ("2", tables.zeta)):
+        d = cfg.P_s * cfg.link_budget("s" + user).sigma_tilde_sq
+        r = cfg.P_r * cfg.link_budget("r" + user).sigma_tilde_sq
+        shared = analytic._branch_prop_error(cfg, "s" + user, "r" + user)
+        if any(abs(analytic.prop_error(amp * d, amp * r) - shared) > 1e-14 * shared
+               for amp in amps):
+            failures.append(f"propagation branch invariance u{user}")
 
     # mean SINRs depend on power only through P/N0
     for c in (1e-3, 7.0, 1e3):

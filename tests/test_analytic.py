@@ -8,6 +8,7 @@ from scipy.special.ndtr.
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +66,8 @@ def test_far_bit_rejects_wrong_branch_count():
         aber_p2p_m1([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         aber_p2p_m1([-1.0, 2.0])
+    with pytest.raises(ValueError):
+        aber_p2p_m1([math.nan, 1.0])
 
 
 def test_near_bit_signed_sum_matches_quadrature():
@@ -78,9 +81,9 @@ def test_near_bit_signed_sum_matches_quadrature():
 
 def test_near_bit_rejects_inconsistent_branches():
     # branch means whose signed sum lands at -0.5, far outside [0, 1]
-    bad = np.array([np.inf, np.inf, 0.0, np.inf, np.inf, 0.0])
+    bad = [analytic._fade_term(d) for d in (np.inf, np.inf, 0.0, np.inf, np.inf, 0.0)]
     with pytest.raises(ValueError, match=r"near-user branch sum left \[0, 1\]: -0.5"):
-        analytic._signed_fade_sum(bad, (1.0, 1.0, -1.0, 1.0, 1.0, -1.0), "near-user branch sum")
+        analytic._branch_sum((1.0, 1.0, -1.0, 1.0, 1.0, -1.0), bad, "near-user branch sum")
 
 
 def test_mrc_pair_value():
@@ -110,6 +113,10 @@ def test_mrc_pair_degenerate_branches():
     assert aber_mrc_pair(0.0, 0.0) == 0.5
     with pytest.raises(ValueError):
         aber_mrc_pair(-1.0, 1.0)
+    with pytest.raises(ValueError):
+        aber_mrc_pair(math.nan, 1.0)
+    with pytest.raises(ValueError):
+        aber_mrc_pair(1.0, math.nan)
 
 
 def test_prop_error_values():
@@ -128,6 +135,9 @@ def test_prop_error_rejects_bad_energies():
         prop_error(-0.1, 0.5)
     with pytest.raises(ValueError):
         prop_error(0.0, 0.0)
+    for bad in ((math.nan, 1.0), (1.0, math.nan), (1.0, math.inf), (math.inf, 1.0)):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            prop_error(*bad)
 
 
 @given(st.floats(min_value=1e-6, max_value=1e6),
@@ -138,23 +148,22 @@ def test_prop_error_scale_invariance(d, r, c):
 
 
 def test_prop_branches_identical_because_amplitude_cancels():
-    # the per-branch amplitude multiplies both arms, so every branch gets
-    # the same ratio; the entries must be equal exactly, not just close
+    # the per-branch amplitude multiplies both arms, so one ratio computed
+    # without it serves every branch; each branch's own energies agree
     cfg = SystemConfig.defaults(snr_db=10.0)
     t = build_coefficient_tables(cfg)
-    rows = analytic._prop_branches(cfg, "s1", "r1", t.psi)
-    assert rows.shape == (2,)
-    assert rows[0] == rows[1]
-    assert rows[0] == prop_error(cfg.P_s * cfg.link_budget("s1").sigma_tilde_sq,
-                                 cfg.P_r * cfg.link_budget("r1").sigma_tilde_sq)
-    six = analytic._prop_branches(cfg, "s2", "r2", t.zeta)
-    assert np.all(six == six[0])
+    for user, amps in (("1", t.psi), ("2", t.zeta)):
+        d = cfg.P_s * cfg.link_budget("s" + user).sigma_tilde_sq
+        r = cfg.P_r * cfg.link_budget("r" + user).sigma_tilde_sq
+        shared = analytic._branch_prop_error(cfg, "s" + user, "r" + user)
+        assert shared == prop_error(d, r)
+        for amp in amps:
+            assert prop_error(amp * d, amp * r) == pytest.approx(shared, rel=1e-14)
 
 
 def test_prop_branches_zero_energy_is_a_coin_flip():
     cfg = SystemConfig.defaults(snr_db=10.0, P_s=0.0, P_r=0.0)
-    rows = analytic._prop_branches(cfg, "s1", "r1", [1.8, 0.2])
-    np.testing.assert_array_equal(rows, [0.5, 0.5])
+    assert analytic._branch_prop_error(cfg, "s1", "r1") == 0.5
 
 
 def test_two_hop_composition():
@@ -178,32 +187,31 @@ def test_two_hop_composition_symmetric(p, q):
 
 
 def _combined(p_sr, p_prop, p_coop, signs):
-    return analytic._e2e_wdl(np.array(p_sr), np.array(p_prop), np.array(p_coop),
-                             signs, "combined sum")
+    return analytic._e2e_wdl(p_sr, p_prop, p_coop, signs, "combined sum")
 
 
 def test_combined_composition_hand_sum():
-    got = _combined([0.1, 0.2], [0.6, 0.6], [0.05, 0.07], (1.0, 1.0))
+    got = _combined([0.1, 0.2], 0.6, [0.05, 0.07], (1.0, 1.0))
     expect = 0.5 * ((0.6 * 0.1 + 0.9 * 0.05) + (0.6 * 0.2 + 0.8 * 0.07))
     assert got == pytest.approx(expect, rel=1e-15)
     # all relay hops failing leaves only the propagated branch
-    assert _combined([1.0, 1.0], [0.6, 0.4], [0.05, 0.07], (1.0, 1.0)) == \
-        pytest.approx(0.5, rel=1e-15)
+    assert _combined([1.0, 1.0], 0.3, [0.05, 0.07], (1.0, 1.0)) == \
+        pytest.approx(0.3, rel=1e-15)
     # perfect relay hops leave only the cooperative branch
-    assert _combined([0.0, 0.0], [0.6, 0.4], [0.05, 0.07], (1.0, 1.0)) == \
+    assert _combined([0.0, 0.0], 0.6, [0.05, 0.07], (1.0, 1.0)) == \
         pytest.approx(0.06, rel=1e-15)
 
 
 def test_combined_composition_signed_branches():
     p_sr = [0.1] * 6
-    p_prop = [0.5] * 6
+    p_prop = 0.5
     p_coop = [0.2, 0.1, 0.15, 0.05, 0.08, 0.03]
     g = (1.0, 1.0, -1.0, 1.0, 1.0, -1.0)
     expect = 0.5 * sum(gv * (0.5 * 0.1 + 0.9 * pc) for gv, pc in zip(g, p_coop))
     assert _combined(p_sr, p_prop, p_coop, g) == pytest.approx(expect, rel=1e-14)
     with pytest.raises(ValueError, match=r"combined sum left \[0, 1\]"):
         # signed sum escapes [0, 1]
-        _combined([0.0] * 6, [0.0] * 6, [0.4, 0.4, 0.9, 0.0, 0.0, 0.9], g)
+        _combined([0.0] * 6, 0.0, [0.4, 0.4, 0.9, 0.0, 0.0, 0.9], g)
 
 
 # -- scheme-level composition -------------------------------------------------
@@ -214,7 +222,8 @@ def test_direct_scheme_unwinds_to_building_blocks():
     t = build_coefficient_tables(cfg)
     far = aber_p2p_m1(mean_sinr(cfg, "s1", t.psi, t.psi))
     assert scheme_ber(cfg, "noma", "u1") == far
-    near = analytic._signed_fade_sum(mean_sinr(cfg, "s2", t.zeta, t.xi), t.g_v, "u2")
+    fades = [analytic._fade_term(d) for d in mean_sinr(cfg, "s2", t.zeta, t.xi)]
+    near = analytic._branch_sum(t.g_v, fades, "u2")
     assert scheme_ber(cfg, "noma", "u2") == near
 
 
@@ -289,6 +298,78 @@ def test_scheme_ber_reference_values():
             assert scheme_ber(cfg, scheme, user) == value, (cfg, scheme, user)
     for (scheme, user), value in _PINNED_FLOOR.items():
         assert scheme_ber_floor(_REF_10DB, scheme, user) == value, (scheme, user)
+
+
+# Zero-amplitude branches at the equal split (alpha1 = 0.5): without
+# impairments their floor SINR is 0/0, taken as zero signal; with only one
+# impairment it is 0/den.
+_PINNED_EDGE_FLOOR = [
+    ((0.0, 0.0), {
+        ("noma", "u1"): 0.25,
+        ("noma", "u2"): 0.25,
+        ("cnoma", "u1"): 0.375,
+        ("cnoma", "u2"): 0.375,
+        ("cnoma-wdl", "u1"): 0.28500000000000003,
+        ("cnoma-wdl", "u2"): 0.325,
+    }),
+    ((0.0, 0.005), {
+        ("noma", "u1"): 0.2692604482522757,
+        ("noma", "u2"): 0.2654930336724395,
+        ("cnoma", "u1"): 0.38109994293046145,
+        ("cnoma", "u2"): 0.37915303035007597,
+        ("cnoma-wdl", "u1"): 0.289191100146528,
+        ("cnoma-wdl", "u2"): 0.32945559455607626,
+    }),
+    ((0.175, 0.0), {
+        ("noma", "u1"): 0.25374238321107395,
+        ("noma", "u2"): 0.2619772429256109,
+        ("cnoma", "u1"): 0.3787143723468769,
+        ("cnoma", "u2"): 0.38669033422941274,
+        ("cnoma-wdl", "u1"): 0.2874781127308974,
+        ("cnoma-wdl", "u2"): 0.3356430109247172,
+    }),
+]
+
+
+def test_scheme_ber_edge_branches_pinned():
+    for (k, eps), expect in _PINNED_EDGE_FLOOR:
+        cfg = SystemConfig.defaults(hwi_k=k, sigma_eps_sq=eps).with_alpha1(0.5)
+        for (scheme, user), value in expect.items():
+            assert scheme_ber_floor(cfg, scheme, user) == value, (k, eps, scheme, user)
+    # no power on either hop: every SINR is 0 and the propagation term is
+    # the zero-energy coin flip
+    silent = SystemConfig(P_s=0.0, P_r=0.0)
+    for scheme in SCHEMES:
+        for user in USERS:
+            assert scheme_ber(silent, scheme, user) == 0.5, (scheme, user)
+
+
+_BENCHMARK_REFERENCE = (Path(__file__).resolve().parents[1]
+                        / "benchmarks" / "references" / "closed_form.npz")
+
+
+def test_scheme_ber_equals_benchmark_references_exactly():
+    # the benchmark checks these 18,876 values at rel 1e-9; here every one
+    # must be bit-identical, so a closed-form rewrite cannot drift
+    with np.load(_BENCHMARK_REFERENCE, allow_pickle=False) as data:
+        snrs, ks, alphas = (data[name].tolist() for name in ("snr_db", "hwi_k", "alpha1"))
+        ber, floor = data["ber"], data["floor"]
+    pairs = [(scheme, user) for scheme in SCHEMES for user in USERS]
+    assert ber.shape == (len(ks), len(alphas), len(snrs), len(pairs))
+    assert floor.shape == (len(ks), len(alphas), len(pairs))
+    mismatches = []
+    for i, k in enumerate(ks):
+        for j, a in enumerate(alphas):
+            cfg_kj = SystemConfig.defaults().with_hwi(k).with_alpha1(a)
+            for c, (scheme, user) in enumerate(pairs):
+                if scheme_ber_floor(cfg_kj, scheme, user) != floor[i, j, c]:
+                    mismatches.append(("floor", k, a, scheme, user))
+            for s, snr in enumerate(snrs):
+                cfg = cfg_kj.with_snr_db(snr)
+                for c, (scheme, user) in enumerate(pairs):
+                    if scheme_ber(cfg, scheme, user) != ber[i, j, s, c]:
+                        mismatches.append((snr, k, a, scheme, user))
+    assert mismatches == [], f"{len(mismatches)} differ, first {mismatches[:3]}"
 
 
 def test_scheme_ber_rejects_unknown_names():

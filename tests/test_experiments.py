@@ -282,6 +282,20 @@ def test_cli_rejects_bad_inputs(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_cli_unwritable_out_fails_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def never(spec, *args, **kwargs):
+        raise AssertionError("run_sweep ran although --out cannot be opened")
+
+    monkeypatch.setattr(experiments, "run_sweep", never)
+    code = cli.main(["sweep-snr", "--methods", "mc", "--symbols", "200000",
+                     "--out", str(tmp_path / "missing" / "x.csv")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
 @pytest.mark.parametrize("command", ["sweep-snr", "validate"])
 @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--symbols", "100"],
                                    ["--symbols", "0"]])

@@ -167,10 +167,16 @@ def test_mean_sinr_clean_reduces_to_average_snr():
 
 
 def test_mean_sinr_accepts_arrays():
+    # sequences of branches give one SINR per branch, each equal to the
+    # single-branch value
+    cfg = SystemConfig(P_s=10.0)
     amps = np.array([1.8, 0.2])
-    got = mean_sinr(SystemConfig(P_s=10.0), "s1", amps, amps)
-    assert got.shape == (2,)
+    got = mean_sinr(cfg, "s1", amps, amps)
+    assert isinstance(got, tuple) and len(got) == 2
     assert got[0] > got[1] > 0
+    assert got == (mean_sinr(cfg, "s1", 1.8, 1.8), mean_sinr(cfg, "s1", 0.2, 0.2))
+    assert mean_sinr_limit(cfg, "s1", (1.8, 0.2), [1.8, 1.8]) == \
+        (mean_sinr_limit(cfg, "s1", 1.8, 1.8), mean_sinr_limit(cfg, "s1", 0.2, 1.8))
 
 
 def test_mean_sinr_strictly_increasing_in_power_when_clean():
@@ -229,6 +235,10 @@ def test_mean_sinr_rejects_bad_inputs():
             sinr(cfg, "s1", 1.8, -1.8)
         with pytest.raises(ValueError, match="nonnegative"):
             sinr(cfg, "s1", np.array([1.8, 0.2]), np.array([1.8, -0.2]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            sinr(cfg, "s1", math.nan, 1.8)
+        with pytest.raises(ValueError, match="nonnegative"):
+            sinr(cfg, "s1", (1.8, 0.2), (1.8, math.nan))
         with pytest.raises(ValueError, match="unknown link"):
             sinr(cfg, "rx", 1.8, 1.8)
 
