@@ -16,6 +16,7 @@ from collections import Counter
 
 from . import analytic, experiments
 from .model import SystemConfig
+from .simulator import SimSpec
 
 _SWEEP_OF_COMMAND = {
     "sweep-snr": "snr_db",
@@ -29,9 +30,9 @@ VALIDATE_SNR_GRID = tuple(float(v) for v in range(0, 35, 5))
 def _add_sim_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--schemes", metavar="LIST",
                         help="comma-separated subset of: noma, cnoma, cnoma-wdl")
-    parser.add_argument("--symbols", type=int, metavar="N",
+    parser.add_argument("--symbols", metavar="N",
                         help="Monte Carlo symbol pairs per grid point")
-    parser.add_argument("--seed", type=int, metavar="N", help="Monte Carlo seed")
+    parser.add_argument("--seed", metavar="N", help="Monte Carlo seed")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,30 +55,23 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="compare simulation against the closed forms "
                             "on the reference grid")
     _add_sim_flags(v)
-    v.set_defaults(symbols=1_000_000, seed=1)
     return parser
 
 
-def _names(raw: str | None, known: tuple[str, ...], what: str):
-    return None if raw is None else experiments.parse_names(raw, known, what)
-
-
 def _load_spec(args) -> experiments.SweepSpec:
-    swept = _SWEEP_OF_COMMAND[args.command]
+    """The command's config file, if any, with its flags as keys that override it."""
+    swept = _SWEEP_OF_COMMAND.get(args.command, "snr_db")
     text = ""
-    if args.config:
+    if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             text = fh.read()
-    spec = experiments.parse_config(text, default_sweep=swept)
+    flags = {key: getattr(args, key, None) for key in ("schemes", "methods", "symbols", "seed")}
+    spec = experiments.parse_config(text, default_sweep=swept, flags=flags)
     if spec.swept_parameter != swept:
         raise experiments.ConfigError(
             f"{args.config} sweeps {spec.swept_parameter} but {args.command} "
             f"sweeps {swept}")
-    return experiments.spec_with(
-        spec, schemes=_names(args.schemes, analytic.SCHEMES, "scheme"),
-        methods=_names(args.methods, experiments.METHODS, "method"),
-        n_symbols=args.symbols, seed=args.seed,
-    )
+    return spec
 
 
 def _run_sweep_command(args) -> int:
@@ -108,13 +102,12 @@ def run_validation(n_symbols: int = 1_000_000, seed: int = 1,
     records of :func:`nomalink.experiments.compare`; a point is compared
     only when the closed form predicts at least ten expected error events.
     A failed evaluation's reason goes to stderr as a ``warning:`` line.
-    A symbol count, seed or scheme the sweep rejects raises ConfigError.
+    A symbol count, seed or scheme list the sweep rejects raises ValueError.
     """
     if out is None:
         out = sys.stdout
-    spec = experiments.spec_with(
-        experiments.SweepSpec("snr_db", snr_grid, SystemConfig.defaults()),
-        schemes=schemes, n_symbols=n_symbols, seed=seed)
+    spec = experiments.SweepSpec("snr_db", snr_grid, SystemConfig.defaults(), schemes,
+                                 sim=SimSpec(n_symbols, seed))
     records = experiments.compare(experiments.run_sweep(spec), 10.0 / n_symbols)
     for r in records:
         if r["error"] is not None:
@@ -128,9 +121,9 @@ def run_validation(n_symbols: int = 1_000_000, seed: int = 1,
 
 
 def _validate_command(args) -> int:
-    records = run_validation(n_symbols=args.symbols, seed=args.seed,
-                             schemes=_names(args.schemes, analytic.SCHEMES, "scheme")
-                             or analytic.SCHEMES)
+    # the flags are checked as a sweep config's keys, so a bad one is a ConfigError
+    spec = _load_spec(args)
+    records = run_validation(spec.sim.n_symbols, spec.sim.seed, spec.schemes)
     counts = Counter(_status(r) for r in records)
     print(f"{counts['pass']} pass (within 3 standard errors), {counts['skip']} skip "
           f"(closed form below 10/N), {counts['FAIL']} FAIL, of {len(records)} points")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import analytic, simulator
 from .model import SystemConfig
@@ -26,7 +26,7 @@ METHODS = ("analytic", "monte-carlo")
 CSV_HEADER = "swept_param,value,scheme,user,method,ber,std_err"
 
 DEFAULT_SNR_GRID = tuple(float(v) for v in range(0, 45, 5))
-DEFAULT_HWI_GRID = tuple(i * 0.025 for i in range(0, 9))
+DEFAULT_HWI_GRID = tuple(round(0.025 * i, 3) for i in range(0, 9))
 DEFAULT_ALPHA_GRID = tuple(round(0.55 + 0.05 * i, 2) for i in range(0, 9))
 DEFAULT_GRIDS = {"snr_db": DEFAULT_SNR_GRID, "hwi_k": DEFAULT_HWI_GRID,
                  "alpha1": DEFAULT_ALPHA_GRID}
@@ -65,16 +65,13 @@ class SweepSpec:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("grid values must be strictly increasing")
         object.__setattr__(self, "grid", grid)
-        schemes = tuple(s.lower() for s in self.schemes)
-        unknown = set(schemes) - set(analytic.SCHEMES)
-        if unknown or not schemes:
-            raise ValueError(f"schemes must be a nonempty subset of {analytic.SCHEMES}")
-        object.__setattr__(self, "schemes", schemes)
-        methods = tuple(m.lower() for m in self.methods)
-        unknown = set(methods) - set(METHODS)
-        if unknown or not methods:
-            raise ValueError(f"methods must be a nonempty subset of {METHODS}")
-        object.__setattr__(self, "methods", methods)
+        for name, known in (("schemes", analytic.SCHEMES), ("methods", METHODS)):
+            names = tuple(n.lower() for n in getattr(self, name))
+            if not names or not set(names) <= set(known):
+                raise ValueError(f"{name} must be a nonempty subset of {known}")
+            if len(set(names)) < len(names):
+                raise ValueError(f"{name} must not repeat an entry, got {names}")
+            object.__setattr__(self, name, names)
         for value in grid:
             self.config_at(value)  # every grid point must yield a valid scenario
 
@@ -108,16 +105,7 @@ class SweepResult:
 
 def _evaluate_point(spec: SweepSpec, value: float) -> list[SweepRow]:
     rows = []
-    try:
-        cfg = spec.config_at(value)
-    except ValueError as exc:
-        for scheme in spec.schemes:
-            for user in analytic.USERS:
-                for method in spec.methods:
-                    rows.append(SweepRow(spec.swept_parameter, value, scheme, user,
-                                         method, math.nan, None, str(exc)))
-        return rows
-
+    cfg = spec.config_at(value)
     for scheme in spec.schemes:
         mc = None
         mc_error = None
@@ -212,59 +200,77 @@ def emit_csv(result: SweepResult) -> str:
 
 
 # -- flat key = value config files -------------------------------------------
+#
+# Each key's parser turns the text of its value, from a file line or from the
+# command-line flag of the same name, into what the sweep spec holds.
 
 _ALIASES = {"mc": "monte-carlo"}
 
-_SCALAR_KEYS = ("d_s1", "d_s2", "d_sr", "d_r1", "d_r2", "a",
-                "alpha1", "hwi_k", "sigma_eps_sq", "snr_db")
+
+def _number(kind):
+    what = "integer" if kind is int else "number"
+
+    def parse(key, text):
+        try:
+            return kind(text)
+        except ValueError:
+            raise ConfigError(f"invalid {what} for {key!r}: {text!r}") from None
+    return parse
 
 
-def _parse_float(key, value, line_no):
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"line {line_no}: invalid number for {key!r}: {value!r}") from None
+def _list_of(parse_entry, what):
+    def parse(key, text):
+        entries = [v.strip() for v in text.split(",")]
+        if "" in entries:
+            raise ConfigError(f"empty entry in {what} list {text!r}")
+        return tuple(parse_entry(key, v) for v in entries)
+    return parse
 
 
-def _parse_int(key, value, line_no):
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"line {line_no}: invalid integer for {key!r}: {value!r}") from None
-
-
-def parse_names(raw: str, known: tuple[str, ...], what: str) -> tuple[str, ...]:
-    """Split a comma-separated list of ``known`` names, case-insensitively
-    (``mc`` stands for ``monte-carlo``).  An empty or unknown entry raises
-    :class:`ConfigError` naming ``what``."""
-    names = []
-    for part in raw.split(","):
-        part = part.strip().lower()
-        if not part:
-            raise ConfigError(f"empty entry in {what} list {raw!r}")
-        name = _ALIASES.get(part, part)
+def _name_in(known, what):
+    def parse(key, text):
+        name = _ALIASES.get(text.lower(), text.lower())
         if name not in known:
-            raise ConfigError(f"unknown {what} {part!r}")
-        names.append(name)
-    return tuple(names)
+            raise ConfigError(f"unknown {what} {name!r}")
+        return name
+    return parse
 
 
-_LIST_KEYS = {"schemes": (analytic.SCHEMES, "scheme"), "methods": (METHODS, "method")}
+def _sweep(key, text):
+    if text not in SWEPT_PARAMETERS:
+        raise ConfigError(f"sweep must be one of {SWEPT_PARAMETERS}, got {text!r}")
+    return text
 
 
-def parse_config(text: str, default_sweep: str = "snr_db") -> SweepSpec:
+_PARSERS = {
+    "sweep": _sweep,
+    "grid": _list_of(_number(float), "grid"),
+    "schemes": _list_of(_name_in(analytic.SCHEMES, "scheme"), "scheme"),
+    "methods": _list_of(_name_in(METHODS, "method"), "method"),
+    "symbols": _number(int),
+    "seed": _number(int),
+    **dict.fromkeys(("d_s1", "d_s2", "d_sr", "d_r1", "d_r2", "a", "alpha1", "hwi_k",
+                     "sigma_eps_sq", "snr_db"), _number(float)),
+}
+
+
+def parse_config(text: str, default_sweep: str = "snr_db",
+                 flags: dict[str, str | None] | None = None) -> SweepSpec:
     """Build a :class:`SweepSpec` from flat ``key = value`` text.
 
     ``#`` starts a comment, blank lines are skipped, list values are
-    comma-separated.  Unknown keys are rejected with their line number; an
-    empty file yields the default sweep over its reference grid.  Recognized
-    keys:
+    comma-separated.  Unknown or duplicate keys are rejected with their line
+    number; an empty file yields the default sweep over its reference grid.
+    ``flags`` maps keys to command-line text (None for a flag not given);
+    each given flag is parsed like its key's file line and overrides it.
+    Recognized keys:
 
     ``sweep`` (snr_db | hwi_k | alpha1), ``grid``, ``schemes``, ``methods``,
     ``symbols``, ``seed``, ``snr_db`` (the operating point for non-SNR
     sweeps: 40 dB for hardware sweeps, 20 dB for power-split sweeps unless
     set here), ``alpha1``, ``hwi_k`` (all five links), ``sigma_eps_sq``,
     the five distances ``d_s1 .. d_r2`` and the path-loss exponent ``a``.
+    The swept parameter's own key is rejected: its values are ``grid``.
     """
     seen: dict[str, object] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -277,28 +283,15 @@ def parse_config(text: str, default_sweep: str = "snr_db") -> SweepSpec:
         key, value = key.strip(), value.strip()
         if key in seen:
             raise ConfigError(f"line {line_no}: duplicate key {key!r}")
-        if key == "sweep":
-            if value not in SWEPT_PARAMETERS:
-                raise ConfigError(
-                    f"line {line_no}: sweep must be one of {SWEPT_PARAMETERS}, got {value!r}"
-                )
-            seen[key] = value
-        elif key == "grid":
-            entries = [v.strip() for v in value.split(",")]
-            if "" in entries:
-                raise ConfigError(f"line {line_no}: empty entry in grid list {value!r}")
-            seen[key] = tuple(_parse_float(key, v, line_no) for v in entries)
-        elif key in _LIST_KEYS:
-            try:
-                seen[key] = parse_names(value, *_LIST_KEYS[key])
-            except ConfigError as exc:
-                raise ConfigError(f"line {line_no}: {exc}") from None
-        elif key in ("symbols", "seed"):
-            seen[key] = _parse_int(key, value, line_no)
-        elif key in _SCALAR_KEYS:
-            seen[key] = _parse_float(key, value, line_no)
-        else:
+        if key not in _PARSERS:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
+        try:
+            seen[key] = _PARSERS[key](key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"line {line_no}: {exc}") from None
+    for key, value in (flags or {}).items():
+        if value is not None:
+            seen[key] = _PARSERS[key](key, value)
     return _spec_from_keys(seen, default_sweep)
 
 
@@ -309,59 +302,23 @@ def parse_config(text: str, default_sweep: str = "snr_db") -> SweepSpec:
 _DEFAULT_OPERATING_SNR = {"snr_db": 40.0, "hwi_k": 40.0, "alpha1": 20.0}
 
 
-def _spec_from_keys(seen: dict, default_sweep: str = "snr_db") -> SweepSpec:
+def _spec_from_keys(seen: dict, default_sweep: str) -> SweepSpec:
     swept = seen.get("sweep", default_sweep)
-    grid = seen.get("grid", DEFAULT_GRIDS[swept])
-
+    if swept in seen:
+        raise ConfigError(f"key {swept!r} sets the swept parameter; "
+                          f"list its values in 'grid' instead")
     base_kw = {key: seen[key] for key in ("d_s1", "d_s2", "d_sr", "d_r1", "d_r2", "a",
                                           "sigma_eps_sq", "hwi_k") if key in seen}
     if "alpha1" in seen:
         base_kw["alpha1"] = seen["alpha1"]
         base_kw["alpha2"] = 1.0 - seen["alpha1"]
+    sim_kw = {name: seen[key] for key, name in (("symbols", "n_symbols"), ("seed", "seed"))
+              if key in seen}
     try:
         base = SystemConfig.defaults(
             snr_db=seen.get("snr_db", _DEFAULT_OPERATING_SNR[swept]), **base_kw)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    sim_kw = {}
-    if "symbols" in seen:
-        sim_kw["n_symbols"] = seen["symbols"]
-    if "seed" in seen:
-        sim_kw["seed"] = seen["seed"]
-    try:
-        sim = simulator.SimSpec(**sim_kw)
-        return SweepSpec(
-            swept_parameter=swept,
-            grid=grid,
-            base=base,
-            schemes=seen.get("schemes", analytic.SCHEMES),
-            methods=seen.get("methods", METHODS),
-            sim=sim,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def spec_with(spec: SweepSpec, *, schemes=None, methods=None,
-              n_symbols: int | None = None, seed: int | None = None) -> SweepSpec:
-    """Copy of ``spec`` with CLI-style overrides applied.
-
-    An override that makes the spec invalid raises :class:`ConfigError`.
-    """
-    kw = {}
-    if schemes is not None:
-        kw["schemes"] = schemes
-    if methods is not None:
-        kw["methods"] = methods
-    sim_kw = {}
-    if n_symbols is not None:
-        sim_kw["n_symbols"] = n_symbols
-    if seed is not None:
-        sim_kw["seed"] = seed
-    try:
-        if sim_kw:
-            kw["sim"] = replace(spec.sim, **sim_kw)
-        return replace(spec, **kw) if kw else spec
+        return SweepSpec(swept, seen.get("grid", DEFAULT_GRIDS[swept]), base,
+                         seen.get("schemes", analytic.SCHEMES),
+                         seen.get("methods", METHODS), simulator.SimSpec(**sim_kw))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -16,7 +16,6 @@ from nomalink.experiments import (
     emit_csv,
     parse_config,
     run_sweep,
-    spec_with,
 )
 from nomalink.model import SystemConfig
 from nomalink.simulator import SimSpec
@@ -42,6 +41,12 @@ def test_spec_validation():
         SweepSpec(swept_parameter="snr_db", grid=(0.0,), schemes=("noma", "xnoma"))
     with pytest.raises(ValueError):
         SweepSpec(swept_parameter="snr_db", grid=(0.0,), methods=())
+    # a repeated entry, also one that differs only in case, would repeat rows
+    with pytest.raises(ValueError, match="schemes must not repeat"):
+        SweepSpec(swept_parameter="snr_db", grid=(0.0,), schemes=("noma", "NOMA"))
+    with pytest.raises(ValueError, match="methods must not repeat"):
+        SweepSpec(swept_parameter="snr_db", grid=(0.0,),
+                  methods=("analytic", "monte-carlo", "analytic"))
     # every grid point must map to a constructible scenario
     with pytest.raises(ValueError):
         SweepSpec(swept_parameter="alpha1", grid=(0.6, 1.2))
@@ -203,10 +208,21 @@ def test_parse_config_operating_point_defaults():
     ("methods = analytic,", "empty entry in method list"),
     ("seed = 1\ngrid = 0, , 10", "line 2: empty entry in grid list"),
     ("grid = 0, 10,", "line 1: empty entry in grid list"),
+    # the swept parameter's own key would be overwritten by every grid point
+    ("snr_db = 10\ngrid = 0, 20", "key 'snr_db' sets the swept parameter"),
+    ("sweep = hwi_k\nhwi_k = 0.3", "list its values in 'grid' instead"),
+    ("sweep = alpha1\nalpha1 = 0.7", "key 'alpha1' sets the swept parameter"),
+    ("methods = mc, monte-carlo", "methods must not repeat an entry"),
+    ("schemes = noma, NOMA", "schemes must not repeat an entry"),
 ])
 def test_parse_config_diagnostics(text, fragment):
     with pytest.raises(ConfigError, match=re.escape(fragment)):
         parse_config(text)
+
+
+def test_parse_config_rejects_the_default_sweeps_own_key():
+    with pytest.raises(ConfigError, match="key 'hwi_k' sets the swept parameter"):
+        parse_config("hwi_k = 0.1", default_sweep="hwi_k")
 
 
 def test_parse_config_invariant_violation_names_the_key():
@@ -216,14 +232,29 @@ def test_parse_config_invariant_violation_names_the_key():
         parse_config("symbols = 100")
 
 
-def test_spec_with_overrides():
-    spec = parse_config("grid = 3, 7")
-    assert spec_with(spec) is spec
-    out = spec_with(spec, schemes=("noma",), methods=("analytic",),
-                    n_symbols=50_000, seed=4)
-    assert out.grid == (3.0, 7.0)
-    assert out.schemes == ("noma",) and out.methods == ("analytic",)
-    assert out.sim.n_symbols == 50_000 and out.sim.seed == 4
+@pytest.mark.parametrize("key,bad,good", [
+    ("schemes", "noma, pdma", "cnoma"),
+    ("methods", "analytic,", "mc"),
+    ("symbols", "1e4", "50000"),
+    ("seed", "seven", "4"),
+])
+def test_flags_and_file_lines_share_one_parser(key, bad, good, tmp_path, capsys):
+    """A flag is its config key: the same bad text gives the same message
+    (the file's after its line number), and a good flag overrides the file."""
+    with pytest.raises(ConfigError) as from_file:
+        parse_config(f"grid = 3, 7\n{key} = {bad}")
+    assert str(from_file.value).startswith("line 2: ")
+    message = str(from_file.value).removeprefix("line 2: ")
+    assert cli.main(["sweep-snr", "--methods", "analytic", f"--{key}", bad]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+    file_value = {"schemes": "noma", "methods": "analytic", "symbols": "20000",
+                  "seed": "2"}[key]
+    spec = parse_config(f"grid = 3, 7\n{key} = {file_value}", flags={key: good})
+    assert spec == parse_config(f"grid = 3, 7\n{key} = {good}")
+    assert spec != parse_config(f"grid = 3, 7\n{key} = {file_value}")
+    assert parse_config(f"{key} = {file_value}", flags={key: None}) == \
+        parse_config(f"{key} = {file_value}")
 
 
 # -- command line --------------------------------------------------------------
@@ -248,6 +279,14 @@ def test_cli_subcommand_picks_the_swept_parameter(tmp_path):
     assert code == 0
     values = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
     assert sorted(set(values)) == list(DEFAULT_HWI_GRID)
+
+
+def test_default_hwi_grid_holds_the_reference_level(capsys):
+    assert 0.175 in DEFAULT_HWI_GRID
+    assert cli.main(["sweep-hwi", "--methods", "analytic", "--schemes", "noma"]) == 0
+    values = [line.split(",")[1] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert sorted(set(values), key=float) == ["0.0", "0.025", "0.05", "0.075", "0.1",
+                                              "0.125", "0.15", "0.175", "0.2"]
 
 
 def test_cli_pa_sweep_stdout(capsys):
@@ -337,6 +376,26 @@ def test_cli_rejects_config_sweeping_another_parameter(tmp_path, capsys):
     assert "sweeps hwi_k but sweep-snr sweeps snr_db" in capsys.readouterr().err
     assert cli.main(["sweep-hwi", "--config", str(cfg), "--methods", "analytic",
                      "--out", str(tmp_path / "out.csv")]) == 0
+
+
+@pytest.mark.parametrize("command,text,flags,message", [
+    ("sweep-snr", "snr_db = 10\ngrid = 0, 20\n", ["--methods", "analytic"],
+     "key 'snr_db' sets the swept parameter; list its values in 'grid' instead"),
+    ("sweep-snr", None, ["--methods", "analytic,mc,MONTE-CARLO"],
+     "methods must not repeat an entry, got ('analytic', 'monte-carlo', 'monte-carlo')"),
+    ("validate", None, ["--schemes", "noma,noma", "--symbols", "10000"],
+     "schemes must not repeat an entry, got ('noma', 'noma')"),
+])
+def test_cli_rejects_swept_key_and_repeated_entries(command, text, flags, message,
+                                                    tmp_path, capsys):
+    if text is not None:
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(text)
+        flags = ["--config", str(cfg), *flags]
+    assert cli.main([command, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
 
 
 def test_validation_report_grammar():
