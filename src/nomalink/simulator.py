@@ -16,8 +16,8 @@ shares nothing with the closed forms except :class:`SystemConfig`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -42,6 +42,10 @@ class SimSpec:
     seed: int = 1
 
     def __post_init__(self):
+        for name in ("n_symbols", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_symbols < _MIN_SYMBOLS:
             raise ValueError(f"n_symbols must be at least {_MIN_SYMBOLS}")
         if self.seed < 0:
@@ -145,117 +149,98 @@ class _Receiver:
         self.proj_y = amp * (field * math.sqrt(P) * tx + spread * z)
 
 
-def _slice_sign(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0, 1.0, -1.0)
-
-
-def _detect_m1(rx: _Receiver) -> np.ndarray:
-    """Far-user bit by minimum distance over the four composite points.
-
-    The candidates lie on one line at (+-r1 +- r2) times the channel scale
-    with r1 >= r2, so the minimum-distance readout of the far bit is the
-    sign of the projected observation: the nearest-point boundaries sit at
-    -r1, 0 and +r1 and both positive points carry m1 = +1.  The sign form
-    also settles the r1 = r2 case, where two candidates coincide at zero
-    and plain nearest-point search has no defined answer.
-    """
-    return _slice_sign(rx.proj_y)
-
-
-def _sic_detect_m2(rx: _Receiver, cfg: SystemConfig, link: str,
-                   m1_for_sic: np.ndarray) -> np.ndarray:
-    """Near-user bit after subtracting the (given) far-user decision."""
-    amp = math.sqrt(cfg.power(link))
-    residual = rx.proj_y - amp * math.sqrt(cfg.alpha1) * m1_for_sic * rx.gain
-    return _slice_sign(residual)
+#: The hops each scheme's users hear, in transmission order: "s" is the
+#: source's broadcast on links s1 and s2, "r" the relay's forward on r1 and
+#: r2 of what it detected on link sr.  A user hearing several hops combines
+#: them by maximum-ratio combining.
+_HOPS = {"noma": ("s",), "cnoma": ("r",), "cnoma-wdl": ("s", "r")}
 
 
 def _superpose(cfg: SystemConfig, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     return math.sqrt(cfg.alpha1) * m1 + math.sqrt(cfg.alpha2) * m2
 
 
-def _relay_decisions(rng, cfg, s, m1, m2, n, genie_relay, genie_sic):
-    rx_sr = _Receiver(rng, cfg, "sr", s, n)
-    m1_r = _detect_m1(rx_sr)
-    m2_r = _sic_detect_m2(rx_sr, cfg, "sr", m1 if genie_sic else m1_r)
-    if genie_relay:
-        return m1, m2, m1_r, m2_r
-    return m1_r, m2_r, m1_r, m2_r
+def _hear(rng, cfg: SystemConfig, link: str, tx: np.ndarray, n: int, heard=None):
+    """Draw the receiver on ``link`` and fold it into the running combination
+    ``heard`` (None before the first hop), returning the new ``(phi, gain)``.
 
-
-def _broadcast_batches(cfg, spec, genie_relay, genie_sic, hop):
-    """noma (``hop`` "s") and cnoma (``hop`` "r"): both users detect one
-    superposed broadcast on links ``{hop}1`` and ``{hop}2``.
-
-    For cnoma the source reaches only the relay, which SIC-detects both bits
-    and re-encodes its decisions at the relay power; that is the
-    transmission the users hear.  Yields the two users' error masks.
+    Each projection already carries conj(h~); the maximum-ratio weight adds
+    the link's transmit amplitude sqrt(P), so a hop enters the statistic
+    ``phi`` with energy P |h~|^2, which ``gain`` accumulates.  The
+    receiver's own arrays become the running sums, so folding allocates
+    nothing.
     """
-    # All batches run in this one frame, so a batch's arrays stay referenced
-    # until the next batch rebinds the same names.  Freeing them on return
-    # from a per-batch function instead lets glibc trim the heap between
-    # receivers, and the next receiver faults the pages back in: on two
-    # cores about 50% more minor faults and 10% more sweep-snr wall time.
+    rx = _Receiver(rng, cfg, link, tx, n)
+    P = cfg.power(link)
+    phi, gain = rx.proj_y, rx.gain
+    phi *= math.sqrt(P)
+    gain *= P
+    if heard is not None:
+        phi += heard[0]
+        gain += heard[1]
+    return phi, gain
+
+
+def _slice_sign(x: np.ndarray) -> np.ndarray:
+    return np.where(x >= 0, 1.0, -1.0)
+
+
+def _sic_slice(phi: np.ndarray, gain: np.ndarray, sqrt_a1: float,
+               m1_known: np.ndarray | None, layers: int) -> tuple[np.ndarray, ...]:
+    """The first ``layers`` bits in SIC order (far, then near) from a
+    combined statistic: the far user reads one layer, the near user and
+    the relay both.
+
+    The four composite points lie on one line at (+-r1 +- r2) times
+    ``gain`` with r1 >= r2, so the minimum-distance readout of the far bit
+    is the sign of ``phi``: the nearest-point boundaries sit at -r1, 0 and
+    +r1 and both positive points carry m1 = +1.  The sign form also settles
+    the r1 = r2 case, where two candidates coincide at zero and plain
+    nearest-point search has no defined answer.  The near bit is the sign
+    after subtracting the far bit at sqrt(alpha1) ``gain``: the far
+    decision, or ``m1_known`` when a genie supplies the true bit.
+    """
+    far = _slice_sign(phi)
+    if layers == 1:
+        return (far,)
+    sub = far if m1_known is None else m1_known
+    return far, _slice_sign(phi - sqrt_a1 * sub * gain)
+
+
+def _batches(cfg: SystemConfig, scheme: str, spec: SimSpec, genie_relay: bool,
+             genie_sic: bool):
+    """Yield per batch each user's error mask on its own bit and the relay's
+    two error masks (None without a relay).
+
+    The relay and both users read the same law: they slice the
+    sqrt(P)-weighted sum of the hops they hear (``_sic_slice``).  The relay
+    hears the source on link sr and re-encodes its decisions at the relay
+    power, unless ``genie_relay`` forwards the true bits.  Receivers are
+    drawn in the order s1, s2, sr, r1, r2.
+    """
+    # glibc trims the heap whenever freed arrays of a batch meet at its top,
+    # and the next allocation faults those pages back in.  Each receiver is
+    # folded into (phi, gain) in place as soon as it is drawn, so a fold
+    # allocates nothing.  Measured on two cores over nine in-process
+    # sweep-snr sweeps: 0.81-0.94M minor faults at 120-122 MB peak RSS;
+    # folding into new arrays took 1.51-1.73M, and keeping every receiver's
+    # arrays until the next batch 1.03-1.05M at 138-151 MB.
+    sqrt_a1 = math.sqrt(cfg.alpha1)
     for rng, n in _rngs(spec):
         m1, m2 = _bits(rng, n), _bits(rng, n)
+        m1_known = m1 if genie_sic else None
         tx = _superpose(cfg, m1, m2)
-        if hop == "r":
-            fwd1, fwd2, _, _ = _relay_decisions(rng, cfg, tx, m1, m2, n, genie_relay, genie_sic)
-            tx = _superpose(cfg, fwd1, fwd2)
-        rx1 = _Receiver(rng, cfg, hop + "1", tx, n)
-        det1 = _detect_m1(rx1)
-        rx2 = _Receiver(rng, cfg, hop + "2", tx, n)
-        m1_at_u2 = _detect_m1(rx2)
-        det2 = _sic_detect_m2(rx2, cfg, hop + "2", m1 if genie_sic else m1_at_u2)
-        yield det1 != m1, det2 != m2
-
-
-def _wdl_batch(rng, cfg, n, genie_relay, genie_sic):
-    """One batch of the combined scheme; returns error masks and relay masks."""
-    m1, m2 = _bits(rng, n), _bits(rng, n)
-    s = _superpose(cfg, m1, m2)
-    # Phase one: one transmission, three independent receivers.
-    rx_s1 = _Receiver(rng, cfg, "s1", s, n)
-    rx_s2 = _Receiver(rng, cfg, "s2", s, n)
-    fwd1, fwd2, m1_r, m2_r = _relay_decisions(rng, cfg, s, m1, m2, n, genie_relay, genie_sic)
-    # Phase two: the relay forwards its re-encoded decisions.
-    s_fwd = _superpose(cfg, fwd1, fwd2)
-    rx_r1 = _Receiver(rng, cfg, "r1", s_fwd, n)
-    rx_r2 = _Receiver(rng, cfg, "r2", s_fwd, n)
-
-    # Far user: maximum-ratio combination of both phases, then slice.  Each
-    # projection already carries conj(h~); the MRC weight adds the branch's
-    # transmit amplitude, so a phase enters with energy P * |h~|^2.
-    amp_s, amp_r = math.sqrt(cfg.P_s), math.sqrt(cfg.P_r)
-    phi_u1 = amp_s * rx_s1.proj_y + amp_r * rx_r1.proj_y
-    det1 = _slice_sign(phi_u1)
-
-    # Near user: detect the far bit from the combined statistic, subtract it
-    # on both branches, re-combine, slice.
-    phi_u2 = amp_s * rx_s2.proj_y + amp_r * rx_r2.proj_y
-    m1_at_u2 = _slice_sign(phi_u2)
-    sub = m1 if genie_sic else m1_at_u2
-    combined_gain = cfg.P_s * rx_s2.gain + cfg.P_r * rx_r2.gain
-    det2 = _slice_sign(phi_u2 - math.sqrt(cfg.alpha1) * sub * combined_gain)
-
-    return det1 != m1, det2 != m2, m1_r != m1, m2_r != m2
-
-
-def _wdl_batches(cfg, spec, genie_relay, genie_sic):
-    """cnoma-wdl: each user combines both phases by MRC, weighting each
-    phase's projection by its transmit amplitude sqrt(P).  Yields the two
-    users' error masks and the relay's two error masks."""
-    for rng, n in _rngs(spec):
-        yield _wdl_batch(rng, cfg, n, genie_relay, genie_sic)
-
-
-#: Each scheme's batch stream: ``(cfg, spec, genie_relay, genie_sic)`` to one
-#: tuple of error masks per batch, the two users' first.
-_BATCHES = {
-    "noma": partial(_broadcast_batches, hop="s"),
-    "cnoma": partial(_broadcast_batches, hop="r"),
-    "cnoma-wdl": _wdl_batches,
-}
+        u1 = u2 = relay = None
+        for hop in _HOPS[scheme]:
+            if hop == "r":
+                relay = _sic_slice(*_hear(rng, cfg, "sr", tx, n), sqrt_a1, m1_known, 2)
+                if not genie_relay:
+                    tx = _superpose(cfg, *relay)
+            u1 = _hear(rng, cfg, hop + "1", tx, n, u1)
+            u2 = _hear(rng, cfg, hop + "2", tx, n, u2)
+        err1 = _sic_slice(*u1, sqrt_a1, m1_known, 1)[0] != m1
+        err2 = _sic_slice(*u2, sqrt_a1, m1_known, 2)[1] != m2
+        yield err1, err2, None if relay is None else (relay[0] != m1, relay[1] != m2)
 
 
 def simulate(cfg: SystemConfig, scheme: str, spec: SimSpec, *, genie_relay: bool = False,
@@ -269,12 +254,12 @@ def simulate(cfg: SystemConfig, scheme: str, spec: SimSpec, *, genie_relay: bool
     instrumentation and are deliberately not reachable from file configs.
     """
     scheme = scheme.lower()
-    if scheme not in _BATCHES:
-        raise ValueError(f"unknown scheme {scheme!r}, expected one of {tuple(_BATCHES)}")
+    if scheme not in _HOPS:
+        raise ValueError(f"unknown scheme {scheme!r}, expected one of {tuple(_HOPS)}")
     if genie_relay and scheme == "noma":
         raise ValueError("genie_relay needs a relay, and noma has none")
     e1 = e2 = 0
-    for err1, err2, *_ in _BATCHES[scheme](cfg, spec, genie_relay, genie_sic):
+    for err1, err2, _ in _batches(cfg, scheme, spec, genie_relay, genie_sic):
         e1 += int(np.count_nonzero(err1))
         e2 += int(np.count_nonzero(err2))
     return McResult.from_counts(spec.n_symbols, e1, e2)
@@ -289,11 +274,11 @@ def conditional_prop_stats(cfg: SystemConfig, spec: SimSpec) -> CondPropStats:
     low-confidence rather than failing.
     """
     ev1 = er1 = ev2 = er2 = 0
-    for err1, err2, rel1, rel2 in _wdl_batches(cfg, spec, False, False):
-        ev1 += int(np.count_nonzero(rel1))
-        er1 += int(np.count_nonzero(err1 & rel1))
-        ev2 += int(np.count_nonzero(rel2))
-        er2 += int(np.count_nonzero(err2 & rel2))
+    for err1, err2, (slip1, slip2) in _batches(cfg, "cnoma-wdl", spec, False, False):
+        ev1 += int(np.count_nonzero(slip1))
+        er1 += int(np.count_nonzero(err1 & slip1))
+        ev2 += int(np.count_nonzero(slip2))
+        er2 += int(np.count_nonzero(err2 & slip2))
     rate1 = er1 / ev1 if ev1 else math.nan
     rate2 = er2 / ev2 if ev2 else math.nan
     se1 = math.sqrt(rate1 * (1.0 - rate1) / ev1) if ev1 else math.nan

@@ -12,8 +12,10 @@ exactly Gaussian given the estimate and the estimation error) and
 deterministic integral over the link gains).
 """
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,35 @@ def test_spec_validation():
         SimSpec(n_symbols=9_999)
     with pytest.raises(ValueError, match="seed"):
         SimSpec(seed=-1)
+    for field, value in (("n_symbols", 2e5), ("n_symbols", 20_000.0), ("n_symbols", "20000"),
+                         ("seed", 1.5), ("seed", 1.0), ("seed", None)):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimSpec(**{field: value})
+    spec = SimSpec(n_symbols=np.int64(20_000), seed=np.uint32(3))
+    assert spec.batches() == [20_000]
+
+
+def package_imports(path):
+    """Every ``(module, name)`` a source file imports from nomalink, with
+    relative imports resolved; ``name`` is None for ``import nomalink.x``."""
+    found = set()
+    for node in ast.walk(ast.parse(Path(path).read_text())):
+        if isinstance(node, ast.Import):
+            found |= {(a.name, None) for a in node.names
+                      if a.name.split(".")[0] == "nomalink"}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = ".".join(filter(None, ("nomalink", module)))
+            if module.split(".")[0] == "nomalink":
+                found |= {(module, a.name) for a in node.names}
+    return found
+
+
+def test_simulator_shares_only_the_scenario_with_the_package():
+    """The simulator checks the closed forms, so the one thing it may
+    take from nomalink is the validated scenario."""
+    assert package_imports(simulator.__file__) == {("nomalink.model", "SystemConfig")}
 
 
 def test_batches_cover_the_workload():
@@ -66,18 +97,33 @@ def test_relay_genie_without_a_relay_is_rejected():
 
 
 #: Error counts of the reference scenario at 20 dB, seed 1, 150000 symbols
-#: (one full batch and one half batch).  Any change to the random stream or
-#: to the detection chain moves them.
-_GOLDEN_COUNTS = {"noma": (17_320, 19_407), "cnoma": (14_084, 15_099),
-                  "cnoma-wdl": (6_365, 8_828)}
+#: (one full batch and one half batch), keyed by scheme and the genie
+#: switches set.  Any change to the random stream or to the detection chain
+#: moves them.
+_GOLDEN_COUNTS = {
+    ("noma",): (17_320, 19_407),
+    ("noma", "genie_sic"): (17_320, 15_086),
+    ("cnoma",): (14_084, 15_099),
+    ("cnoma", "genie_relay"): (12_019, 7_982),
+    ("cnoma", "genie_sic"): (14_294, 11_748),
+    ("cnoma-wdl",): (6_365, 8_828),
+    ("cnoma-wdl", "genie_relay"): (5_059, 2_749),
+    ("cnoma-wdl", "genie_sic"): (6_844, 6_837),
+}
+
+#: ``conditional_prop_stats`` on the same run: events and errors per user.
+_GOLDEN_CONDITIONAL = (2_433, 1_477, 7_982, 6_119)
 
 
 def test_seeded_counts_are_pinned():
     cfg = SystemConfig.defaults(snr_db=20.0)
     spec = SimSpec(n_symbols=150_000, seed=1)
-    for scheme, counts in _GOLDEN_COUNTS.items():
-        mc = simulator.simulate(cfg, scheme, spec)
-        assert (mc.errors_u1, mc.errors_u2) == counts, scheme
+    for (scheme, *genies), counts in _GOLDEN_COUNTS.items():
+        mc = simulator.simulate(cfg, scheme, spec, **dict.fromkeys(genies, True))
+        assert (mc.errors_u1, mc.errors_u2) == counts, (scheme, *genies)
+    stats = simulator.conditional_prop_stats(cfg, spec)
+    assert (stats.events_u1, stats.errors_u1, stats.events_u2,
+            stats.errors_u2) == _GOLDEN_CONDITIONAL
 
 
 def test_disjoint_seeds_agree_within_sampling_noise():
@@ -310,10 +356,19 @@ def test_noiseless_perfect_runs_make_no_errors():
     assert (mc.errors_u1, mc.errors_u2) == (0, 0)
 
 
-def test_silent_source_makes_the_relayed_chain_a_coin_flip():
-    cfg = SystemConfig.defaults(snr_db=10.0, P_s=0.0)
-    mc = simulator.simulate(cfg, "cnoma", SimSpec(n_symbols=400_000, seed=2))
-    assert abs(mc.ber_u1 - 0.5) <= 3.0 * mc.std_err_u1
+@pytest.mark.parametrize("scheme, silent", [
+    ("noma", {"P_s": 0.0}),
+    ("cnoma", {"P_s": 0.0}),
+    ("cnoma", {"P_r": 0.0}),
+    ("cnoma-wdl", {"P_s": 0.0, "P_r": 0.0}),
+], ids=["noma-Ps0", "cnoma-Ps0", "cnoma-Pr0", "cnoma-wdl-Ps0-Pr0"])
+def test_silent_source_makes_the_relayed_chain_a_coin_flip(scheme, silent):
+    """A hop at zero power carries nothing, so a user that hears only
+    silent hops, directly or through a relay that heard nothing, guesses."""
+    cfg = SystemConfig.defaults(snr_db=10.0, **silent)
+    mc = simulator.simulate(cfg, scheme, SimSpec(n_symbols=400_000, seed=2))
+    for user in analytic.USERS:
+        assert abs(mc.ber(user) - 0.5) <= 3.0 * mc.std_err(user), user
 
 
 def semi_analytic_far_bit(cfg, link, n, seed):
