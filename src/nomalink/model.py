@@ -13,16 +13,22 @@ of each detection branch.  Everything downstream (closed forms, simulator,
 sweeps) is built on these.
 
 A scenario's numbers are checked once, when a :class:`SystemConfig` is
-built; the link budgets, tables and SINRs read that validated config and
-only check the branch amplitudes their callers pass.  Tables and SINRs are
-scalar float math over 2- to 6-entry tuples, where numpy's bookkeeping cost
-more than the arithmetic; IEEE ``+ - * / sqrt`` round alike in both.
+built, and the same step derives its link records (budget, power and
+hardware factor of each link) and the coefficient tables of its power
+split.  The accessors and :func:`build_coefficient_tables` return those
+stored values, so a closed form that reads a link many times computes it
+once; the SINRs only check the branch amplitudes their callers pass.
+Tables and SINRs are scalar float math over 2- to 6-entry tuples, where
+numpy's bookkeeping cost more than the arithmetic; IEEE ``+ - * / sqrt``
+round alike in both.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
+from operator import attrgetter
 
 # Links are named source->receiver / relay->receiver.
 LINKS = ("s1", "s2", "sr", "r1", "r2")
@@ -39,22 +45,29 @@ def _power_at_snr_db(snr_db: float) -> float:
         return math.inf
 
 
-def _link_variance(d: float, a: float) -> float:
-    """Rayleigh channel variance ``d ** -a`` of a link of length ``d``."""
-    return float(d) ** -float(a)
-
-
 @dataclass(frozen=True)
 class LinkBudget:
     """Second-order statistics of one link under imperfect channel estimation.
 
     ``sigma_h_sq`` is the variance of the true channel, ``sigma_tilde_sq``
     the variance of the estimate after removing the estimation-error power.
-    Built by :meth:`SystemConfig.link_budget` from a validated scenario.
+    Read through :meth:`SystemConfig.link_budget` from a validated scenario.
     """
 
     sigma_h_sq: float
     sigma_tilde_sq: float
+
+
+@lru_cache(maxsize=256, typed=True)
+def _budget(d: float, a: float, sigma_eps_sq: float) -> LinkBudget:
+    """Budget of a link of length ``d``: channel variance ``d ** -a``.
+
+    Budgets are immutable, so the scenarios of a sweep, which share one
+    geometry, share them instead of each building five; ``typed`` keeps a
+    numpy input's budget apart from a float's.
+    """
+    var = float(d) ** -float(a)
+    return LinkBudget(sigma_h_sq=var, sigma_tilde_sq=var - sigma_eps_sq)
 
 
 @dataclass(frozen=True)
@@ -87,12 +100,13 @@ class SystemConfig:
     sigma_eps_sq: float = 0.005
 
     def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        for name in ("d_s1", "d_s2", "d_sr", "d_r1", "d_r2"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name, value in zip(_FIELD_NAMES, _field_values(self)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        distances, factors = _distances(self), _hwi_factors(self)
+        for link, d in zip(LINKS, distances):
+            if d <= 0:
+                raise ValueError(f"d_{link} must be positive")
         if self.a <= 0:
             raise ValueError("a must be positive")
         if self.P_s < 0 or self.P_r < 0:
@@ -108,41 +122,47 @@ class SystemConfig:
             raise ValueError(
                 f"alpha1 + alpha2 must equal 1, got {self.alpha1 + self.alpha2}"
             )
-        for name in ("k_s1", "k_s2", "k_sr", "k_r1", "k_r2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        for link, k in zip(LINKS, factors):
+            if k < 0:
+                raise ValueError(f"k_{link} must be nonnegative")
         if self.sigma_eps_sq < 0:
             raise ValueError("sigma_eps_sq must be nonnegative")
-        for link in LINKS:
-            var = _link_variance(getattr(self, f"d_{link}"), self.a)
-            if var <= self.sigma_eps_sq:
+        links = {}
+        for link, d, k in zip(LINKS, distances, factors):
+            budget = _budget(d, self.a, self.sigma_eps_sq)
+            if budget.sigma_h_sq <= self.sigma_eps_sq:
                 raise ValueError(
                     f"sigma_eps_sq {self.sigma_eps_sq} must stay below the "
-                    f"variance {var} of link {link}; no usable estimate remains"
+                    f"variance {budget.sigma_h_sq} of link {link}; no usable estimate remains"
                 )
+            links[link] = (budget, self.P_s if link.startswith("s") else self.P_r, k)
+        # Each link's record is (budget, power, hardware factor).  Records
+        # and tables are derived here and are not fields: equality, hashing
+        # and repr see only the scenario's numbers, and every copy
+        # constructor goes through __init__, so a record cannot outlive the
+        # fields it was derived from.
+        object.__setattr__(self, "_links", links)
+        object.__setattr__(self, "_tables", _split_tables(self.alpha1, self.alpha2))
 
     # -- per-link accessors -------------------------------------------------
 
     def link_budget(self, link: str) -> LinkBudget:
         """Fading statistics of one of the five links."""
-        self._check_link(link)
-        var = _link_variance(getattr(self, f"d_{link}"), self.a)
-        return LinkBudget(sigma_h_sq=var, sigma_tilde_sq=var - self.sigma_eps_sq)
+        return self._link(link)[0]
 
     def power(self, link: str) -> float:
         """Transmit power feeding a link (source power or relay power)."""
-        self._check_link(link)
-        return self.P_s if link.startswith("s") else self.P_r
+        return self._link(link)[1]
 
     def hwi(self, link: str) -> float:
         """Aggregate hardware-quality factor of a link."""
-        self._check_link(link)
-        return getattr(self, f"k_{link}")
+        return self._link(link)[2]
 
-    @staticmethod
-    def _check_link(link: str):
-        if link not in LINKS:
-            raise ValueError(f"unknown link {link!r}, expected one of {LINKS}")
+    def _link(self, link: str) -> tuple[LinkBudget, float, float]:
+        try:
+            return self._links[link]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown link {link!r}, expected one of {LINKS}") from None
 
     # -- convenience constructors -------------------------------------------
 
@@ -174,6 +194,12 @@ class SystemConfig:
         return replace(self, alpha1=alpha1, alpha2=1.0 - alpha1)
 
 
+_FIELD_NAMES = tuple(f.name for f in fields(SystemConfig))
+_field_values = attrgetter(*_FIELD_NAMES)
+_distances = attrgetter(*(f"d_{link}" for link in LINKS))
+_hwi_factors = attrgetter(*(f"k_{link}" for link in LINKS))
+
+
 @dataclass(frozen=True)
 class CoefficientTables:
     """Per-branch coefficients of the BPSK superposition constellation.
@@ -196,31 +222,37 @@ class CoefficientTables:
 
 
 def build_coefficient_tables(cfg: SystemConfig) -> CoefficientTables:
-    """Expand a scenario's power split into the detection-branch coefficient tables."""
-    r1, r2 = math.sqrt(cfg.alpha1), math.sqrt(cfg.alpha2)
+    """The detection-branch coefficient tables of a scenario's power split."""
+    return cfg._tables
+
+
+@lru_cache(maxsize=256, typed=True)
+def _split_tables(alpha1: float, alpha2: float) -> CoefficientTables:
+    """Tables of one power split, shared by every scenario with a split that
+    compares equal, as the scenarios themselves do (the tables hold tuples,
+    so sharing is safe)."""
+    r1, r2 = math.sqrt(alpha1), math.sqrt(alpha2)
     plus, minus = (r1 + r2) ** 2, (r1 - r2) ** 2
     # Branches 4 and 6 carry the doubled far-user amplitude left behind by a
     # wrong subtraction.
     return CoefficientTables(
         psi=(plus, minus),
         g_z=(1.0, 1.0),
-        zeta=(cfg.alpha2, cfg.alpha2, plus, (2 * r1 + r2) ** 2, minus, (2 * r1 - r2) ** 2),
+        zeta=(alpha2, alpha2, plus, (2 * r1 + r2) ** 2, minus, (2 * r1 - r2) ** 2),
         xi=(plus, minus, plus, plus, minus, minus),
         g_v=(1.0, 1.0, -1.0, 1.0, 1.0, -1.0),
     )
 
 
-def _per_branch(amp_sq, air_sq, sinr):
-    """``sinr(amp, air)`` of one branch (two numbers), or a tuple of it over
-    the branches of two equal-length sequences; amplitudes checked first."""
-    if not hasattr(amp_sq, "__iter__"):
-        return _per_branch((amp_sq,), (air_sq,), sinr)[0]
-    out = []
-    for amp, air in zip(amp_sq, air_sq, strict=True):
+def _branches(amp_sq, air_sq) -> tuple[bool, tuple]:
+    """Whether a call passed one branch as two numbers, and the ``(amp,
+    air)`` pairs of its branches, each checked nonnegative."""
+    one = not hasattr(amp_sq, "__iter__")
+    pairs = ((amp_sq, air_sq),) if one else tuple(zip(amp_sq, air_sq, strict=True))
+    for amp, air in pairs:
         if not (amp >= 0 and air >= 0):
             raise ValueError(f"squared amplitudes must be nonnegative, got {amp} and {air}")
-        out.append(sinr(amp, air))
-    return tuple(out)
+    return one, pairs
 
 
 def mean_sinr(cfg: SystemConfig, link: str, amp_sq, air_sq) -> float | tuple[float, ...]:
@@ -234,17 +266,25 @@ def mean_sinr(cfg: SystemConfig, link: str, amp_sq, air_sq) -> float | tuple[flo
     The denominator collects thermal noise, hardware distortion riding the
     estimated channel, and the estimation error's self-interference.
     """
-    P, k, st = cfg.power(link), cfg.hwi(link), cfg.link_budget(link).sigma_tilde_sq
-    return _per_branch(amp_sq, air_sq, lambda amp, air: P * amp * st / (
-        cfg.N0 + 2.0 * P * k * k * st + 2.0 * (k * k + air) * P * cfg.sigma_eps_sq))
+    st = cfg.link_budget(link).sigma_tilde_sq
+    _, P, k = cfg._links[link]
+    one, pairs = _branches(amp_sq, air_sq)
+    # Noise and distortion are the same on every branch; the sums keep the
+    # order of N0 + 2 P k^2 st + 2 (k^2 + air) P eps.
+    base, eps = cfg.N0 + 2.0 * P * k * k * st, cfg.sigma_eps_sq
+    out = tuple([P * amp * st / (base + 2.0 * (k * k + air) * P * eps) for amp, air in pairs])
+    return out[0] if one else out
 
 
 def mean_sinr_limit(cfg: SystemConfig, link: str, amp_sq, air_sq) -> float | tuple[float, ...]:
     """Power-to-infinity limit of :func:`mean_sinr` (the error-floor SINR)."""
-    k, st = cfg.hwi(link), cfg.link_budget(link).sigma_tilde_sq
-
-    def floor_sinr(amp, air):
-        num, den = amp * st, 2.0 * k * k * st + 2.0 * (k * k + air) * cfg.sigma_eps_sq
+    st = cfg.link_budget(link).sigma_tilde_sq
+    _, _, k = cfg._links[link]
+    one, pairs = _branches(amp_sq, air_sq)
+    base, eps = 2.0 * k * k * st, cfg.sigma_eps_sq
+    out = []
+    for amp, air in pairs:
+        num, den = amp * st, base + 2.0 * (k * k + air) * eps
         # 0/0 (zero amplitude and no impairments) is taken as zero signal.
-        return num / den if den > 0 else (0.0 if num == 0 else math.inf)
-    return _per_branch(amp_sq, air_sq, floor_sinr)
+        out.append(num / den if den > 0 else (0.0 if num == 0 else math.inf))
+    return out[0] if one else tuple(out)

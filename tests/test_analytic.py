@@ -6,6 +6,7 @@ scipy.integrate.quad with no shared code: the oracles take the Gaussian tail
 from scipy.special.ndtr.
 """
 
+import hashlib
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -370,6 +371,35 @@ def test_scheme_ber_equals_benchmark_references_exactly():
                     if scheme_ber(cfg, scheme, user) != ber[i, j, s, c]:
                         mismatches.append((snr, k, a, scheme, user))
     assert mismatches == [], f"{len(mismatches)} differ, first {mismatches[:3]}"
+
+
+# SHA-256 of the newline-joined reprs of the 10,368 values the test below
+# computes.
+_GRID_REPR_DIGEST = "6efc33a116bde6b890de11a2b8af2d64897527d1c5ae3cfa6d973c161b8bc0df"
+
+
+def test_scheme_ber_reprs_over_a_wide_grid_are_pinned():
+    # every value by repr, so a rewrite that moves one value by one ulp, or
+    # turns a float into another type, changes the digest; the grid spans
+    # the clean, impairment-limited and equal-split corners and unequal
+    # source and relay powers
+    values = []
+    for snr in range(-10, 91, 10):
+        for k in (0.0, 0.1, 0.175, 0.3):
+            for eps in (0.0, 0.005, 0.02):
+                for alpha1 in (0.5, 0.6, 0.8, 1.0):
+                    for ratio in (0.25, 1.0, 4.0):
+                        base = SystemConfig.defaults(snr_db=float(snr), hwi_k=k,
+                                                     sigma_eps_sq=eps).with_alpha1(alpha1)
+                        cfg = replace(base, P_r=ratio * base.P_s)
+                        for scheme in SCHEMES:
+                            for user in USERS:
+                                values.append(repr(scheme_ber(cfg, scheme, user)))
+                                if snr == -10:
+                                    values.append(repr(scheme_ber_floor(cfg, scheme, user)))
+    assert len(values) == 10_368
+    digest = hashlib.sha256("\n".join(values).encode()).hexdigest()
+    assert digest == _GRID_REPR_DIGEST
 
 
 def test_scheme_ber_rejects_unknown_names():

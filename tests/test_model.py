@@ -1,6 +1,8 @@
 """Scenario types, coefficient tables and mean-SINR formulas."""
 
 import math
+import pickle
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import given, strategies as st
 
 from nomalink.model import (
     LINKS,
+    CoefficientTables,
+    LinkBudget,
     SystemConfig,
     build_coefficient_tables,
     mean_sinr,
@@ -80,9 +84,10 @@ def test_link_accessors():
     assert cfg.power("s1") == 2.0 and cfg.power("sr") == 2.0
     assert cfg.power("r1") == 3.0 and cfg.power("r2") == 3.0
     assert cfg.hwi("r1") == 0.05 and cfg.hwi("s2") == 0.175
-    for accessor in (cfg.link_budget, cfg.power, cfg.hwi):
-        with pytest.raises(ValueError):
-            accessor("rx")
+    for link in ("rx", "S1", "", None, ["s1"]):
+        for accessor in (cfg.link_budget, cfg.power, cfg.hwi):
+            with pytest.raises(ValueError, match="unknown link"):
+                accessor(link)
 
 
 def test_snr_constructor_sets_both_powers():
@@ -249,3 +254,70 @@ def test_config_is_immutable():
         cfg.P_s = 2.0
     with pytest.raises(Exception):
         cfg.link_budget("s1").sigma_tilde_sq = 1.0
+
+
+def _records_from_fields(cfg):
+    """Each link's (budget, power, hardware factor) and the split's tables,
+    computed from the fields alone."""
+    records = {}
+    for link in LINKS:
+        var = float(getattr(cfg, f"d_{link}")) ** -float(cfg.a)
+        records[link] = (LinkBudget(sigma_h_sq=var, sigma_tilde_sq=var - cfg.sigma_eps_sq),
+                         cfg.P_s if link.startswith("s") else cfg.P_r,
+                         getattr(cfg, f"k_{link}"))
+    r1, r2 = math.sqrt(cfg.alpha1), math.sqrt(cfg.alpha2)
+    plus, minus = (r1 + r2) ** 2, (r1 - r2) ** 2
+    tables = CoefficientTables(
+        psi=(plus, minus), g_z=(1.0, 1.0),
+        zeta=(cfg.alpha2, cfg.alpha2, plus, (2 * r1 + r2) ** 2, minus, (2 * r1 - r2) ** 2),
+        xi=(plus, minus, plus, plus, minus, minus), g_v=(1.0, 1.0, -1.0, 1.0, 1.0, -1.0))
+    return records, tables
+
+
+def _check_records(cfg):
+    records, tables = _records_from_fields(cfg)
+    for link, (budget, power, hwi) in records.items():
+        assert cfg.link_budget(link) == budget, (cfg, link)
+        assert cfg.power(link) == power and cfg.hwi(link) == hwi, (cfg, link)
+    assert build_coefficient_tables(cfg) == tables, cfg
+
+
+def test_derived_records_follow_every_constructor():
+    # a scenario derives its link records and tables once, when built; a
+    # copy made by any constructor must derive its own, never keep its
+    # source's
+    base = SystemConfig.defaults()
+    built = [
+        SystemConfig(),
+        base,
+        SystemConfig.defaults(snr_db=30.0, hwi_k=0.05, d_s1=5.0, sigma_eps_sq=0.0),
+        base.with_snr_db(40.0),
+        base.with_hwi(0.3),
+        base.with_alpha1(0.6),
+        base.with_alpha1(1.0),
+        base.with_hwi(0.1).with_alpha1(0.7).with_snr_db(-10.0),
+        replace(base, P_r=7.0, k_r1=0.01, d_sr=1.5, a=2.5, sigma_eps_sq=0.02),
+        replace(base.with_alpha1(0.9), P_s=0.0),
+    ]
+    for cfg in built:
+        _check_records(cfg)
+    # sources sharing a geometry or a split with their copies are untouched
+    _check_records(base)
+    assert base.link_budget("s1").sigma_h_sq == 0.0625 and base.power("r1") == 10.0
+
+
+def test_derived_records_leave_equality_hash_repr_and_pickle_alone():
+    base = SystemConfig.defaults(snr_db=20.0)
+    same = base.with_hwi(0.3).with_hwi(0.175)
+    assert same == base and hash(same) == hash(base)
+    assert replace(base) == base and hash(replace(base)) == hash(base)
+    assert base.with_snr_db(20.0) == base and base.with_snr_db(30.0) != base
+    shown = ", ".join(f"{f.name}={getattr(base, f.name)!r}" for f in fields(base))
+    assert repr(base) == f"SystemConfig({shown})"
+    for cfg in (base, base.with_alpha1(0.6).with_snr_db(5.0)):
+        copy = pickle.loads(pickle.dumps(cfg))
+        assert copy == cfg and hash(copy) == hash(cfg)
+        _check_records(copy)
+        assert mean_sinr(copy, "s2", 0.2, 1.8) == mean_sinr(cfg, "s2", 0.2, 1.8)
+        with pytest.raises(ValueError, match="unknown link"):
+            copy.power("rx")

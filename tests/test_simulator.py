@@ -126,6 +126,15 @@ def test_seeded_counts_are_pinned():
             stats.errors_u2) == _GOLDEN_CONDITIONAL
 
 
+def test_slice_sign_maps_signed_zero_up_and_nan_down():
+    # a silent source leaves phi = -0.0, which must slice as +1 exactly as
+    # +0.0 does; a NaN statistic is never read as +1
+    x = np.array([-0.0, 0.0, 1e-300, -1e-300, 2.5, -2.5, np.inf, -np.inf, np.nan])
+    got = simulator._slice_sign(x)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, [1.0, 1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
+
+
 def test_disjoint_seeds_agree_within_sampling_noise():
     cfg = SystemConfig.defaults(snr_db=10.0)
     a = simulator.simulate(cfg, "noma", SimSpec(n_symbols=1_000_000, seed=11))
