@@ -2,13 +2,15 @@
 
 A sweep varies one parameter (transmit SNR, hardware-quality factor, or the
 power split) over a grid and evaluates closed-form and/or Monte Carlo BER
-for the requested schemes and users.  Grid points run concurrently but rows
-come out in a fixed order: grid-major, then scheme, user, method.
+for the requested schemes and users.  Monte Carlo batches run concurrently,
+each shared by every grid point, but rows come out in a fixed order:
+grid-major, then scheme, user, method.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -103,42 +105,89 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
-def _evaluate_point(spec: SweepSpec, value: float) -> list[SweepRow]:
-    rows = []
-    cfg = spec.config_at(value)
-    for scheme in spec.schemes:
-        mc = None
-        mc_error = None
-        if "monte-carlo" in spec.methods:
-            try:
-                mc = simulator.simulate(cfg, scheme, spec.sim)
-            except Exception as exc:  # record, never abort the sweep
-                mc_error = str(exc)
-        for user in analytic.USERS:
-            for method in spec.methods:
-                if method == "analytic":
-                    try:
-                        ber = analytic.scheme_ber(cfg, scheme, user)
-                        rows.append(SweepRow(spec.swept_parameter, value, scheme,
-                                             user, method, ber))
-                    except Exception as exc:
-                        rows.append(SweepRow(spec.swept_parameter, value, scheme,
-                                             user, method, math.nan, None, str(exc)))
-                elif mc is not None:
-                    rows.append(SweepRow(spec.swept_parameter, value, scheme, user,
-                                         method, mc.ber(user), mc.std_err(user)))
-                else:
-                    rows.append(SweepRow(spec.swept_parameter, value, scheme, user,
-                                         method, math.nan, None, mc_error))
-    return rows
+def _cores() -> int:
+    """The cores this process may run on: the default size of the sweep pool."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
+
+
+def _simulate_batch(sim: simulator.SimSpec, configs: list[SystemConfig], scheme: str,
+                    index: int) -> list:
+    """One pool task: draw batch ``index`` of ``scheme`` once and simulate it
+    at every grid point.  Each entry is that point's result or, when the draw
+    or the simulation raised, its message."""
+    try:
+        batch = sim.draw(scheme, index)
+    except Exception as exc:  # record, never abort the sweep
+        return [str(exc)] * len(configs)
+    results = []
+    for cfg in configs:
+        try:
+            results.append(simulator.simulate(cfg, scheme, batch))
+        except Exception as exc:
+            results.append(str(exc))
+    return results
+
+
+def _total(per_batch: tuple) -> simulator.McResult | str:
+    """One grid point's counts summed over its batches, or the first error."""
+    for result in per_batch:
+        if isinstance(result, str):
+            return result
+    return simulator.McResult.from_counts(sum(r.trials for r in per_batch),
+                                          sum(r.errors_u1 for r in per_batch),
+                                          sum(r.errors_u2 for r in per_batch))
+
+
+def _closed_form(cfg: SystemConfig, scheme: str, user: str) -> float | str:
+    try:
+        return analytic.scheme_ber(cfg, scheme, user)
+    except Exception as exc:  # record, never abort the sweep
+        return str(exc)
 
 
 def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> SweepResult:
-    """Evaluate the whole grid; points run concurrently, rows stay ordered."""
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        per_point = list(pool.map(lambda v: _evaluate_point(spec, v), spec.grid))
-    rows = tuple(row for point in per_point for row in point)
-    return SweepResult(spec=spec, rows=rows)
+    """Evaluate the whole grid; rows come out in a fixed order.
+
+    The Monte Carlo work runs on a pool of ``max_workers`` threads (by
+    default one per usable core) as one task per (scheme, batch): the task
+    draws its batch once and simulates it at every grid point.  So the grid
+    points share each batch's draws, and each point's counts equal those of
+    ``simulate`` with the sweep's SimSpec.  The closed forms are evaluated
+    meanwhile on the calling thread.
+    """
+    configs = [spec.config_at(value) for value in spec.grid]
+    workers = _cores() if max_workers is None else max_workers
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        tasks = {}
+        if "monte-carlo" in spec.methods:
+            tasks = {scheme: [pool.submit(_simulate_batch, spec.sim, configs, scheme, index)
+                              for index in range(len(spec.sim.batches()))]
+                     for scheme in spec.schemes}
+        closed = {}
+        if "analytic" in spec.methods:
+            closed = {(point, scheme, user): _closed_form(cfg, scheme, user)
+                      for point, cfg in enumerate(configs) for scheme in spec.schemes
+                      for user in analytic.USERS}
+        mc = {scheme: [_total(point) for point in zip(*(task.result() for task in per_batch))]
+              for scheme, per_batch in tasks.items()}
+    rows = []
+    for point, value in enumerate(spec.grid):
+        for scheme in spec.schemes:
+            for user in analytic.USERS:
+                for method in spec.methods:
+                    key = (spec.swept_parameter, value, scheme, user, method)
+                    outcome = (closed[point, scheme, user] if method == "analytic"
+                               else mc[scheme][point])
+                    if isinstance(outcome, str):
+                        rows.append(SweepRow(*key, math.nan, None, outcome))
+                    elif method == "analytic":
+                        rows.append(SweepRow(*key, outcome))
+                    else:
+                        rows.append(SweepRow(*key, outcome.ber(user), outcome.std_err(user)))
+    return SweepResult(spec=spec, rows=tuple(rows))
 
 
 def compare(result: SweepResult, threshold: float) -> list[dict]:

@@ -4,7 +4,7 @@ Each trial transmits one fresh BPSK pair through independently drawn
 channels, estimation errors, hardware distortion and thermal noise; the
 receivers detect with the channel estimate only, and each receiver draws
 the exact joint law of the two numbers its detector reads (see
-``_Receiver``) rather than the complex observation.  Successive interference
+``_receive``) rather than the complex observation.  Successive interference
 cancellation is genuine: the near user (and the relay) subtracts its own
 hard decision, so detection errors propagate exactly as they would on the
 air, and the relay re-encodes whatever it decided before forwarding.
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,8 @@ class SimSpec:
     ``n_symbols`` counts transmitted symbol pairs, split into batches of
     100000 and one shorter final batch for the remainder.  Each batch owns
     a private random stream derived from ``(seed, batch index)``, so results
-    are bit-identical for identical inputs regardless of evaluation order.
+    are bit-identical for identical inputs regardless of evaluation order,
+    and a batch's draws do not depend on the scenario (see ``draw``).
     """
 
     n_symbols: int = 1_000_000
@@ -54,6 +56,15 @@ class SimSpec:
     def batches(self) -> list[int]:
         full, rem = divmod(self.n_symbols, _BATCH_SYMBOLS)
         return [_BATCH_SYMBOLS] * full + ([rem] if rem else [])
+
+    def draw(self, scheme: str, index: int) -> "Batch":
+        """Draw batch ``index`` of this run for ``scheme``, from the batch's
+        own stream: bits m1 and m2, then four variates per receiver."""
+        sizes = self.batches()
+        if not 0 <= index < len(sizes):
+            raise ValueError(f"batch index must be in [0, {len(sizes)}), got {index}")
+        rng = np.random.default_rng(np.random.SeedSequence((self.seed, index)))
+        return Batch(_scheme(scheme), rng, sizes[index])
 
 
 @dataclass(frozen=True)
@@ -104,72 +115,106 @@ class CondPropStats:
     low_confidence_u2: bool
 
 
-def _rngs(spec: SimSpec):
-    for index, size in enumerate(spec.batches()):
-        yield np.random.default_rng(np.random.SeedSequence((spec.seed, index))), size
+class Batch:
+    """One batch of a run's random draws for one scheme, drawn once.
 
+    Built by :meth:`SimSpec.draw`.  ``bits`` holds the BPSK bits m1 and m2
+    as +-1 floats; ``receivers`` holds, per receiver in the order the
+    scheme's chain reads them, the four standard variates of ``_receive``:
+    an exponential and three normals.  Every array is read-only, so any
+    number of scenarios can be simulated on the same draws; that is what a
+    sweep does, and it gives its grid points common random numbers.
 
-def _bits(rng, n: int) -> np.ndarray:
-    bits = rng.integers(0, 2, n).astype(float)
-    bits *= 2.0
-    bits -= 1.0
-    return bits
-
-
-class _Receiver:
-    """One link's receive chain for a batch, reduced to what detection reads.
-
-    Detection uses only the estimate power ``gain`` = |h~|^2 and the
-    projection ``proj_y`` = Re(conj(h~) y) of the observation
-    y = (h~ + e)(sqrt(P) tx + d) + n.  The distortion d has total variance
-    2 k^2 P and the estimation error e total variance 2 sigma_eps_sq, the
-    accounting the closed forms use.  Distortion and noise n are
-    independent circular Gaussians, so given h~ and e the projection is
-    Gaussian with mean Re(conj(h~)(h~ + e)) sqrt(P) tx and variance
-    |h~|^2 (|h~ + e|^2 2 k^2 P + N0) / 2.  Writing e in the frame of h~ as
-    (e_par, e_perp) gives Re(conj(h~) e) = |h~| e_par and
-    |h~ + e|^2 = (|h~| + e_par)^2 + e_perp^2, so one receiver needs four
-    real draws: |h~|^2 (exponential), e_par and e_perp, and one standard
-    normal for the projected distortion plus noise.  All four are drawn
-    even when a variance is zero, so a seed fixes the same stream for every
-    scenario.
-
-    The arithmetic runs in place on the arrays the draws return, operation
-    for operation in the order of the out-of-place expressions
-    gain = st x, field = sqrt(gain) + e_par and
-    proj_y = sqrt(gain) (field sqrt(P) tx + spread z), so a seed gives the
-    same bits; a receiver allocates two arrays beyond its draws.
+    The work arrays those simulations write are allocated by the first and
+    kept with the batch for the rest.  A lock lets one simulation at a time
+    use them, so a batch is safe to share between threads.
     """
 
-    __slots__ = ("gain", "proj_y")
+    __slots__ = ("scheme", "n_symbols", "bits", "receivers", "_work", "_lock")
 
-    def __init__(self, rng, cfg: SystemConfig, link: str, tx: np.ndarray, n: int):
-        P = cfg.power(link)
-        k = cfg.hwi(link)
-        gain = rng.standard_exponential(n)
-        gain *= cfg.link_budget(link).sigma_tilde_sq
-        err_sd = math.sqrt(cfg.sigma_eps_sq)  # each of the two parts of e
-        field = rng.standard_normal(n)  # e_par, then the component of h~ + e along h~
-        field *= err_sd
-        e_perp = rng.standard_normal(n)
-        e_perp *= err_sd
-        z = rng.standard_normal(n)
-        amp = np.sqrt(gain)
-        field += amp
-        spread = field * field
-        e_perp *= e_perp
-        spread += e_perp
-        spread *= 2.0 * k * k * P
-        spread += cfg.N0
-        spread /= 2.0
-        np.sqrt(spread, out=spread)
-        field *= math.sqrt(P)
-        field *= tx
-        spread *= z
-        field += spread
-        field *= amp
-        self.gain = gain
-        self.proj_y = field
+    def __init__(self, scheme: str, rng, n: int):
+        receivers = sum(3 if hop == "r" else 2 for hop in _HOPS[scheme])
+        draws = np.empty((2 + 4 * receivers, n))
+        for bits in draws[:2]:
+            bits[:] = rng.integers(0, 2, n)
+            bits *= 2.0
+            bits -= 1.0
+        for variates in draws[2:].reshape(receivers, 4, n):
+            rng.standard_exponential(out=variates[0])
+            rng.standard_normal(out=variates[1:])
+        draws.flags.writeable = False  # before any view is taken, so all inherit it
+        self.scheme = scheme
+        self.n_symbols = n
+        self.bits = draws[:2]
+        self.receivers = draws[2:].reshape(receivers, 4, n)
+        self._work = None
+        self._lock = threading.Lock()
+
+
+def _scheme(name: str) -> str:
+    scheme = name.lower()
+    if scheme not in _HOPS:
+        raise ValueError(f"unknown scheme {scheme!r}, expected one of {tuple(_HOPS)}")
+    return scheme
+
+
+def _work(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The work arrays of the chain for batches of up to ``n`` symbols: ten
+    float rows (``_chain`` names them) and four boolean error-mask rows."""
+    return np.empty((10, n)), np.empty((4, n), dtype=bool)
+
+
+def _receive(cfg: SystemConfig, link: str, tx: np.ndarray, variates: np.ndarray,
+             phi: np.ndarray, gain: np.ndarray, scratch: tuple[np.ndarray, ...]) -> None:
+    """One link's receive chain for a batch, reduced to what detection reads.
+
+    Detection uses only the estimate power |h~|^2 and the projection
+    Re(conj(h~) y) of the observation y = (h~ + e)(sqrt(P) tx + d) + n.
+    The distortion d has total variance 2 k^2 P and the estimation error e
+    total variance 2 sigma_eps_sq, the accounting the closed forms use.
+    Distortion and noise n are independent circular Gaussians, so given h~
+    and e the projection is Gaussian with mean Re(conj(h~)(h~ + e)) sqrt(P)
+    tx and variance |h~|^2 (|h~ + e|^2 2 k^2 P + N0) / 2.  Writing e in the
+    frame of h~ as (e_par, e_perp) gives Re(conj(h~) e) = |h~| e_par and
+    |h~ + e|^2 = (|h~| + e_par)^2 + e_perp^2, so one receiver reads four
+    standard ``variates`` of its batch: |h~|^2 / sigma~^2 (exponential),
+    e_par and e_perp over their deviation, and one normal for the projected
+    distortion plus noise.  All four are drawn even when a variance is
+    zero, so a seed fixes the same stream for every scenario.
+
+    The receiver writes into work arrays and never into its read-only
+    variates: ``phi`` gets the projection with the maximum-ratio weight
+    sqrt(P), so a hop enters a user's statistic with energy P |h~|^2, which
+    goes to ``gain``.  ``scratch`` is three more work arrays (sqrt(|h~|^2),
+    the spread and a temporary).  The arithmetic is the out-of-place
+    gain = st x, field = sqrt(gain) + e_par,
+    proj_y = sqrt(gain) (field sqrt(P) tx + spread z), operation for
+    operation, so a seed gives the same bits.
+    """
+    exponential, e_par, e_perp, z = variates
+    amp, spread, tmp = scratch
+    P = cfg.power(link)
+    k = cfg.hwi(link)
+    err_sd = math.sqrt(cfg.sigma_eps_sq)  # each of the two parts of e
+    np.multiply(exponential, cfg.link_budget(link).sigma_tilde_sq, out=gain)
+    np.multiply(e_par, err_sd, out=phi)  # then the component of h~ + e along h~
+    np.multiply(e_perp, err_sd, out=tmp)
+    np.sqrt(gain, out=amp)
+    phi += amp
+    np.multiply(phi, phi, out=spread)
+    tmp *= tmp
+    spread += tmp
+    spread *= 2.0 * k * k * P
+    spread += cfg.N0
+    spread /= 2.0
+    np.sqrt(spread, out=spread)
+    phi *= math.sqrt(P)
+    phi *= tx
+    spread *= z
+    phi += spread
+    phi *= amp
+    phi *= math.sqrt(P)
+    gain *= P
 
 
 #: The hops each scheme's users hear, in transmission order: "s" is the
@@ -179,49 +224,32 @@ class _Receiver:
 _HOPS = {"noma": ("s",), "cnoma": ("r",), "cnoma-wdl": ("s", "r")}
 
 
-def _superpose(cfg: SystemConfig, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    return math.sqrt(cfg.alpha1) * m1 + math.sqrt(cfg.alpha2) * m2
+def _superpose(cfg: SystemConfig, m1: np.ndarray, m2: np.ndarray, out: np.ndarray,
+               tmp: np.ndarray) -> None:
+    np.multiply(m1, math.sqrt(cfg.alpha1), out=out)
+    np.multiply(m2, math.sqrt(cfg.alpha2), out=tmp)
+    out += tmp
 
 
-def _hear(rng, cfg: SystemConfig, link: str, tx: np.ndarray, n: int, heard=None):
-    """Draw the receiver on ``link`` and fold it into the running combination
-    ``heard`` (None before the first hop), returning the new ``(phi, gain)``.
+def _slice_sign(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write +1 where ``x >= 0`` (-0.0 included), else -1 (NaN included),
+    into ``out``, which may be ``x`` itself.
 
-    Each projection already carries conj(h~); the maximum-ratio weight adds
-    the link's transmit amplitude sqrt(P), so a hop enters the statistic
-    ``phi`` with energy P |h~|^2, which ``gain`` accumulates.  The
-    receiver's own arrays become the running sums, so folding allocates
-    nothing.
-    """
-    rx = _Receiver(rng, cfg, link, tx, n)
-    P = cfg.power(link)
-    phi, gain = rx.proj_y, rx.gain
-    phi *= math.sqrt(P)
-    gain *= P
-    if heard is not None:
-        phi += heard[0]
-        gain += heard[1]
-    return phi, gain
-
-
-def _slice_sign(x: np.ndarray) -> np.ndarray:
-    """+1 where ``x >= 0`` (-0.0 included), else -1 (NaN included).
-
-    The comparison writes straight into a float array, which is then
+    The comparison writes straight into the float array, which is then
     mapped {0, 1} -> {-1, +1} in place: about a fifth of the time of
     ``np.where`` on a 100,000-entry batch.
     """
-    sign = np.greater_equal(x, 0.0, out=np.empty(x.shape))
-    sign *= 2.0
-    sign -= 1.0
-    return sign
+    np.greater_equal(x, 0.0, out=out)
+    out *= 2.0
+    out -= 1.0
+    return out
 
 
 def _sic_slice(phi: np.ndarray, gain: np.ndarray, sqrt_a1: float,
-               m1_known: np.ndarray | None, layers: int) -> tuple[np.ndarray, ...]:
-    """The first ``layers`` bits in SIC order (far, then near) from a
-    combined statistic: the far user reads one layer, the near user and
-    the relay both.
+               m1_known: np.ndarray | None, far: np.ndarray, near: np.ndarray) -> None:
+    """Write the two bits in SIC order (far, then near) of a combined
+    statistic into ``far`` and ``near``: the relay and the near user read
+    both, the far user only the sign of its statistic.
 
     The four composite points lie on one line at (+-r1 +- r2) times
     ``gain`` with r1 >= r2, so the minimum-distance readout of the far bit
@@ -232,62 +260,100 @@ def _sic_slice(phi: np.ndarray, gain: np.ndarray, sqrt_a1: float,
     after subtracting the far bit at sqrt(alpha1) ``gain``: the far
     decision, or ``m1_known`` when a genie supplies the true bit.
     """
-    far = _slice_sign(phi)
-    if layers == 1:
-        return (far,)
-    sub = far if m1_known is None else m1_known
-    return far, _slice_sign(phi - sqrt_a1 * sub * gain)
+    _slice_sign(phi, far)
+    np.multiply(far if m1_known is None else m1_known, sqrt_a1, out=near)
+    near *= gain
+    np.subtract(phi, near, out=near)
+    _slice_sign(near, near)
 
 
-def _batches(cfg: SystemConfig, scheme: str, spec: SimSpec, genie_relay: bool,
-             genie_sic: bool):
-    """Yield per batch each user's error mask on its own bit and the relay's
-    two error masks (None without a relay).
+def _chain(cfg: SystemConfig, batch: Batch, work: tuple[np.ndarray, np.ndarray],
+           genie_relay: bool, genie_sic: bool):
+    """Detect one batch; return each user's error mask on its own bit and
+    the relay's two error masks (None without a relay), all rows of
+    ``work``.
 
     The relay and both users read the same law: they slice the
     sqrt(P)-weighted sum of the hops they hear (``_sic_slice``).  The relay
     hears the source on link sr and re-encodes its decisions at the relay
     power, unless ``genie_relay`` forwards the true bits.  Receivers are
-    drawn in the order s1, s2, sr, r1, r2.
+    read in the order s1, s2, sr, r1, r2, the order ``Batch`` draws them.
     """
-    # glibc trims the heap whenever freed arrays of a batch meet at its top,
-    # and the next allocation faults those pages back in.  Each receiver is
-    # folded into (phi, gain) in place as soon as it is drawn, so a fold
-    # allocates nothing.  Measured on two cores over nine in-process
-    # sweep-snr sweeps: 0.81-0.94M minor faults at 120-122 MB peak RSS;
-    # folding into new arrays took 1.51-1.73M, and keeping every receiver's
-    # arrays until the next batch 1.03-1.05M at 138-151 MB.
+    n = batch.n_symbols
+    floats, flags = work
+    tx, phi1, gain1, phi2, gain2, phi, gain, *scratch = floats[:, :n]
+    amp, spread, tmp = scratch
+    err1, err2, slip1, slip2 = flags[:, :n]
+    m1, m2 = batch.bits
+    m1_known = m1 if genie_sic else None
     sqrt_a1 = math.sqrt(cfg.alpha1)
-    for rng, n in _rngs(spec):
-        m1, m2 = _bits(rng, n), _bits(rng, n)
-        m1_known = m1 if genie_sic else None
-        tx = _superpose(cfg, m1, m2)
-        u1 = u2 = relay = None
-        for hop in _HOPS[scheme]:
-            if hop == "r":
-                relay = _sic_slice(*_hear(rng, cfg, "sr", tx, n), sqrt_a1, m1_known, 2)
-                if not genie_relay:
-                    tx = _superpose(cfg, *relay)
-            u1 = _hear(rng, cfg, hop + "1", tx, n, u1)
-            u2 = _hear(rng, cfg, hop + "2", tx, n, u2)
-        err1 = _sic_slice(*u1, sqrt_a1, m1_known, 1)[0] != m1
-        err2 = _sic_slice(*u2, sqrt_a1, m1_known, 2)[1] != m2
-        yield err1, err2, None if relay is None else (relay[0] != m1, relay[1] != m2)
+    variates = iter(batch.receivers)
+    _superpose(cfg, m1, m2, tx, tmp)
+    relay = None
+    for heard, hop in enumerate(_HOPS[batch.scheme]):
+        if hop == "r":
+            _receive(cfg, "sr", tx, next(variates), phi, gain, scratch)
+            _sic_slice(phi, gain, sqrt_a1, m1_known, amp, spread)
+            relay = np.not_equal(amp, m1, out=slip1), np.not_equal(spread, m2, out=slip2)
+            if not genie_relay:
+                _superpose(cfg, amp, spread, tx, tmp)
+        for link, user_phi, user_gain in ((hop + "1", phi1, gain1), (hop + "2", phi2, gain2)):
+            if not heard:  # a user's first hop starts its sums
+                _receive(cfg, link, tx, next(variates), user_phi, user_gain, scratch)
+            else:  # later hops fold in by maximum-ratio combining
+                _receive(cfg, link, tx, next(variates), phi, gain, scratch)
+                user_phi += phi
+                user_gain += gain
+    _slice_sign(phi1, phi1)
+    _sic_slice(phi2, gain2, sqrt_a1, m1_known, amp, spread)
+    return np.not_equal(phi1, m1, out=err1), np.not_equal(spread, m2, out=err2), relay
 
 
-def simulate(cfg: SystemConfig, scheme: str, spec: SimSpec, *, genie_relay: bool = False,
-             genie_sic: bool = False) -> McResult:
+def _batches(cfg: SystemConfig, scheme: str, spec, genie_relay: bool, genie_sic: bool):
+    """Yield ``_chain``'s masks for each batch of ``spec``: every batch of a
+    :class:`SimSpec`, drawn one at a time, or the one :class:`Batch` given.
+    The masks are work arrays, overwritten by the next batch."""
+    # glibc trims the heap whenever freed arrays meet at its top, and the
+    # next allocation faults those pages back in.  So the chain writes every
+    # receiver, fold, superposition and slice into one set of work arrays
+    # (``_work``), allocated once per call here and once per Batch, where a
+    # sweep's grid points all reuse it.  A SimSpec's batches are drawn one at
+    # a time into one block each, freed before the next is drawn.  Measured
+    # on two cores, in one process after a warm-up: run_sweep on the
+    # sweep-snr spec took 3-3,877 minor faults per sweep (median 6), against
+    # 78-100k when every receiver and slice allocated its own arrays; a
+    # 1M-pair simulate 0.8-1.5k per call against 12-20k, at 6-20 MB more
+    # peak RSS, since a whole batch of draws and the work arrays are live
+    # at once.
+    if isinstance(spec, Batch):
+        if spec.scheme != scheme:
+            raise ValueError(f"batch was drawn for {spec.scheme}, not {scheme}")
+        with spec._lock:
+            if spec._work is None:
+                spec._work = _work(spec.n_symbols)
+            yield _chain(cfg, spec, spec._work, genie_relay, genie_sic)
+        return
+    sizes = spec.batches()
+    work = _work(sizes[0])
+    for index in range(len(sizes)):
+        yield _chain(cfg, spec.draw(scheme, index), work, genie_relay, genie_sic)
+
+
+def simulate(cfg: SystemConfig, scheme: str, spec: SimSpec | Batch, *,
+             genie_relay: bool = False, genie_sic: bool = False) -> McResult:
     """Simulate ``scheme`` (noma, cnoma or cnoma-wdl, any case) and count bit errors.
 
-    ``genie_relay`` forwards the true bits regardless of what the relay
-    detected (noma has no relay and rejects it); ``genie_sic`` feeds the
-    true far-user bit to every subtraction, relay and near user, leaving
-    the detections themselves unchanged.  Both isolate one loss for
-    instrumentation and are deliberately not reachable from file configs.
+    ``spec`` is a :class:`SimSpec`, whose batches are drawn one at a time,
+    or one :class:`Batch` drawn for ``scheme``, whose draws are reused as
+    they are: the counts of a SimSpec's batches, each simulated alone, sum
+    to the SimSpec's.  ``genie_relay`` forwards the true bits regardless of
+    what the relay detected (noma has no relay and rejects it);
+    ``genie_sic`` feeds the true far-user bit to every subtraction, relay
+    and near user, leaving the detections themselves unchanged.  Both
+    isolate one loss for instrumentation and are deliberately not reachable
+    from file configs.
     """
-    scheme = scheme.lower()
-    if scheme not in _HOPS:
-        raise ValueError(f"unknown scheme {scheme!r}, expected one of {tuple(_HOPS)}")
+    scheme = _scheme(scheme)
     if genie_relay and scheme == "noma":
         raise ValueError("genie_relay needs a relay, and noma has none")
     e1 = e2 = 0

@@ -2,6 +2,7 @@
 
 import io
 import math
+import os
 import re
 
 import pytest
@@ -110,6 +111,66 @@ def test_simulation_failure_is_recorded_not_raised(monkeypatch):
     assert by_method["analytic"].error is None
     assert math.isnan(by_method["monte-carlo"].ber)
     assert "synthetic simulation failure" in by_method["monte-carlo"].error
+
+
+@pytest.mark.parametrize("swept, grid", [
+    ("snr_db", (0.0, 20.0, 40.0)),
+    ("hwi_k", (0.0, 0.1, 0.2)),
+    ("alpha1", (0.6, 0.75, 0.9)),
+])
+def test_sweep_shares_each_batch_yet_every_point_equals_simulate(swept, grid):
+    """A sweep draws each (scheme, batch) once for all its grid points; a
+    point's counts must still be those of its own ``simulate`` call, over
+    two full batches and a remainder, whatever the pool size."""
+    sim = SimSpec(n_symbols=250_000, seed=5)
+    assert sim.batches() == [100_000, 100_000, 50_000]
+    spec = SweepSpec(swept_parameter=swept, grid=grid, sim=sim)
+    rows = run_sweep(spec).rows
+    for row in rows:
+        if row.method == "monte-carlo":
+            mc = simulator.simulate(spec.config_at(row.value), row.scheme, spec.sim)
+            assert (row.ber, row.std_err) == (mc.ber(row.user), mc.std_err(row.user)), row
+    assert run_sweep(spec, max_workers=1).rows == rows
+
+
+def test_sweep_pool_defaults_to_the_usable_cores(monkeypatch):
+    sizes = []
+    real = experiments.ThreadPoolExecutor
+
+    def recording(max_workers):
+        sizes.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", recording)
+    run_sweep(analytic_spec())
+    run_sweep(analytic_spec(), max_workers=3)
+    assert sizes == [experiments._cores(), 3]
+    if hasattr(os, "sched_getaffinity"):
+        assert experiments._cores() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    assert experiments._cores() == (os.cpu_count() or 1)
+
+
+def test_failed_draw_is_recorded_on_its_scheme_alone(monkeypatch):
+    spec = SweepSpec(swept_parameter="snr_db", grid=(0.0, 10.0),
+                     sim=SimSpec(n_symbols=150_000, seed=4))
+    clean = run_sweep(spec).rows
+    real = SimSpec.draw
+
+    def draw(self, scheme, index):
+        if scheme == "cnoma" and index == 1:
+            raise RuntimeError("synthetic draw failure")
+        return real(self, scheme, index)
+
+    monkeypatch.setattr(SimSpec, "draw", draw)
+    rows = run_sweep(spec).rows
+    assert len(rows) == len(clean) == 2 * 3 * 2 * 2
+    for row, before in zip(rows, clean):
+        if row.scheme == "cnoma" and row.method == "monte-carlo":
+            assert math.isnan(row.ber) and row.std_err is None
+            assert row.error == "synthetic draw failure"
+        else:
+            assert row == before
 
 
 def test_csv_single_row():

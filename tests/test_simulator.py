@@ -15,6 +15,8 @@ deterministic integral over the link gains).
 import ast
 import itertools
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +98,61 @@ def test_relay_genie_without_a_relay_is_rejected():
                            genie_relay=True)
 
 
+def test_drawn_batches_sum_to_the_run():
+    """Simulating a SimSpec's batches one by one, each drawn once, gives the
+    SimSpec's counts; a batch can be simulated again at another scenario."""
+    spec = SimSpec(n_symbols=150_000, seed=1)
+    for scheme, genies in (("noma", {}), ("cnoma", {"genie_relay": True}),
+                           ("cnoma-wdl", {"genie_sic": True})):
+        batches = [spec.draw(scheme, index) for index in range(len(spec.batches()))]
+        assert [b.n_symbols for b in batches] == spec.batches()
+        for snr_db in (20.0, 5.0):
+            cfg = SystemConfig.defaults(snr_db=snr_db)
+            parts = [simulator.simulate(cfg, scheme, b, **genies) for b in batches]
+            whole = simulator.simulate(cfg, scheme, spec, **genies)
+            assert McResult.from_counts(sum(p.trials for p in parts),
+                                        sum(p.errors_u1 for p in parts),
+                                        sum(p.errors_u2 for p in parts)) == whole
+
+
+def test_drawn_batch_is_read_only_and_bound_to_its_scheme():
+    spec = SimSpec(n_symbols=20_000, seed=3)
+    batch = spec.draw("CNOMA-wdl", 0)
+    assert batch.scheme == "cnoma-wdl"
+    assert batch.bits.shape == (2, 20_000) and batch.receivers.shape == (5, 4, 20_000)
+    for array in (batch.bits, batch.bits[0], batch.receivers, batch.receivers[2, 1]):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.multiply(array, 2.0, out=array)
+    cfg = SystemConfig.defaults()
+    with pytest.raises(ValueError, match="drawn for cnoma-wdl, not noma"):
+        simulator.simulate(cfg, "noma", batch)
+    with pytest.raises(ValueError, match="batch index"):
+        spec.draw("noma", 1)
+    with pytest.raises(ValueError, match="unknown scheme"):
+        spec.draw("dnoma", 0)
+
+
+def test_batch_shared_between_threads_gives_serial_counts():
+    """A batch keeps one set of work arrays for all its simulations; threads
+    sharing it, switching as often as the interpreter allows, must still
+    each get the serial count of their own scenario."""
+    batch = SimSpec(n_symbols=20_000, seed=6).draw("cnoma-wdl", 0)
+    configs = [SystemConfig.defaults(snr_db=float(v)) for v in range(0, 40, 5)]
+    serial = [simulator.simulate(cfg, "cnoma-wdl", batch) for cfg in configs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2 * len(configs)) as pool:
+            futures = [pool.submit(simulator.simulate, cfg, "cnoma-wdl", batch)
+                       for _ in range(3) for cfg in configs]
+            shared = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert shared == serial * 3
+
+
 #: Error counts of the reference scenario at 20 dB, seed 1, 150000 symbols
 #: (one full batch and one half batch), keyed by scheme and the genie
 #: switches set.  Any change to the random stream or to the detection chain
@@ -130,9 +187,13 @@ def test_slice_sign_maps_signed_zero_up_and_nan_down():
     # a silent source leaves phi = -0.0, which must slice as +1 exactly as
     # +0.0 does; a NaN statistic is never read as +1
     x = np.array([-0.0, 0.0, 1e-300, -1e-300, 2.5, -2.5, np.inf, -np.inf, np.nan])
-    got = simulator._slice_sign(x)
+    want = [1.0, 1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, -1.0]
+    got = simulator._slice_sign(x, np.empty(x.shape))
     assert got.dtype == np.float64
-    np.testing.assert_array_equal(got, [1.0, 1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
+    np.testing.assert_array_equal(got, want)
+    # the chain slices in place, its statistic's array becoming the decision
+    assert simulator._slice_sign(x, x) is x
+    np.testing.assert_array_equal(x, want)
 
 
 def test_disjoint_seeds_agree_within_sampling_noise():
@@ -248,26 +309,33 @@ def test_impairment_free_relayed_runs_match_exact_oracle():
 
 class _FullFieldReceiver:
     """The literal signal model: draw h~, e, d and n as circular complex
-    Gaussians, form y = (h~ + e)(sqrt(P) x + d) + n and project it on
-    conj(h~).  Same constructor and attributes as ``simulator._Receiver``.
-    ``scale`` multiplies the distortion variance k^2 P and the
+    Gaussians from the test's own generator, form
+    y = (h~ + e)(sqrt(P) x + d) + n and project it on conj(h~).  Called
+    like ``simulator._receive``, whose batch variates it ignores, and writes
+    the same two outputs: the projection weighted by sqrt(P) and the energy
+    P |h~|^2.  ``scale`` multiplies the distortion variance k^2 P and the
     estimation-error variance sigma_eps_sq; the simulator doubles both."""
 
     scale = 2.0
 
-    def __init__(self, rng, cfg, link, tx, n):
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def __call__(self, cfg, link, tx, variates, phi, gain, scratch):
+        n = len(tx)
         P, k = cfg.power(link), cfg.hwi(link)
 
         def cn(var):
-            return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * math.sqrt(var / 2.0)
+            return (self.rng.standard_normal(n) + 1j * self.rng.standard_normal(n)) \
+                * math.sqrt(var / 2.0)
 
         h_tilde = cn(cfg.link_budget(link).sigma_tilde_sq)
         est_err = cn(self.scale * cfg.sigma_eps_sq)
         distortion = cn(self.scale * k * k * P)
         noise = cn(cfg.N0)
         y = (h_tilde + est_err) * (math.sqrt(P) * tx + distortion) + noise
-        self.gain = np.abs(h_tilde) ** 2
-        self.proj_y = (np.conj(h_tilde) * y).real
+        gain[:] = P * np.abs(h_tilde) ** 2
+        phi[:] = math.sqrt(P) * (np.conj(h_tilde) * y).real
 
 
 class _HalvedFullFieldReceiver(_FullFieldReceiver):
@@ -283,7 +351,7 @@ class _HalvedFullFieldReceiver(_FullFieldReceiver):
 def test_sufficient_statistic_receiver_matches_full_field(cfg, monkeypatch):
     fast = {s: simulator.simulate(cfg, s, SimSpec(n_symbols=1_000_000, seed=1))
             for s in analytic.SCHEMES}
-    monkeypatch.setattr(simulator, "_Receiver", _FullFieldReceiver)
+    monkeypatch.setattr(simulator, "_receive", _FullFieldReceiver(seed=2))
     full = {s: simulator.simulate(cfg, s, SimSpec(n_symbols=1_000_000, seed=2))
             for s in analytic.SCHEMES}
     for scheme in analytic.SCHEMES:
@@ -347,7 +415,7 @@ def test_impairment_conventions_differ_and_default_calibrates(monkeypatch):
     cfg = SystemConfig.defaults(snr_db=10.0)
     spec = SimSpec(n_symbols=1_000_000, seed=1)
     doubled = simulator.simulate(cfg, "noma", spec)
-    monkeypatch.setattr(simulator, "_Receiver", _HalvedFullFieldReceiver)
+    monkeypatch.setattr(simulator, "_receive", _HalvedFullFieldReceiver(seed=1))
     halved = simulator.simulate(cfg, "noma", spec)
     assert doubled != halved
     ana = analytic.scheme_ber(cfg, "noma", "u1")
