@@ -27,6 +27,7 @@ from .model import SystemConfig
 _BATCH_SYMBOLS = 100_000
 _MIN_SYMBOLS = 10_000
 _LOW_CONFIDENCE_EVENTS = 100
+_USERS = ("u1", "u2")
 
 
 @dataclass(frozen=True)
@@ -93,10 +94,16 @@ class McResult:
         )
 
     def ber(self, user: str) -> float:
-        return self.ber_u1 if user == "u1" else self.ber_u2
+        return getattr(self, f"ber_{_user(user)}")
 
     def std_err(self, user: str) -> float:
-        return self.std_err_u1 if user == "u1" else self.std_err_u2
+        return getattr(self, f"std_err_{_user(user)}")
+
+
+def _user(user: str) -> str:
+    if user not in _USERS:
+        raise ValueError(f"unknown user {user!r}, expected one of {_USERS}")
+    return user
 
 
 @dataclass(frozen=True)
@@ -119,21 +126,36 @@ class Batch:
     """One batch of a run's random draws for one scheme, drawn once.
 
     Built by :meth:`SimSpec.draw`.  ``bits`` holds the BPSK bits m1 and m2
-    as +-1 floats; ``receivers`` holds, per receiver in the order the
-    scheme's chain reads them, the four standard variates of ``_receive``:
-    an exponential and three normals.  Every array is read-only, so any
-    number of scenarios can be simulated on the same draws; that is what a
-    sweep does, and it gives its grid points common random numbers.
+    as +-1 floats.  ``receivers`` holds one row of four per receiver, in the
+    order of ``_receiver_links``: as drawn, the four standard variates of
+    ``_receive``, an exponential x and three normals e_par, e_perp and z.
+
+    The first simulation settles the batch to its scenario's geometry, the
+    estimation-error variance sigma_eps_sq and the estimate variance
+    sigma~^2 of each link the scheme hears (``_settle``).  Settling turns
+    each receiver's variates, in place, into the four terms of ``_receive``
+    that no sweep parameter changes: g = |h~|^2, the field f along h~,
+    s = |h~ + e|^2, and z.  Every later simulation runs only the tail that
+    powers, hardware factors and the split change, and one of another
+    geometry raises ValueError.  The grid points of a sweep share one
+    geometry, so they share both the draws and this arithmetic: common
+    random numbers.  ``bits`` and ``receivers`` are read-only views, so no
+    caller can write them, but settling writes the block beneath
+    ``receivers``: it holds the raw variates until the first simulation and
+    the settled terms from then on.  Copy it before simulating to keep the
+    variates.
 
     The work arrays those simulations write are allocated by the first and
     kept with the batch for the rest.  A lock lets one simulation at a time
-    use them, so a batch is safe to share between threads.
+    settle the batch and use them, so a batch is safe to share between
+    threads.
     """
 
-    __slots__ = ("scheme", "n_symbols", "bits", "receivers", "_work", "_lock")
+    __slots__ = ("scheme", "n_symbols", "bits", "receivers", "_terms", "_positive",
+                 "_geometry", "_work", "_lock")
 
     def __init__(self, scheme: str, rng, n: int):
-        receivers = sum(3 if hop == "r" else 2 for hop in _HOPS[scheme])
+        receivers = len(_receiver_links(scheme))
         draws = np.empty((2 + 4 * receivers, n))
         for bits in draws[:2]:
             bits[:] = rng.integers(0, 2, n)
@@ -142,13 +164,50 @@ class Batch:
         for variates in draws[2:].reshape(receivers, 4, n):
             rng.standard_exponential(out=variates[0])
             rng.standard_normal(out=variates[1:])
-        draws.flags.writeable = False  # before any view is taken, so all inherit it
+        self._terms = draws[2:].reshape(receivers, 4, n)  # the one writable view
+        draws.flags.writeable = False  # every view taken from here on inherits it
         self.scheme = scheme
         self.n_symbols = n
         self.bits = draws[:2]
         self.receivers = draws[2:].reshape(receivers, 4, n)
+        self._positive = None  # bits > 0, once settled
+        self._geometry = None
         self._work = None
         self._lock = threading.Lock()
+
+    def _settle(self, cfg: SystemConfig, scratch: np.ndarray) -> None:
+        """Settle the batch to the geometry of ``cfg`` if this is its first
+        simulation, else check that ``cfg`` has the geometry it was settled to.
+
+        Per receiver, in place: g = x sigma~^2, f = e_par sigma + sqrt(g)
+        and s = (e_perp sigma)^2 + f f, where sigma is the deviation of each
+        of the two parts of e; z stays.  ``scratch`` holds sqrt(g), then
+        f f.  Each operation and its order are fixed, as in ``_receive``.
+        The bits m1 and m2 also get their boolean row, true where the bit is
+        +1, which the users' error masks compare against (``_errors``).
+        """
+        links = _receiver_links(self.scheme)
+        geometry = (cfg.sigma_eps_sq,
+                    *(cfg.link_budget(link).sigma_tilde_sq for link in links))
+        if self._geometry is not None:
+            if geometry != self._geometry:
+                raise ValueError(
+                    f"batch was settled to the geometry (sigma_eps_sq, sigma~^2 of "
+                    f"{', '.join(links)}) = {self._geometry}, not {geometry}; "
+                    f"draw a new batch for another geometry")
+            return
+        err_sd = math.sqrt(cfg.sigma_eps_sq)  # each of the two parts of e
+        for (g, f, s, _), st in zip(self._terms, geometry[1:]):
+            g *= st
+            f *= err_sd
+            np.sqrt(g, out=scratch)
+            f += scratch
+            s *= err_sd
+            s *= s
+            np.multiply(f, f, out=scratch)
+            s += scratch
+        self._positive = np.greater(self.bits, 0.0)
+        self._geometry = geometry
 
 
 def _scheme(name: str) -> str:
@@ -159,13 +218,13 @@ def _scheme(name: str) -> str:
 
 
 def _work(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The work arrays of the chain for batches of up to ``n`` symbols: ten
+    """The work arrays of the chain for batches of up to ``n`` symbols: eight
     float rows (``_chain`` names them) and four boolean error-mask rows."""
-    return np.empty((10, n)), np.empty((4, n), dtype=bool)
+    return np.empty((8, n)), np.empty((4, n), dtype=bool)
 
 
-def _receive(cfg: SystemConfig, link: str, tx: np.ndarray, variates: np.ndarray,
-             phi: np.ndarray, gain: np.ndarray, scratch: tuple[np.ndarray, ...]) -> None:
+def _receive(cfg: SystemConfig, link: str, tx: np.ndarray, terms: np.ndarray,
+             phi: np.ndarray, gain: np.ndarray, scratch: np.ndarray) -> None:
     """One link's receive chain for a batch, reduced to what detection reads.
 
     Detection uses only the estimate power |h~|^2 and the projection
@@ -176,45 +235,39 @@ def _receive(cfg: SystemConfig, link: str, tx: np.ndarray, variates: np.ndarray,
     and e the projection is Gaussian with mean Re(conj(h~)(h~ + e)) sqrt(P)
     tx and variance |h~|^2 (|h~ + e|^2 2 k^2 P + N0) / 2.  Writing e in the
     frame of h~ as (e_par, e_perp) gives Re(conj(h~) e) = |h~| e_par and
-    |h~ + e|^2 = (|h~| + e_par)^2 + e_perp^2, so one receiver reads four
-    standard ``variates`` of its batch: |h~|^2 / sigma~^2 (exponential),
-    e_par and e_perp over their deviation, and one normal for the projected
-    distortion plus noise.  All four are drawn even when a variance is
-    zero, so a seed fixes the same stream for every scenario.
+    |h~ + e|^2 = (|h~| + e_par)^2 + e_perp^2, so one receiver draws four
+    standard variates: |h~|^2 / sigma~^2 (exponential), e_par and e_perp
+    over their deviation, and one normal z for the projected distortion
+    plus noise.  All four are drawn even when a variance is zero, so a seed
+    fixes the same stream for every scenario.
 
-    The receiver writes into work arrays and never into its read-only
-    variates: ``phi`` gets the projection with the maximum-ratio weight
-    sqrt(P), so a hop enters a user's statistic with energy P |h~|^2, which
-    goes to ``gain``.  ``scratch`` is three more work arrays (sqrt(|h~|^2),
-    the spread and a temporary).  The arithmetic is the out-of-place
-    gain = st x, field = sqrt(gain) + e_par,
-    proj_y = sqrt(gain) (field sqrt(P) tx + spread z), operation for
-    operation, so a seed gives the same bits.
+    ``terms`` is the receiver's row of a settled batch (``Batch._settle``):
+    g = |h~|^2, f = |h~| + e_par, s = |h~ + e|^2 and z, the same for every
+    scenario of the batch's geometry.  What is left depends on P, k and N0:
+    ``phi`` gets the projection with the maximum-ratio weight sqrt(P),
+    sqrt(P) sqrt(g) (f sqrt(P) tx + sqrt((s 2 k^2 P + N0) / 2) z), so a hop
+    enters a user's statistic with energy P g, which goes to ``gain``.
+    ``scratch`` is one more work array, for the spread, then sqrt(g).  Each
+    operation and its order are fixed, here and in settling: the seeded
+    counts of the tests pin them bit for bit (halving by ``*= 0.5`` is
+    exact, the same as dividing by 2).
     """
-    exponential, e_par, e_perp, z = variates
-    amp, spread, tmp = scratch
+    g, f, s, z = terms
+    spread = scratch
     P = cfg.power(link)
     k = cfg.hwi(link)
-    err_sd = math.sqrt(cfg.sigma_eps_sq)  # each of the two parts of e
-    np.multiply(exponential, cfg.link_budget(link).sigma_tilde_sq, out=gain)
-    np.multiply(e_par, err_sd, out=phi)  # then the component of h~ + e along h~
-    np.multiply(e_perp, err_sd, out=tmp)
-    np.sqrt(gain, out=amp)
-    phi += amp
-    np.multiply(phi, phi, out=spread)
-    tmp *= tmp
-    spread += tmp
-    spread *= 2.0 * k * k * P
+    np.multiply(s, 2.0 * k * k * P, out=spread)
     spread += cfg.N0
-    spread /= 2.0
+    spread *= 0.5
     np.sqrt(spread, out=spread)
-    phi *= math.sqrt(P)
+    np.multiply(f, math.sqrt(P), out=phi)
     phi *= tx
     spread *= z
     phi += spread
-    phi *= amp
+    np.sqrt(g, out=spread)
+    phi *= spread
     phi *= math.sqrt(P)
-    gain *= P
+    np.multiply(g, P, out=gain)
 
 
 #: The hops each scheme's users hear, in transmission order: "s" is the
@@ -222,6 +275,16 @@ def _receive(cfg: SystemConfig, link: str, tx: np.ndarray, variates: np.ndarray,
 #: r2 of what it detected on link sr.  A user hearing several hops combines
 #: them by maximum-ratio combining.
 _HOPS = {"noma": ("s",), "cnoma": ("r",), "cnoma-wdl": ("s", "r")}
+
+
+def _receiver_links(scheme: str) -> tuple[str, ...]:
+    """The links of ``scheme``'s receivers in draw order: per hop, the
+    relay's link sr before its forward, then the hop's links to u1 and u2."""
+    links = ()
+    for hop in _HOPS[scheme]:
+        links += ("sr",) if hop == "r" else ()
+        links += (hop + "1", hop + "2")
+    return links
 
 
 def _superpose(cfg: SystemConfig, m1: np.ndarray, m2: np.ndarray, out: np.ndarray,
@@ -245,11 +308,20 @@ def _slice_sign(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sic_slice(phi: np.ndarray, gain: np.ndarray, sqrt_a1: float,
-               m1_known: np.ndarray | None, far: np.ndarray, near: np.ndarray) -> None:
-    """Write the two bits in SIC order (far, then near) of a combined
-    statistic into ``far`` and ``near``: the relay and the near user read
-    both, the far user only the sign of its statistic.
+def _errors(x: np.ndarray, positive: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Mark in ``out`` where the decision of ``_slice_sign`` on ``x`` misses
+    its bit, whose row ``positive`` is true where the bit is +1: the
+    comparison ``x >= 0`` is that decision, without mapping it to +-1."""
+    np.greater_equal(x, 0.0, out=out)
+    return np.not_equal(out, positive, out=out)
+
+
+def _sic(phi: np.ndarray, gain: np.ndarray, sqrt_a1: float,
+         m1_known: np.ndarray | None, far: np.ndarray) -> None:
+    """Successive interference cancellation on a combined statistic: write
+    the far bit into ``far`` and turn ``gain`` into the near bit's
+    statistic.  The relay and the near user read both, the far user only
+    the sign of its statistic.
 
     The four composite points lie on one line at (+-r1 +- r2) times
     ``gain`` with r1 >= r2, so the minimum-distance readout of the far bit
@@ -257,62 +329,65 @@ def _sic_slice(phi: np.ndarray, gain: np.ndarray, sqrt_a1: float,
     +r1 and both positive points carry m1 = +1.  The sign form also settles
     the r1 = r2 case, where two candidates coincide at zero and plain
     nearest-point search has no defined answer.  The near bit is the sign
-    after subtracting the far bit at sqrt(alpha1) ``gain``: the far
-    decision, or ``m1_known`` when a genie supplies the true bit.
+    of ``phi`` after subtracting the far bit at sqrt(alpha1) ``gain``: the
+    far decision, or ``m1_known`` when a genie supplies the true bit.  That
+    bit is +-1, so scaling ``gain`` by it first is exact, and the product
+    is the same as scaling sqrt(alpha1) by it.
     """
     _slice_sign(phi, far)
-    np.multiply(far if m1_known is None else m1_known, sqrt_a1, out=near)
-    near *= gain
-    np.subtract(phi, near, out=near)
-    _slice_sign(near, near)
+    gain *= far if m1_known is None else m1_known
+    gain *= sqrt_a1
+    np.subtract(phi, gain, out=gain)
 
 
 def _chain(cfg: SystemConfig, batch: Batch, work: tuple[np.ndarray, np.ndarray],
            genie_relay: bool, genie_sic: bool):
-    """Detect one batch; return each user's error mask on its own bit and
-    the relay's two error masks (None without a relay), all rows of
-    ``work``.
+    """Settle one batch (``Batch._settle``) and detect it; return each
+    user's error mask on its own bit and the relay's two error masks (None
+    without a relay), all rows of ``work``.
 
     The relay and both users read the same law: they slice the
-    sqrt(P)-weighted sum of the hops they hear (``_sic_slice``).  The relay
-    hears the source on link sr and re-encodes its decisions at the relay
-    power, unless ``genie_relay`` forwards the true bits.  Receivers are
-    read in the order s1, s2, sr, r1, r2, the order ``Batch`` draws them.
+    sqrt(P)-weighted sum of the hops they hear (``_sic``).  The relay hears
+    the source on link sr and re-encodes its +-1 decisions at the relay
+    power, unless ``genie_relay`` forwards the true bits.  The users'
+    decisions are only counted, so ``_errors`` compares them as booleans.
     """
     n = batch.n_symbols
     floats, flags = work
-    tx, phi1, gain1, phi2, gain2, phi, gain, *scratch = floats[:, :n]
-    amp, spread, tmp = scratch
+    tx, phi1, gain1, phi2, gain2, phi, gain, scratch = floats[:, :n]
     err1, err2, slip1, slip2 = flags[:, :n]
+    batch._settle(cfg, tx)
     m1, m2 = batch.bits
     m1_known = m1 if genie_sic else None
     sqrt_a1 = math.sqrt(cfg.alpha1)
-    variates = iter(batch.receivers)
-    _superpose(cfg, m1, m2, tx, tmp)
+    terms = dict(zip(_receiver_links(batch.scheme), batch.receivers))
+    _superpose(cfg, m1, m2, tx, gain)
     relay = None
     for heard, hop in enumerate(_HOPS[batch.scheme]):
         if hop == "r":
-            _receive(cfg, "sr", tx, next(variates), phi, gain, scratch)
-            _sic_slice(phi, gain, sqrt_a1, m1_known, amp, spread)
-            relay = np.not_equal(amp, m1, out=slip1), np.not_equal(spread, m2, out=slip2)
+            _receive(cfg, "sr", tx, terms["sr"], phi, gain, scratch)
+            _sic(phi, gain, sqrt_a1, m1_known, scratch)
+            far, near = scratch, _slice_sign(gain, gain)
+            relay = np.not_equal(far, m1, out=slip1), np.not_equal(near, m2, out=slip2)
             if not genie_relay:
-                _superpose(cfg, amp, spread, tx, tmp)
+                _superpose(cfg, far, near, tx, phi)
         for link, user_phi, user_gain in ((hop + "1", phi1, gain1), (hop + "2", phi2, gain2)):
             if not heard:  # a user's first hop starts its sums
-                _receive(cfg, link, tx, next(variates), user_phi, user_gain, scratch)
+                _receive(cfg, link, tx, terms[link], user_phi, user_gain, scratch)
             else:  # later hops fold in by maximum-ratio combining
-                _receive(cfg, link, tx, next(variates), phi, gain, scratch)
+                _receive(cfg, link, tx, terms[link], phi, gain, scratch)
                 user_phi += phi
                 user_gain += gain
-    _slice_sign(phi1, phi1)
-    _sic_slice(phi2, gain2, sqrt_a1, m1_known, amp, spread)
-    return np.not_equal(phi1, m1, out=err1), np.not_equal(spread, m2, out=err2), relay
+    positive1, positive2 = batch._positive
+    _sic(phi2, gain2, sqrt_a1, m1_known, scratch)
+    return _errors(phi1, positive1, err1), _errors(gain2, positive2, err2), relay
 
 
 def _batches(cfg: SystemConfig, scheme: str, spec, genie_relay: bool, genie_sic: bool):
     """Yield ``_chain``'s masks for each batch of ``spec``: every batch of a
-    :class:`SimSpec`, drawn one at a time, or the one :class:`Batch` given.
-    The masks are work arrays, overwritten by the next batch."""
+    :class:`SimSpec`, drawn and settled one at a time, or the one
+    :class:`Batch` given.  The masks are work arrays, overwritten by the
+    next batch."""
     # glibc trims the heap whenever freed arrays meet at its top, and the
     # next allocation faults those pages back in.  So the chain writes every
     # receiver, fold, superposition and slice into one set of work arrays
@@ -324,7 +399,9 @@ def _batches(cfg: SystemConfig, scheme: str, spec, genie_relay: bool, genie_sic:
     # 78-100k when every receiver and slice allocated its own arrays; a
     # 1M-pair simulate 0.8-1.5k per call against 12-20k, at 6-20 MB more
     # peak RSS, since a whole batch of draws and the work arrays are live
-    # at once.
+    # at once.  Settling writes its terms over the draws, so it costs no
+    # memory; keeping them beside the draws would hold a second block of
+    # up to 16 MB (cnoma-wdl) per live batch.
     if isinstance(spec, Batch):
         if spec.scheme != scheme:
             raise ValueError(f"batch was drawn for {spec.scheme}, not {scheme}")
@@ -344,10 +421,11 @@ def simulate(cfg: SystemConfig, scheme: str, spec: SimSpec | Batch, *,
     """Simulate ``scheme`` (noma, cnoma or cnoma-wdl, any case) and count bit errors.
 
     ``spec`` is a :class:`SimSpec`, whose batches are drawn one at a time,
-    or one :class:`Batch` drawn for ``scheme``, whose draws are reused as
-    they are: the counts of a SimSpec's batches, each simulated alone, sum
-    to the SimSpec's.  ``genie_relay`` forwards the true bits regardless of
-    what the relay detected (noma has no relay and rejects it);
+    or one :class:`Batch` drawn for ``scheme``, which the first simulation
+    settles to the geometry of ``cfg`` and every later one must share (see
+    :class:`Batch`): the counts of a SimSpec's batches, each simulated
+    alone, sum to the SimSpec's.  ``genie_relay`` forwards the true bits
+    regardless of what the relay detected (noma has no relay and rejects it);
     ``genie_sic`` feeds the true far-user bit to every subtraction, relay
     and near user, leaving the detections themselves unchanged.  Both
     isolate one loss for instrumentation and are deliberately not reachable

@@ -1,5 +1,6 @@
 """Sweep plumbing: grid evaluation, CSV rendering, config parsing, CLI."""
 
+import hashlib
 import io
 import math
 import os
@@ -200,6 +201,26 @@ def test_csv_is_byte_identical_across_runs():
                  if line.split(",")[4] == "monte-carlo"]
     for fields in mc_fields:
         assert float(fields[5]) >= 0.0 and float(fields[6]) > 0.0
+
+
+#: SHA-256 of ``emit_csv`` for a sweep of each parameter over its default
+#: grid around the reference 20 dB scenario: every scheme, both methods,
+#: 20000 symbols, seed 3.  Any change to the random stream, the detection
+#: chain, the closed forms or the CSV rendering moves them.
+_CSV_SHA256 = {
+    "snr_db": "5e3a962a2201bfa1732cdc42bc1b4d8e119e19efc42e66a9b86f48f78022aa83",
+    "hwi_k": "05fa65d883f1238030f17b61c10467d0f0fc2864e5f96fd305acb5d6ae9e2af7",
+    "alpha1": "3d9c27c8a578b7f12918b690683581891262280289444a3859d783c1ee915040",
+}
+
+
+@pytest.mark.parametrize("swept", sorted(_CSV_SHA256))
+def test_sweep_csv_is_pinned(swept):
+    spec = SweepSpec(swept_parameter=swept, grid=experiments.DEFAULT_GRIDS[swept],
+                     base=SystemConfig.defaults(snr_db=20.0),
+                     sim=SimSpec(n_symbols=20_000, seed=3))
+    csv = emit_csv(run_sweep(spec))
+    assert hashlib.sha256(csv.encode()).hexdigest() == _CSV_SHA256[swept]
 
 
 def test_parse_config_empty_gives_reference_sweep():

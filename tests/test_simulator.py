@@ -16,7 +16,9 @@ import ast
 import itertools
 import math
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +77,14 @@ def test_result_from_counts():
     assert r.ber_u1 == 0.01 and r.ber("u2") == 0.04
     assert r.std_err_u1 == pytest.approx(math.sqrt(0.01 * 0.99 / 10_000))
     assert r.std_err("u2") == pytest.approx(math.sqrt(0.04 * 0.96 / 10_000))
+
+
+@pytest.mark.parametrize("user", ["u3", "U1", None, "ber_u1"])
+def test_result_rejects_unknown_users(user):
+    r = McResult.from_counts(10_000, 100, 400)
+    for read in (r.ber, r.std_err):
+        with pytest.raises(ValueError, match=r"unknown user .*expected one of \('u1', 'u2'\)"):
+            read(user)
 
 
 def test_runs_are_reproducible():
@@ -181,6 +191,131 @@ def test_seeded_counts_are_pinned():
     stats = simulator.conditional_prop_stats(cfg, spec)
     assert (stats.events_u1, stats.errors_u1, stats.events_u2,
             stats.errors_u2) == _GOLDEN_CONDITIONAL
+
+
+#: The counts of ``_GOLDEN_COUNTS`` (same run, same keys) and of
+#: ``conditional_prop_stats`` at two more geometries, recorded with the
+#: whole receive chain run at every scenario, so they check settling
+#: against the arithmetic it splits: with no estimation error, where the
+#: field f is exactly sqrt(g), and with a longer source-relay link, a
+#: larger estimation error and a lower hardware factor.
+_GOLDEN_AT_GEOMETRY = {
+    "no-estimation-error": (dict(sigma_eps_sq=0.0), {
+        ("noma",): (12_851, 13_732),
+        ("noma", "genie_sic"): (12_851, 9_559),
+        ("cnoma",): (10_730, 11_031),
+        ("cnoma", "genie_relay"): (9_091, 5_746),
+        ("cnoma", "genie_sic"): (10_908, 7_679),
+        ("cnoma-wdl",): (4_804, 5_997),
+        ("cnoma-wdl", "genie_relay"): (3_732, 1_587),
+        ("cnoma-wdl", "genie_sic"): (5_238, 4_109),
+    }, (2_057, 1_239, 5_746, 4_418)),
+    "far-relay": (dict(d_sr=1.5, sigma_eps_sq=0.02, hwi_k=0.1), {
+        ("noma",): (28_460, 25_297),
+        ("noma", "genie_sic"): (28_460, 21_856),
+        ("cnoma",): (23_015, 24_905),
+        ("cnoma", "genie_relay"): (18_557, 9_524),
+        ("cnoma", "genie_sic"): (23_290, 21_969),
+        ("cnoma-wdl",): (12_805, 17_918),
+        ("cnoma-wdl", "genie_relay"): (9_695, 4_492),
+        ("cnoma-wdl", "genie_sic"): (13_620, 15_893),
+    }, (5_639, 3_420, 17_553, 13_478)),
+}
+
+
+@pytest.mark.parametrize("geometry", sorted(_GOLDEN_AT_GEOMETRY))
+def test_seeded_counts_are_pinned_at_other_geometries(geometry):
+    overrides, golden, conditional = _GOLDEN_AT_GEOMETRY[geometry]
+    cfg = SystemConfig.defaults(snr_db=20.0, **overrides)
+    spec = SimSpec(n_symbols=150_000, seed=1)
+    for (scheme, *genies), counts in golden.items():
+        mc = simulator.simulate(cfg, scheme, spec, **dict.fromkeys(genies, True))
+        assert (mc.errors_u1, mc.errors_u2) == counts, (scheme, *genies)
+    stats = simulator.conditional_prop_stats(cfg, spec)
+    assert (stats.events_u1, stats.errors_u1, stats.events_u2,
+            stats.errors_u2) == conditional
+
+
+def _grid_configs(base):
+    """Points of SNR, hardware and power-split sweeps around ``base``."""
+    return ([base.with_snr_db(v) for v in (0.0, 20.0, 40.0)]
+            + [base.with_hwi(k) for k in (0.0, 0.1, 0.3)]
+            + [base.with_alpha1(a) for a in (0.5, 0.7, 0.95)])
+
+
+def test_settled_batch_serves_every_grid_point_and_rejects_another_geometry():
+    """The first simulation settles a batch to its scenario's geometry;
+    later ones at any power, hardware factor or split get the counts of a
+    freshly drawn batch, and one of another geometry is refused."""
+    spec = SimSpec(n_symbols=20_000, seed=3)
+    base = SystemConfig.defaults(snr_db=20.0)
+    for scheme in analytic.SCHEMES:
+        batch = spec.draw(scheme, 0)
+        raw = batch.receivers.copy()
+        simulator.simulate(base, scheme, batch)
+        # settling rewrites what ``receivers`` shows: g = sigma~^2 x, f, s; z stays
+        assert not np.array_equal(batch.receivers[:, :3], raw[:, :3])
+        np.testing.assert_array_equal(batch.receivers[:, 3], raw[:, 3])
+        for link, settled, drawn in zip(simulator._receiver_links(scheme),
+                                        batch.receivers, raw):
+            np.testing.assert_array_equal(
+                settled[0], drawn[0] * base.link_budget(link).sigma_tilde_sq)
+        for other, unheard in ((replace(base, sigma_eps_sq=0.01), ()),
+                               (replace(base, a=3.0), ()),
+                               (replace(base, d_sr=1.5), ("noma",)),
+                               (replace(base, d_s1=3.0), ("cnoma",))):
+            if scheme in unheard:  # a link the scheme never hears is no part of it
+                assert simulator.simulate(other, scheme, batch) == \
+                    simulator.simulate(other, scheme, spec)
+                continue
+            with pytest.raises(ValueError, match="batch was settled to .*draw a new batch"):
+                simulator.simulate(other, scheme, batch)
+        for cfg in _grid_configs(base):
+            for genies in ({}, {"genie_sic": True}):
+                assert simulator.simulate(cfg, scheme, batch, **genies) == \
+                    simulator.simulate(cfg, scheme, spec, **genies), (scheme, cfg, genies)
+        for array in (batch.bits, batch.bits[1], batch.receivers, batch.receivers[-1, 0]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                array.flags.writeable = True
+
+
+def test_unsettled_batch_shared_by_16_threads_gives_serial_counts():
+    """Sixteen threads race to be a batch's first simulation, at points of
+    SNR, hardware and split grids; whichever settles it, every thread gets
+    the count of a freshly drawn batch."""
+    spec = SimSpec(n_symbols=20_000, seed=8)
+    base = SystemConfig.defaults(snr_db=10.0)
+    configs = (_grid_configs(base) * 2)[:16]
+    serial = [simulator.simulate(cfg, "cnoma-wdl", spec) for cfg in configs]
+    batch = spec.draw("cnoma-wdl", 0)
+    start = threading.Barrier(len(configs))
+
+    def run(cfg):
+        start.wait(timeout=60)
+        return simulator.simulate(cfg, "cnoma-wdl", batch)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(configs)) as pool:
+            futures = [pool.submit(run, cfg) for cfg in configs]
+            shared = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert shared == serial
+
+
+def test_error_masks_read_decisions_as_slice_sign_does():
+    """The users' decisions are counted from ``x >= 0`` against a boolean
+    row of the bits; that must miss exactly where ``_slice_sign`` would,
+    signed zeros and NaN included."""
+    x = np.array([-0.0, 0.0, 1e-300, -1e-300, 2.5, -2.5, np.inf, -np.inf, np.nan])
+    for bit in (1.0, -1.0):
+        m = np.full(x.shape, bit)
+        got = simulator._errors(x, m > 0, np.empty(x.shape, dtype=bool))
+        np.testing.assert_array_equal(got, simulator._slice_sign(x, np.empty(x.shape)) != m)
 
 
 def test_slice_sign_maps_signed_zero_up_and_nan_down():
@@ -311,9 +446,9 @@ class _FullFieldReceiver:
     """The literal signal model: draw h~, e, d and n as circular complex
     Gaussians from the test's own generator, form
     y = (h~ + e)(sqrt(P) x + d) + n and project it on conj(h~).  Called
-    like ``simulator._receive``, whose batch variates it ignores, and writes
-    the same two outputs: the projection weighted by sqrt(P) and the energy
-    P |h~|^2.  ``scale`` multiplies the distortion variance k^2 P and the
+    like ``simulator._receive``, whose settled batch terms it ignores, and
+    writes the same two outputs: the projection weighted by sqrt(P) and the
+    energy P |h~|^2.  ``scale`` multiplies the distortion variance k^2 P and the
     estimation-error variance sigma_eps_sq; the simulator doubles both."""
 
     scale = 2.0
