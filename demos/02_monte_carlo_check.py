@@ -48,8 +48,7 @@ print("against the amplitude-race prediction prop_error, which neglects noise:")
 
 
 def race(cfg, label):
-    predicted = prop_error(cfg.P_s * cfg.link_budget("s1").sigma_tilde_sq,
-                           cfg.P_r * cfg.link_budget("r1").sigma_tilde_sq)
+    predicted = prop_error(cfg, "u1")
     stats = conditional_prop_stats(cfg, SimSpec(n_symbols=1_000_000, seed=1))
     snr_db = 10.0 * math.log10(cfg.P_s / cfg.N0)
     sigma = (stats.rate_u1 - predicted) / stats.std_err_u1

@@ -11,8 +11,9 @@ branch (see :mod:`nomalink.model`).  Three schemes are covered:
 
 ``scheme_ber`` and ``scheme_ber_floor`` are the entry points; they read a
 validated :class:`~nomalink.model.SystemConfig`, so the private composition
-steps trust their inputs.  The public single-link, combiner, propagation and
-two-hop pieces still check theirs, because they take bare numbers.
+steps trust their inputs.  The propagation probability ``prop_error`` reads
+one too; the public single-link, combiner and two-hop pieces still check
+theirs, because they take bare numbers.
 
 A call composes at most six branches per link, so it runs in scalar float
 math: array bookkeeping cost more than the flops.  Branch sums run left to
@@ -72,18 +73,25 @@ def aber_mrc_pair(delta_bar_a: float, delta_bar_b: float) -> float:
     return 0.5 * (1.0 - (fa - fb) / (a - b))
 
 
-def prop_error(phi_bar_direct: float, phi_bar_relay: float) -> float:
-    """Probability that a flipped relay branch outweighs the direct branch.
+def prop_error(cfg: SystemConfig, user: str) -> float:
+    """Probability that a flipped relay copy of ``user``'s bit outweighs the
+    direct copy, on every branch of the combined scheme.
 
-    Both arguments are mean branch energies (power * amplitude^2 * estimate
-    variance).  The additive noise is neglected, so only the ratio matters.
+    The copies race with their mean branch energies, power * amplitude^2 *
+    estimate variance, on the direct link (s1 or s2) and the relay's (r1 or
+    r2); the additive noise is neglected, so only their ratio matters.  The
+    branch amplitude multiplies both energies, so it cancels from the
+    ratio; computing from powers and estimate variances alone extends the
+    result continuously to zero-amplitude branches (equal power split, or a
+    dead near-user stream).  With no energy on either copy the combined
+    statistic is pure noise and the conditional error is a coin flip.
     """
-    if not (0 <= phi_bar_direct < math.inf and 0 <= phi_bar_relay < math.inf):
-        raise ValueError("branch energies must be finite and nonnegative")
-    total = phi_bar_direct + phi_bar_relay
-    if total == 0:
-        raise ValueError("at least one branch energy must be positive")
-    return phi_bar_relay / total
+    if user not in USERS:
+        raise ValueError(f"unknown user {user!r}, expected one of {USERS}")
+    direct = cfg.P_s * cfg.link_budget("s" + user[1]).sigma_tilde_sq
+    relay = cfg.P_r * cfg.link_budget("r" + user[1]).sigma_tilde_sq
+    total = direct + relay
+    return relay / total if total else 0.5
 
 
 def e2e_cnoma(p_first_hop: float, p_second_hop: float) -> float:
@@ -118,22 +126,6 @@ def _checked_probability(p: float, label: str) -> float:
 # -- scheme-level composition -----------------------------------------------
 
 
-def _branch_prop_error(cfg: SystemConfig, direct: str, rel: str) -> float:
-    """Probability that a flipped relay copy outweighs the direct copy, on every branch.
-
-    The branch amplitude multiplies both mean energies, so it cancels from
-    the ratio; computing from powers and estimate variances alone extends the
-    result continuously to zero-amplitude branches (equal power split, or a
-    dead near-user stream).  With no energy on either arm the combined
-    statistic is pure noise and the conditional error is a coin flip.
-    """
-    d_energy = cfg.P_s * cfg.link_budget(direct).sigma_tilde_sq
-    r_energy = cfg.P_r * cfg.link_budget(rel).sigma_tilde_sq
-    if d_energy == 0.0 and r_energy == 0.0:
-        return 0.5
-    return prop_error(d_energy, r_energy)
-
-
 def _scheme_ber(cfg: SystemConfig, scheme: str, user: str, limit: bool) -> float:
     if user not in USERS:
         raise ValueError(f"unknown user {user!r}, expected one of {USERS}")
@@ -160,7 +152,7 @@ def _scheme_ber(cfg: SystemConfig, scheme: str, user: str, limit: bool) -> float
     if scheme == "cnoma-wdl":
         p_coop = list(map(aber_mrc_pair, branch_sinr(cfg, direct, amp, air),
                           branch_sinr(cfg, rel, amp, air)))
-        return _e2e_wdl(fades("sr"), _branch_prop_error(cfg, direct, rel), p_coop, signs, label)
+        return _e2e_wdl(fades("sr"), prop_error(cfg, user), p_coop, signs, label)
     raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
 
 

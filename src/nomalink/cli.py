@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import sys
 from collections import Counter
 
-from . import analytic, experiments
-from .model import SystemConfig
-from .simulator import SimSpec
+from . import experiments
 
 _SWEEP_OF_COMMAND = {
     "sweep-snr": "snr_db",
@@ -93,22 +92,20 @@ def _status(record: dict) -> str:
     return "FAIL" if not record["ok"] else ("pass" if record["checked"] else "skip")
 
 
-def run_validation(n_symbols: int = 1_000_000, seed: int = 1,
-                   schemes=analytic.SCHEMES, snr_grid=VALIDATE_SNR_GRID,
-                   out=None):
-    """Closed forms versus Monte Carlo on the reference scenario.
+def run_validation(spec: experiments.SweepSpec, out=None):
+    """Closed forms versus Monte Carlo on an SNR sweep ``spec``.
 
-    Runs both methods over ``snr_grid`` on the sweep pool and returns the
-    records of :func:`nomalink.experiments.compare`; a point is compared
-    only when the closed form predicts at least ten expected error events.
-    A failed evaluation's reason goes to stderr as a ``warning:`` line.
-    A symbol count, seed or scheme list the sweep rejects raises ValueError.
+    Runs both methods over the sweep on the sweep pool and returns the
+    records of :func:`nomalink.experiments.compare`, one line each to
+    ``out`` (stdout by default); a point is compared only when the closed
+    form predicts at least ten expected error events.  A failed
+    evaluation's reason goes to stderr as a ``warning:`` line.
     """
+    if spec.swept_parameter != "snr_db":
+        raise ValueError(f"validation sweeps snr_db, not {spec.swept_parameter}")
     if out is None:
         out = sys.stdout
-    spec = experiments.SweepSpec("snr_db", snr_grid, SystemConfig.defaults(), schemes,
-                                 sim=SimSpec(n_symbols, seed))
-    records = experiments.compare(experiments.run_sweep(spec), 10.0 / n_symbols)
+    records = experiments.compare(experiments.run_sweep(spec), 10.0 / spec.sim.n_symbols)
     for r in records:
         if r["error"] is not None:
             print(f"warning: {r['scheme']}/{r['user']} at snr_db={r['snr_db']}: "
@@ -122,8 +119,7 @@ def run_validation(n_symbols: int = 1_000_000, seed: int = 1,
 
 def _validate_command(args) -> int:
     # the flags are checked as a sweep config's keys, so a bad one is a ConfigError
-    spec = _load_spec(args)
-    records = run_validation(spec.sim.n_symbols, spec.sim.seed, spec.schemes)
+    records = run_validation(dataclasses.replace(_load_spec(args), grid=VALIDATE_SNR_GRID))
     counts = Counter(_status(r) for r in records)
     print(f"{counts['pass']} pass (within 3 standard errors), {counts['skip']} skip "
           f"(closed form below 10/N), {counts['FAIL']} FAIL, of {len(records)} points")

@@ -61,11 +61,13 @@ class SimSpec:
     def draw(self, scheme: str, index: int) -> "Batch":
         """Draw batch ``index`` of this run for ``scheme``, from the batch's
         own stream: bits m1 and m2, then four variates per receiver."""
+        if not isinstance(index, numbers.Integral):
+            raise ValueError(f"batch index must be an integer, got {index!r}")
         sizes = self.batches()
         if not 0 <= index < len(sizes):
             raise ValueError(f"batch index must be in [0, {len(sizes)}), got {index}")
         rng = np.random.default_rng(np.random.SeedSequence((self.seed, index)))
-        return Batch(_scheme(scheme), rng, sizes[index])
+        return Batch(scheme, rng, sizes[index])
 
 
 @dataclass(frozen=True)
@@ -125,10 +127,11 @@ class CondPropStats:
 class Batch:
     """One batch of a run's random draws for one scheme, drawn once.
 
-    Built by :meth:`SimSpec.draw`.  ``bits`` holds the BPSK bits m1 and m2
-    as +-1 floats.  ``receivers`` holds one row of four per receiver, in the
-    order of ``_receiver_links``: as drawn, the four standard variates of
-    ``_receive``, an exponential x and three normals e_par, e_perp and z.
+    Built by :meth:`SimSpec.draw`; a :class:`SimSpec` run is its batches,
+    drawn and simulated one at a time.  ``bits`` holds the BPSK bits m1 and
+    m2 as +-1 floats.  ``receivers`` holds one row of four per receiver, in
+    the order of ``_receiver_links``: as drawn, the four standard variates
+    of ``_receive``, an exponential x and three normals e_par, e_perp and z.
 
     The first simulation settles the batch to its scenario's geometry, the
     estimation-error variance sigma_eps_sq and the estimate variance
@@ -145,16 +148,18 @@ class Batch:
     the settled terms from then on.  Copy it before simulating to keep the
     variates.
 
-    The work arrays those simulations write are allocated by the first and
-    kept with the batch for the rest.  A lock lets one simulation at a time
-    settle the batch and use them, so a batch is safe to share between
-    threads.
+    The batch owns, from its draw, what no scenario changes: the work rows
+    its simulations write, eight float and four boolean, and the boolean
+    rows of the bits, true where a bit is +1.  The geometry is the one
+    thing a simulation sets.  A lock lets one simulation at a time settle
+    the batch and use its rows, so a batch is safe to share between threads.
     """
 
     __slots__ = ("scheme", "n_symbols", "bits", "receivers", "_terms", "_positive",
-                 "_geometry", "_work", "_lock")
+                 "_floats", "_flags", "_geometry", "_lock")
 
     def __init__(self, scheme: str, rng, n: int):
+        scheme = _scheme(scheme)
         receivers = len(_receiver_links(scheme))
         draws = np.empty((2 + 4 * receivers, n))
         for bits in draws[:2]:
@@ -170,21 +175,20 @@ class Batch:
         self.n_symbols = n
         self.bits = draws[:2]
         self.receivers = draws[2:].reshape(receivers, 4, n)
-        self._positive = None  # bits > 0, once settled
+        self._positive = np.greater(self.bits, 0.0)
+        self._floats = np.empty((8, n))  # ``_chain`` names the rows
+        self._flags = np.empty((4, n), dtype=bool)
         self._geometry = None
-        self._work = None
         self._lock = threading.Lock()
 
-    def _settle(self, cfg: SystemConfig, scratch: np.ndarray) -> None:
+    def _settle(self, cfg: SystemConfig) -> None:
         """Settle the batch to the geometry of ``cfg`` if this is its first
         simulation, else check that ``cfg`` has the geometry it was settled to.
 
         Per receiver, in place: g = x sigma~^2, f = e_par sigma + sqrt(g)
         and s = (e_perp sigma)^2 + f f, where sigma is the deviation of each
-        of the two parts of e; z stays.  ``scratch`` holds sqrt(g), then
-        f f.  Each operation and its order are fixed, as in ``_receive``.
-        The bits m1 and m2 also get their boolean row, true where the bit is
-        +1, which the users' error masks compare against (``_errors``).
+        of the two parts of e; z stays.  A work row holds sqrt(g), then f f.
+        Each operation and its order are fixed, as in ``_receive``.
         """
         links = _receiver_links(self.scheme)
         geometry = (cfg.sigma_eps_sq,
@@ -197,6 +201,7 @@ class Batch:
                     f"draw a new batch for another geometry")
             return
         err_sd = math.sqrt(cfg.sigma_eps_sq)  # each of the two parts of e
+        scratch = self._floats[0]
         for (g, f, s, _), st in zip(self._terms, geometry[1:]):
             g *= st
             f *= err_sd
@@ -206,7 +211,6 @@ class Batch:
             s *= s
             np.multiply(f, f, out=scratch)
             s += scratch
-        self._positive = np.greater(self.bits, 0.0)
         self._geometry = geometry
 
 
@@ -215,12 +219,6 @@ def _scheme(name: str) -> str:
     if scheme not in _HOPS:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {tuple(_HOPS)}")
     return scheme
-
-
-def _work(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The work arrays of the chain for batches of up to ``n`` symbols: eight
-    float rows (``_chain`` names them) and four boolean error-mask rows."""
-    return np.empty((8, n)), np.empty((4, n), dtype=bool)
 
 
 def _receive(cfg: SystemConfig, link: str, tx: np.ndarray, terms: np.ndarray,
@@ -340,11 +338,10 @@ def _sic(phi: np.ndarray, gain: np.ndarray, sqrt_a1: float,
     np.subtract(phi, gain, out=gain)
 
 
-def _chain(cfg: SystemConfig, batch: Batch, work: tuple[np.ndarray, np.ndarray],
-           genie_relay: bool, genie_sic: bool):
-    """Settle one batch (``Batch._settle``) and detect it; return each
-    user's error mask on its own bit and the relay's two error masks (None
-    without a relay), all rows of ``work``.
+def _chain(cfg: SystemConfig, batch: Batch, genie_relay: bool, genie_sic: bool):
+    """Detect one settled batch (``Batch._settle``); return each user's
+    error mask on its own bit and the relay's two error masks (None without
+    a relay), all work rows of the batch.
 
     The relay and both users read the same law: they slice the
     sqrt(P)-weighted sum of the hops they hear (``_sic``).  The relay hears
@@ -352,11 +349,8 @@ def _chain(cfg: SystemConfig, batch: Batch, work: tuple[np.ndarray, np.ndarray],
     power, unless ``genie_relay`` forwards the true bits.  The users'
     decisions are only counted, so ``_errors`` compares them as booleans.
     """
-    n = batch.n_symbols
-    floats, flags = work
-    tx, phi1, gain1, phi2, gain2, phi, gain, scratch = floats[:, :n]
-    err1, err2, slip1, slip2 = flags[:, :n]
-    batch._settle(cfg, tx)
+    tx, phi1, gain1, phi2, gain2, phi, gain, scratch = batch._floats
+    err1, err2, slip1, slip2 = batch._flags
     m1, m2 = batch.bits
     m1_known = m1 if genie_sic else None
     sqrt_a1 = math.sqrt(cfg.alpha1)
@@ -383,78 +377,71 @@ def _chain(cfg: SystemConfig, batch: Batch, work: tuple[np.ndarray, np.ndarray],
     return _errors(phi1, positive1, err1), _errors(gain2, positive2, err2), relay
 
 
-def _batches(cfg: SystemConfig, scheme: str, spec, genie_relay: bool, genie_sic: bool):
-    """Yield ``_chain``'s masks for each batch of ``spec``: every batch of a
-    :class:`SimSpec`, drawn and settled one at a time, or the one
-    :class:`Batch` given.  The masks are work arrays, overwritten by the
-    next batch."""
-    # glibc trims the heap whenever freed arrays meet at its top, and the
-    # next allocation faults those pages back in.  So the chain writes every
-    # receiver, fold, superposition and slice into one set of work arrays
-    # (``_work``), allocated once per call here and once per Batch, where a
-    # sweep's grid points all reuse it.  A SimSpec's batches are drawn one at
-    # a time into one block each, freed before the next is drawn.  Measured
-    # on two cores, in one process after a warm-up: run_sweep on the
-    # sweep-snr spec took 3-3,877 minor faults per sweep (median 6), against
-    # 78-100k when every receiver and slice allocated its own arrays; a
-    # 1M-pair simulate 0.8-1.5k per call against 12-20k, at 6-20 MB more
-    # peak RSS, since a whole batch of draws and the work arrays are live
-    # at once.  Settling writes its terms over the draws, so it costs no
-    # memory; keeping them beside the draws would hold a second block of
-    # up to 16 MB (cnoma-wdl) per live batch.
-    if isinstance(spec, Batch):
-        if spec.scheme != scheme:
-            raise ValueError(f"batch was drawn for {spec.scheme}, not {scheme}")
-        with spec._lock:
-            if spec._work is None:
-                spec._work = _work(spec.n_symbols)
-            yield _chain(cfg, spec, spec._work, genie_relay, genie_sic)
-        return
-    sizes = spec.batches()
-    work = _work(sizes[0])
-    for index in range(len(sizes)):
-        yield _chain(cfg, spec.draw(scheme, index), work, genie_relay, genie_sic)
+def _tally(cfg: SystemConfig, scheme: str, spec: SimSpec | Batch, tally,
+           genie_relay: bool = False, genie_sic: bool = False):
+    """``tally`` of ``_chain``'s masks on ``spec``.  A SimSpec's is the sum,
+    entry by entry, of its batches', each drawn once and freed before the
+    next is drawn.  A Batch is settled (``Batch._settle``), detected and
+    tallied under its lock: the masks are its work rows, which the next
+    simulation overwrites."""
+    if isinstance(spec, SimSpec):
+        per_batch = [_tally(cfg, scheme, spec.draw(scheme, index), tally,
+                            genie_relay, genie_sic) for index in range(len(spec.batches()))]
+        return [sum(counts) for counts in zip(*per_batch)]
+    if not isinstance(spec, Batch):
+        raise TypeError(f"spec must be a SimSpec or a Batch, got {type(spec).__name__}")
+    if spec.scheme != scheme:
+        raise ValueError(f"batch was drawn for {spec.scheme}, not {scheme}")
+    with spec._lock:
+        spec._settle(cfg)
+        return tally(*_chain(cfg, spec, genie_relay, genie_sic))
+
+
+def _user_errors(err1, err2, relay) -> tuple[int, int]:
+    return int(np.count_nonzero(err1)), int(np.count_nonzero(err2))
+
+
+def _relay_slips(err1, err2, relay) -> tuple[int, int, int, int]:
+    """Per user: the relay's slips on the user's bit, and the user's errors among them."""
+    slip1, slip2 = relay
+    return (int(np.count_nonzero(slip1)), int(np.count_nonzero(err1 & slip1)),
+            int(np.count_nonzero(slip2)), int(np.count_nonzero(err2 & slip2)))
 
 
 def simulate(cfg: SystemConfig, scheme: str, spec: SimSpec | Batch, *,
              genie_relay: bool = False, genie_sic: bool = False) -> McResult:
     """Simulate ``scheme`` (noma, cnoma or cnoma-wdl, any case) and count bit errors.
 
-    ``spec`` is a :class:`SimSpec`, whose batches are drawn one at a time,
-    or one :class:`Batch` drawn for ``scheme``, which the first simulation
-    settles to the geometry of ``cfg`` and every later one must share (see
-    :class:`Batch`): the counts of a SimSpec's batches, each simulated
-    alone, sum to the SimSpec's.  ``genie_relay`` forwards the true bits
-    regardless of what the relay detected (noma has no relay and rejects it);
-    ``genie_sic`` feeds the true far-user bit to every subtraction, relay
-    and near user, leaving the detections themselves unchanged.  Both
-    isolate one loss for instrumentation and are deliberately not reachable
-    from file configs.
+    ``spec`` is a :class:`SimSpec`, a run of its batches, or one
+    :class:`Batch` drawn for ``scheme`` (:meth:`SimSpec.draw`); anything
+    else raises TypeError.  Both take one path: each batch is settled to
+    the geometry of ``cfg``, or checked against the geometry it was
+    settled to, then detected and counted.  So the counts of a SimSpec's
+    batches, each simulated alone, sum to the SimSpec's, and a batch
+    reused at another power, hardware factor or split gets the counts of a
+    fresh draw.  ``genie_relay`` forwards the true bits regardless of what
+    the relay detected (noma has no relay and rejects it); ``genie_sic``
+    feeds the true far-user bit to every subtraction, relay and near user,
+    leaving the detections themselves unchanged.  Both isolate one loss for
+    instrumentation and are deliberately not reachable from file configs.
     """
     scheme = _scheme(scheme)
     if genie_relay and scheme == "noma":
         raise ValueError("genie_relay needs a relay, and noma has none")
-    e1 = e2 = 0
-    for err1, err2, _ in _batches(cfg, scheme, spec, genie_relay, genie_sic):
-        e1 += int(np.count_nonzero(err1))
-        e2 += int(np.count_nonzero(err2))
+    e1, e2 = _tally(cfg, scheme, spec, _user_errors, genie_relay, genie_sic)
     return McResult.from_counts(spec.n_symbols, e1, e2)
 
 
-def conditional_prop_stats(cfg: SystemConfig, spec: SimSpec) -> CondPropStats:
+def conditional_prop_stats(cfg: SystemConfig, spec: SimSpec | Batch) -> CondPropStats:
     """Empirical per-user error rates given the relay mis-detected that user's bit.
 
-    Runs the combined scheme and, among trials where the relay's decision on
-    a user's own bit was wrong, counts how often that user's final decision
-    is wrong too.  Fewer than 100 conditioning events flags the estimate as
-    low-confidence rather than failing.
+    Runs the combined scheme on ``spec``, as :func:`simulate` does, and,
+    among trials where the relay's decision on a user's own bit was wrong,
+    counts how often that user's final decision is wrong too.  Fewer than
+    100 conditioning events flags the estimate as low-confidence rather
+    than failing.
     """
-    ev1 = er1 = ev2 = er2 = 0
-    for err1, err2, (slip1, slip2) in _batches(cfg, "cnoma-wdl", spec, False, False):
-        ev1 += int(np.count_nonzero(slip1))
-        er1 += int(np.count_nonzero(err1 & slip1))
-        ev2 += int(np.count_nonzero(slip2))
-        er2 += int(np.count_nonzero(err2 & slip2))
+    ev1, er1, ev2, er2 = _tally(cfg, "cnoma-wdl", spec, _relay_slips)
     rate1 = er1 / ev1 if ev1 else math.nan
     rate2 = er2 / ev2 if ev2 else math.nan
     se1 = math.sqrt(rate1 * (1.0 - rate1) / ev1) if ev1 else math.nan

@@ -149,8 +149,7 @@ def test_acceptance_05_combined_scheme_wins_at_high_snr():
 
 
 def _race_prediction(cfg: SystemConfig) -> float:
-    return analytic.prop_error(cfg.P_s * cfg.link_budget("s1").sigma_tilde_sq,
-                               cfg.P_r * cfg.link_budget("r1").sigma_tilde_sq)
+    return analytic.prop_error(cfg, "u1")
 
 
 def test_acceptance_06_relay_error_propagation_statistic():
@@ -234,8 +233,8 @@ def test_acceptance_07_invariant_suite():
     for user, amps in (("1", tables.psi), ("2", tables.zeta)):
         d = cfg.P_s * cfg.link_budget("s" + user).sigma_tilde_sq
         r = cfg.P_r * cfg.link_budget("r" + user).sigma_tilde_sq
-        shared = analytic._branch_prop_error(cfg, "s" + user, "r" + user)
-        if any(abs(analytic.prop_error(amp * d, amp * r) - shared) > 1e-14 * shared
+        shared = analytic.prop_error(cfg, "u" + user)
+        if any(abs(amp * r / (amp * d + amp * r) - shared) > 1e-14 * shared
                for amp in amps):
             failures.append(f"propagation branch invariance u{user}")
 

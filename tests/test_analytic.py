@@ -121,31 +121,31 @@ def test_mrc_pair_degenerate_branches():
 
 
 def test_prop_error_values():
-    assert prop_error(1.0, 2.0) == pytest.approx(2.0 / 3.0, rel=1e-15)
     # reference scenario, both powers equal: relay arm 1/9 - 0.005 versus
     # direct arm 1/16 - 0.005
-    d = 0.0575
-    r = 1.0 / 9.0 - 0.005
-    assert prop_error(d, r) == pytest.approx(0.6485568760611206, rel=1e-12)
-    assert prop_error(0.3, 0.0) == 0.0
-    assert prop_error(0.0, 0.3) == 1.0
+    d, r = 1.0 / 16.0 - 0.005, 1.0 / 9.0 - 0.005
+    cfg = SystemConfig.defaults(snr_db=10.0)
+    assert cfg.link_budget("s1").sigma_tilde_sq == pytest.approx(d, rel=1e-15)
+    assert cfg.link_budget("r1").sigma_tilde_sq == pytest.approx(r, rel=1e-15)
+    assert prop_error(cfg, "u1") == pytest.approx(0.6485568760611206, rel=1e-12)
+    # twice the relay's power on the same links: 2 r / (d + 2 r)
+    assert prop_error(replace(cfg, P_r=2.0 * cfg.P_s), "u1") == \
+        pytest.approx(2.0 * r / (d + 2.0 * r), rel=1e-14)
+    assert prop_error(replace(cfg, P_r=0.0), "u1") == 0.0
+    assert prop_error(replace(cfg, P_s=0.0), "u2") == 1.0
+    for user in ("u3", "U1", None):
+        with pytest.raises(ValueError, match="unknown user"):
+            prop_error(cfg, user)
 
 
-def test_prop_error_rejects_bad_energies():
-    with pytest.raises(ValueError):
-        prop_error(-0.1, 0.5)
-    with pytest.raises(ValueError):
-        prop_error(0.0, 0.0)
-    for bad in ((math.nan, 1.0), (1.0, math.nan), (1.0, math.inf), (math.inf, 1.0)):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            prop_error(*bad)
-
-
-@given(st.floats(min_value=1e-6, max_value=1e6),
-       st.floats(min_value=1e-6, max_value=1e6),
+@given(st.floats(min_value=1e-3, max_value=1e3),
+       st.floats(min_value=1e-3, max_value=1e3),
        st.floats(min_value=1e-3, max_value=1e3))
-def test_prop_error_scale_invariance(d, r, c):
-    assert prop_error(c * d, c * r) == pytest.approx(prop_error(d, r), rel=1e-12)
+def test_prop_error_scale_invariance(p_s, p_r, c):
+    cfg = SystemConfig.defaults(P_s=p_s, P_r=p_r)
+    scaled = replace(cfg, P_s=c * p_s, P_r=c * p_r)
+    for user in USERS:
+        assert prop_error(scaled, user) == pytest.approx(prop_error(cfg, user), rel=1e-12)
 
 
 def test_prop_branches_identical_because_amplitude_cancels():
@@ -156,15 +156,15 @@ def test_prop_branches_identical_because_amplitude_cancels():
     for user, amps in (("1", t.psi), ("2", t.zeta)):
         d = cfg.P_s * cfg.link_budget("s" + user).sigma_tilde_sq
         r = cfg.P_r * cfg.link_budget("r" + user).sigma_tilde_sq
-        shared = analytic._branch_prop_error(cfg, "s" + user, "r" + user)
-        assert shared == prop_error(d, r)
+        shared = prop_error(cfg, "u" + user)
+        assert shared == r / (d + r)
         for amp in amps:
-            assert prop_error(amp * d, amp * r) == pytest.approx(shared, rel=1e-14)
+            assert amp * r / (amp * d + amp * r) == pytest.approx(shared, rel=1e-14)
 
 
 def test_prop_branches_zero_energy_is_a_coin_flip():
     cfg = SystemConfig.defaults(snr_db=10.0, P_s=0.0, P_r=0.0)
-    assert analytic._branch_prop_error(cfg, "s1", "r1") == 0.5
+    assert prop_error(cfg, "u1") == prop_error(cfg, "u2") == 0.5
 
 
 def test_two_hop_composition():
@@ -244,8 +244,7 @@ def test_combined_scheme_unwinds_to_building_blocks():
     sr, direct, rel = (mean_sinr(cfg, link, t.psi, t.psi) for link in ("sr", "s1", "r1"))
     p_sr = [0.5 * (1 - math.sqrt(d / (1 + d))) for d in sr]
     p_coop = [aber_mrc_pair(a, b) for a, b in zip(direct, rel)]
-    p = prop_error(cfg.P_s * cfg.link_budget("s1").sigma_tilde_sq,
-                   cfg.P_r * cfg.link_budget("r1").sigma_tilde_sq)
+    p = prop_error(cfg, "u1")
     # a relay-hop error leaves the propagated branch, a correct hop the MRC pair
     expect = sum((p * e + (1 - e) * c) / 2 for e, c in zip(p_sr, p_coop))
     assert scheme_ber(cfg, "cnoma-wdl", "u1") == pytest.approx(expect, rel=1e-14)

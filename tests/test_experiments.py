@@ -482,8 +482,9 @@ def test_cli_rejects_swept_key_and_repeated_entries(command, text, flags, messag
 
 def test_validation_report_grammar():
     buf = io.StringIO()
-    records = cli.run_validation(n_symbols=10_000, seed=1, schemes=("noma",),
-                                 snr_grid=(0.0, 10.0), out=buf)
+    spec = SweepSpec("snr_db", (0.0, 10.0), SystemConfig.defaults(), ("noma",),
+                     sim=SimSpec(n_symbols=10_000, seed=1))
+    records = cli.run_validation(spec, out=buf)
     assert len(records) == 4
     lines = buf.getvalue().splitlines()
     assert len(lines) == 4
@@ -496,6 +497,12 @@ def test_validation_report_grammar():
     for record, line in zip(records, lines):
         status = "FAIL" if not record["ok"] else ("pass" if record["checked"] else "skip")
         assert line.startswith(status + "  ")
+
+
+def test_validation_needs_an_snr_sweep():
+    spec = SweepSpec("hwi_k", (0.0, 0.1), SystemConfig.defaults(), ("noma",), sim=FAST_SIM)
+    with pytest.raises(ValueError, match="validation sweeps snr_db, not hwi_k"):
+        cli.run_validation(spec, out=io.StringIO())
 
 
 def _row(value, method, ber, std_err=None, error=None, scheme="noma", user="u1"):

@@ -15,8 +15,10 @@ deterministic integral over the link gains).
 import ast
 import itertools
 import math
+import re
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -138,10 +140,60 @@ def test_drawn_batch_is_read_only_and_bound_to_its_scheme():
     cfg = SystemConfig.defaults()
     with pytest.raises(ValueError, match="drawn for cnoma-wdl, not noma"):
         simulator.simulate(cfg, "noma", batch)
-    with pytest.raises(ValueError, match="batch index"):
-        spec.draw("noma", 1)
+    for index in (1, -1):
+        with pytest.raises(ValueError, match="batch index must be in"):
+            spec.draw("noma", index)
+    for index in (1.5, np.float64(0.0), "0", None):
+        with pytest.raises(ValueError, match=re.escape(
+                f"batch index must be an integer, got {index!r}")):
+            spec.draw("noma", index)
+    assert spec.draw("noma", np.int64(0)).n_symbols == 20_000
     with pytest.raises(ValueError, match="unknown scheme"):
         spec.draw("dnoma", 0)
+    rng = np.random.default_rng(0)
+    assert simulator.Batch("NOMA", rng, 10).scheme == "noma"
+    with pytest.raises(ValueError, match="unknown scheme 'dnoma'"):
+        simulator.Batch("dnoma", rng, 10)
+
+
+def test_spec_must_be_a_simspec_or_a_batch():
+    cfg = SystemConfig.defaults()
+    batch = SimSpec(n_symbols=20_000, seed=3).draw("cnoma-wdl", 0)
+    for spec in (20_000, None, batch.receivers, {"n_symbols": 20_000}):
+        with pytest.raises(TypeError, match="spec must be a SimSpec or a Batch"):
+            simulator.simulate(cfg, "noma", spec)
+        with pytest.raises(TypeError, match="spec must be a SimSpec or a Batch"):
+            simulator.conditional_prop_stats(cfg, spec)
+    # a drawn batch of the combined scheme serves the conditional statistic too
+    stats = simulator.conditional_prop_stats(cfg, batch)
+    assert stats == simulator.conditional_prop_stats(cfg, SimSpec(n_symbols=20_000, seed=3))
+
+
+def _traced_peak(run) -> int:
+    """The peak of memory traced by ``tracemalloc`` while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("scheme", [*analytic.SCHEMES, "conditional"])
+def test_a_run_holds_one_batch_at_a_time(scheme):
+    """A SimSpec run draws each batch after freeing the last, so three
+    batches peak no higher than one; holding the previous batch while the
+    next is drawn would read close to twice as much."""
+    cfg = SystemConfig.defaults(snr_db=20.0)
+
+    def peak(n_symbols):
+        spec = SimSpec(n_symbols=n_symbols, seed=2)
+        if scheme == "conditional":
+            return _traced_peak(lambda: simulator.conditional_prop_stats(cfg, spec))
+        return _traced_peak(lambda: simulator.simulate(cfg, scheme, spec))
+
+    one, three = peak(100_000), peak(300_000)
+    assert three <= 1.2 * one, (one, three)
 
 
 def test_batch_shared_between_threads_gives_serial_counts():
@@ -624,8 +676,7 @@ def test_conditional_stats_without_relay_power():
     mc = simulator.simulate(cfg, "cnoma-wdl", spec)
     # a silent relay contributes no energy, so the analytic propagation
     # probability is zero and the user's fate rests on the direct link alone
-    assert analytic.prop_error(cfg.P_s * cfg.link_budget("s1").sigma_tilde_sq,
-                               cfg.P_r * cfg.link_budget("r1").sigma_tilde_sq) == 0.0
+    assert analytic.prop_error(cfg, "u1") == 0.0
     assert stats.events_u1 > 10_000
     assert not stats.low_confidence_u1
     # conditioning on a relay slip selects trials where the two bit streams
