@@ -17,31 +17,28 @@ Run:  python3 demos/02_monte_carlo_check.py
 
 import math
 
-from nomalink import scheme_ber, simulate
+from nomalink import experiments
 from nomalink.analytic import prop_error
+from nomalink.experiments import SweepSpec
 from nomalink.model import SystemConfig
 from nomalink.simulator import SimSpec, conditional_prop_stats
 
 sim = SimSpec(n_symbols=200_000, seed=11)
 
 
-def compare(cfg, label):
+def at_20_db(label, **kw):
+    """Both methods on a one-point SNR sweep, paired by ``experiments.compare``."""
     print(label)
-    for scheme in ("noma", "cnoma-wdl"):
-        mc = simulate(cfg, scheme, sim)
-        for user in ("u1", "u2"):
-            ana = scheme_ber(cfg, scheme, user)
-            se = mc.std_err(user)
-            sigma = (mc.ber(user) - ana) / se if se else float("nan")
-            print(f"  {scheme:9s} {user}  analytic={ana:.5f}  "
-                  f"simulated={mc.ber(user):.5f}  ({sigma:+.1f} sigma)")
+    spec = SweepSpec("snr_db", (20.0,), SystemConfig.defaults(**kw), ("noma", "cnoma-wdl"),
+                     sim=sim)
+    for r in experiments.compare(experiments.run_sweep(spec), 0.0):
+        print(f"  {r['scheme']:9s} {r['user']}  analytic={r['analytic']:.5f}  "
+              f"simulated={r['mc']:.5f}  ({r['sigmas']:+.1f} sigma)")
     print()
 
 
-compare(SystemConfig.defaults(snr_db=20.0, hwi_k=0.0, sigma_eps_sq=0.0),
-        "Clean transceiver at 20 dB (expect < 3 sigma):")
-compare(SystemConfig.defaults(snr_db=20.0),
-        "Reference impairments at 20 dB (formulas approximate, gap is real):")
+at_20_db("Clean transceiver at 20 dB (expect < 3 sigma):", hwi_k=0.0, sigma_eps_sq=0.0)
+at_20_db("Reference impairments at 20 dB (formulas approximate, gap is real):")
 
 print("Conditional view of a relayed error: far-user error rate given a relay slip")
 print("against the amplitude-race prediction prop_error, which neglects noise:")

@@ -62,8 +62,12 @@ def _load_spec(args) -> experiments.SweepSpec:
     swept = _SWEEP_OF_COMMAND.get(args.command, "snr_db")
     text = ""
     if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise experiments.ConfigError(
+                f"{args.config} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     flags = {key: getattr(args, key, None) for key in ("schemes", "methods", "symbols", "seed")}
     spec = experiments.parse_config(text, default_sweep=swept, flags=flags)
     if spec.swept_parameter != swept:

@@ -1,10 +1,10 @@
 """Parameter sweeps, CSV output and the flat-text config format.
 
 A sweep varies one parameter (transmit SNR, hardware-quality factor, or the
-power split) over a grid and evaluates closed-form and/or Monte Carlo BER
-for the requested schemes and users.  Monte Carlo batches run concurrently,
-each shared by every grid point, but rows come out in a fixed order:
-grid-major, then scheme, user, method.
+power split) over a grid and evaluates BER for the requested schemes and
+users by each requested method of :data:`METHODS`: closed forms, or Monte
+Carlo batches that run concurrently, each shared by every grid point.  Rows
+come out in a fixed order: grid-major, then scheme, user, method.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .model import SystemConfig
 _CONSTRUCTOR_OF_PARAMETER = {"snr_db": "with_snr_db", "hwi_k": "with_hwi",
                              "alpha1": "with_alpha1"}
 SWEPT_PARAMETERS = tuple(_CONSTRUCTOR_OF_PARAMETER)
-METHODS = ("analytic", "monte-carlo")
 
 CSV_HEADER = "swept_param,value,scheme,user,method,ber,std_err"
 
@@ -52,7 +51,7 @@ class SweepSpec:
     grid: tuple[float, ...]
     base: SystemConfig = field(default_factory=SystemConfig)
     schemes: tuple[str, ...] = analytic.SCHEMES
-    methods: tuple[str, ...] = METHODS
+    methods: tuple[str, ...] = field(default_factory=lambda: tuple(METHODS))
     sim: simulator.SimSpec = field(default_factory=simulator.SimSpec)
 
     def __post_init__(self):
@@ -67,7 +66,7 @@ class SweepSpec:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("grid values must be strictly increasing")
         object.__setattr__(self, "grid", grid)
-        for name, known in (("schemes", analytic.SCHEMES), ("methods", METHODS)):
+        for name, known in (("schemes", analytic.SCHEMES), ("methods", tuple(METHODS))):
             names = tuple(n.lower() for n in getattr(self, name))
             if not names or not set(names) <= set(known):
                 raise ValueError(f"{name} must be a nonempty subset of {known}")
@@ -113,80 +112,81 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
+def _attempt(evaluate, *args):
+    """``evaluate(*args)``, or the message of the exception it raised (its
+    type's name when the message is empty): a failed evaluation is recorded
+    in its rows and never aborts the sweep."""
+    try:
+        return evaluate(*args)
+    except Exception as exc:
+        return str(exc) or type(exc).__name__
+
+
+def _closed_forms(spec: SweepSpec, configs: list[SystemConfig], pool) -> dict:
+    """The ``analytic`` method: every closed form, on the calling thread."""
+    outcomes = {}
+    for point, cfg in enumerate(configs):
+        for scheme in spec.schemes:
+            for user in analytic.USERS:
+                ber = _attempt(analytic.scheme_ber, cfg, scheme, user)
+                outcomes[point, scheme, user] = ber if isinstance(ber, str) else (ber, None)
+    return outcomes
+
+
 def _simulate_batch(sim: simulator.SimSpec, configs: list[SystemConfig], scheme: str,
                     index: int) -> list:
     """One pool task: draw batch ``index`` of ``scheme`` once and simulate it
     at every grid point.  Each entry is that point's result or, when the draw
     or the simulation raised, its message."""
-    try:
-        batch = sim.draw(scheme, index)
-    except Exception as exc:  # record, never abort the sweep
-        return [str(exc)] * len(configs)
-    results = []
-    for cfg in configs:
-        try:
-            results.append(simulator.simulate(cfg, scheme, batch))
-        except Exception as exc:
-            results.append(str(exc))
-    return results
+    batch = _attempt(sim.draw, scheme, index)
+    if isinstance(batch, str):
+        return [batch] * len(configs)
+    return [_attempt(simulator.simulate, cfg, scheme, batch) for cfg in configs]
 
 
-def _total(per_batch: tuple) -> simulator.McResult | str:
-    """One grid point's counts summed over its batches, or the first error."""
-    for result in per_batch:
-        if isinstance(result, str):
-            return result
-    return simulator.McResult.from_counts(sum(r.trials for r in per_batch),
-                                          sum(r.errors_u1 for r in per_batch),
-                                          sum(r.errors_u2 for r in per_batch))
+def _simulations(spec: SweepSpec, configs: list[SystemConfig], pool) -> dict:
+    """The ``monte-carlo`` method: one pool task per (scheme, batch), so the
+    grid points share each batch's draws, yet each point's counts, summed over
+    its batches, equal those of ``simulate`` with the sweep's SimSpec.  A point
+    keeps the first error among its batches."""
+    tasks = {scheme: [pool.submit(_simulate_batch, spec.sim, configs, scheme, index)
+                      for index in range(len(spec.sim.batches()))]
+             for scheme in spec.schemes}
+    outcomes = {}
+    for scheme, per_batch in tasks.items():
+        for point, results in enumerate(zip(*(task.result() for task in per_batch))):
+            error = next((r for r in results if isinstance(r, str)), None)
+            if error is None:
+                total = simulator.McResult.from_counts(sum(r.trials for r in results),
+                                                       sum(r.errors_u1 for r in results),
+                                                       sum(r.errors_u2 for r in results))
+            for user in analytic.USERS:
+                outcomes[point, scheme, user] = error or (total.ber(user), total.std_err(user))
+    return outcomes
 
 
-def _closed_form(cfg: SystemConfig, scheme: str, user: str) -> float | str:
-    try:
-        return analytic.scheme_ber(cfg, scheme, user)
-    except Exception as exc:  # record, never abort the sweep
-        return str(exc)
+# Each method's evaluator maps (spec, configs, pool) to, for every (point, scheme,
+# user), a (ber, std_err) pair (std_err None for a closed form) or an error message.
+METHODS = {"analytic": _closed_forms, "monte-carlo": _simulations}
 
 
 def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> SweepResult:
-    """Evaluate the whole grid; rows come out in a fixed order.
-
-    The Monte Carlo work runs on a pool of ``max_workers`` threads (by
-    default one per usable core) as one task per (scheme, batch): the task
-    draws its batch once and simulates it at every grid point.  So the grid
-    points share each batch's draws, and each point's counts equal those of
-    ``simulate`` with the sweep's SimSpec.  The closed forms are evaluated
-    meanwhile on the calling thread.
-    """
+    """Evaluate the whole grid by each of ``spec.methods`` in turn, its
+    evaluator sharing a pool of ``max_workers`` threads (by default one per
+    usable core); rows come out in a fixed order."""
     configs = [spec.config_at(value) for value in spec.grid]
     workers = _cores() if max_workers is None else max_workers
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        tasks = {}
-        if "monte-carlo" in spec.methods:
-            tasks = {scheme: [pool.submit(_simulate_batch, spec.sim, configs, scheme, index)
-                              for index in range(len(spec.sim.batches()))]
-                     for scheme in spec.schemes}
-        closed = {}
-        if "analytic" in spec.methods:
-            closed = {(point, scheme, user): _closed_form(cfg, scheme, user)
-                      for point, cfg in enumerate(configs) for scheme in spec.schemes
-                      for user in analytic.USERS}
-        mc = {scheme: [_total(point) for point in zip(*(task.result() for task in per_batch))]
-              for scheme, per_batch in tasks.items()}
+        outcomes = {method: METHODS[method](spec, configs, pool) for method in spec.methods}
     rows = []
     for point, value in enumerate(spec.grid):
         for scheme in spec.schemes:
             for user in analytic.USERS:
                 for method in spec.methods:
                     key = (spec.swept_parameter, value, scheme, user, method)
-                    outcome = (closed[point, scheme, user] if method == "analytic"
-                               else mc[scheme][point])
-                    if isinstance(outcome, str):
-                        rows.append(SweepRow(*key, math.nan, None, outcome))
-                    elif method == "analytic":
-                        rows.append(SweepRow(*key, outcome))
-                    else:
-                        rows.append(SweepRow(*key, outcome.ber(user), outcome.std_err(user)))
+                    outcome = outcomes[method][point, scheme, user]
+                    fields = (math.nan, None, outcome) if isinstance(outcome, str) else outcome
+                    rows.append(SweepRow(*key, *fields))
     return SweepResult(spec=spec, rows=tuple(rows))
 
 
@@ -203,8 +203,8 @@ def compare(result: SweepResult, threshold: float) -> list[dict]:
     within three standard errors; a row whose evaluation failed (NaN) is
     checked and not ok, never skipped.
     """
-    if set(result.spec.methods) != set(METHODS):
-        raise ValueError(f"compare needs a sweep over both methods {METHODS}")
+    if not {"analytic", "monte-carlo"} <= set(result.spec.methods):
+        raise ValueError("compare needs a sweep over both methods ('analytic', 'monte-carlo')")
     mc_rows = {(r.value, r.scheme, r.user): r for r in result.rows
                if r.method == "monte-carlo"}
     records = []
@@ -368,6 +368,6 @@ def _spec_from_keys(seen: dict, default_sweep: str) -> SweepSpec:
             snr_db=seen.get("snr_db", _DEFAULT_OPERATING_SNR[swept]), **base_kw)
         return SweepSpec(swept, seen.get("grid", DEFAULT_GRIDS[swept]), base,
                          seen.get("schemes", analytic.SCHEMES),
-                         seen.get("methods", METHODS), simulator.SimSpec(**sim_kw))
+                         seen.get("methods", tuple(METHODS)), simulator.SimSpec(**sim_kw))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -5,6 +5,7 @@ import io
 import math
 import os
 import re
+from pathlib import Path
 
 import pytest
 
@@ -103,15 +104,18 @@ def test_analytic_failure_is_recorded_not_raised(monkeypatch):
 
 
 def test_simulation_failure_is_recorded_not_raised(monkeypatch):
-    def boom(cfg, scheme, spec):
-        raise RuntimeError("synthetic simulation failure")
-    monkeypatch.setattr(experiments.simulator, "simulate", boom)
     spec = SweepSpec(swept_parameter="snr_db", grid=(0.0,), schemes=("noma",), sim=FAST_SIM)
-    rows = run_sweep(spec).rows
-    by_method = {r.method: r for r in rows if r.user == "u1"}
-    assert by_method["analytic"].error is None
-    assert math.isnan(by_method["monte-carlo"].ber)
-    assert "synthetic simulation failure" in by_method["monte-carlo"].error
+    # an exception without a message is recorded by its type's name
+    for exc, message in ((RuntimeError("synthetic simulation failure"),
+                          "synthetic simulation failure"), (RuntimeError(), "RuntimeError")):
+        def boom(cfg, scheme, spec, exc=exc):
+            raise exc
+        monkeypatch.setattr(experiments.simulator, "simulate", boom)
+        rows = run_sweep(spec).rows
+        by_method = {r.method: r for r in rows if r.user == "u1"}
+        assert by_method["analytic"].error is None
+        assert math.isnan(by_method["monte-carlo"].ber)
+        assert by_method["monte-carlo"].error == message
 
 
 @pytest.mark.parametrize("swept, grid", [
@@ -132,6 +136,33 @@ def test_sweep_shares_each_batch_yet_every_point_equals_simulate(swept, grid):
             mc = simulator.simulate(spec.config_at(row.value), row.scheme, spec.sim)
             assert (row.ber, row.std_err) == (mc.ber(row.user), mc.std_err(row.user)), row
     assert run_sweep(spec, max_workers=1).rows == rows
+
+
+def test_method_table_is_the_one_place_that_names_a_method(monkeypatch):
+    def fake(spec, configs, pool):
+        return {(point, scheme, user): (point / 8, 0.01) if user == "u1" else "no u2"
+                for point in range(len(configs)) for scheme in spec.schemes
+                for user in ("u1", "u2")}
+
+    monkeypatch.setitem(experiments.METHODS, "fake", fake)
+    assert SweepSpec("snr_db", (0.0,), methods=("analytic", "fake")).methods == \
+        ("analytic", "fake")
+    assert parse_config("methods = analytic, fake").methods == ("analytic", "fake")
+    spec = SweepSpec("snr_db", (0.0, 10.0), schemes=("noma", "cnoma"), sim=FAST_SIM,
+                     methods=("analytic", "monte-carlo", "fake"))
+    result = run_sweep(spec)
+    assert [(r.value, r.scheme, r.user, r.method) for r in result.rows] == [
+        (v, s, u, m) for v in (0.0, 10.0) for s in ("noma", "cnoma") for u in ("u1", "u2")
+        for m in ("analytic", "monte-carlo", "fake")]
+    for row in result.rows:
+        if row.method == "fake" and row.user == "u1":
+            point = spec.grid.index(row.value)
+            assert (row.ber, row.std_err, row.error) == (point / 8, 0.01, None)
+        elif row.method == "fake":
+            assert math.isnan(row.ber) and (row.std_err, row.error) == (None, "no u2")
+    paired = run_sweep(SweepSpec("snr_db", (0.0, 10.0), schemes=("noma", "cnoma"),
+                                 sim=FAST_SIM, methods=("analytic", "monte-carlo")))
+    assert experiments.compare(result, 1e-4) == experiments.compare(paired, 1e-4)
 
 
 def test_sweep_pool_defaults_to_the_usable_cores(monkeypatch):
@@ -467,13 +498,15 @@ def test_cli_rejects_config_sweeping_another_parameter(tmp_path, capsys):
      "methods must not repeat an entry, got ('analytic', 'monte-carlo', 'monte-carlo')"),
     ("validate", None, ["--schemes", "noma,noma", "--symbols", "10000"],
      "schemes must not repeat an entry, got ('noma', 'noma')"),
+    ("sweep-snr", b"\xff\xfe grid = 0\n", [],
+     "a.cfg is not UTF-8 text (invalid start byte at byte 0)"),
 ])
 def test_cli_rejects_swept_key_and_repeated_entries(command, text, flags, message,
-                                                    tmp_path, capsys):
+                                                    tmp_path, capsys, monkeypatch):
     if text is not None:
-        cfg = tmp_path / "a.cfg"
-        cfg.write_text(text)
-        flags = ["--config", str(cfg), *flags]
+        monkeypatch.chdir(tmp_path)  # so that a message naming the file is fixed
+        Path("a.cfg").write_bytes(text if isinstance(text, bytes) else text.encode())
+        flags = ["--config", "a.cfg", *flags]
     assert cli.main([command, *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
