@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Four subcommands: ``sweep-snr``, ``sweep-hwi`` and ``sweep-pa`` run the
-corresponding parameter sweep and write CSV; ``validate`` runs both methods
+One subcommand per entry of :data:`nomalink.experiments.SWEEPS`
+(``sweep-snr``, ``sweep-hwi``, ``sweep-pa``) runs that parameter's sweep and
+writes CSV; ``validate`` runs both methods
 over the reference SNR grid on the sweep pool, compares them with
 :func:`nomalink.experiments.compare` and exits nonzero if any point
 disagrees beyond three standard errors.
@@ -15,20 +16,14 @@ import dataclasses
 import sys
 from collections import Counter
 
-from . import experiments
-
-_SWEEP_OF_COMMAND = {
-    "sweep-snr": "snr_db",
-    "sweep-hwi": "hwi_k",
-    "sweep-pa": "alpha1",
-}
+from . import analytic, experiments
 
 VALIDATE_SNR_GRID = tuple(float(v) for v in range(0, 35, 5))
 
 
 def _add_sim_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--schemes", metavar="LIST",
-                        help="comma-separated subset of: noma, cnoma, cnoma-wdl")
+                        help=f"comma-separated subset of: {', '.join(analytic.SCHEMES)}")
     parser.add_argument("--symbols", metavar="N",
                         help="Monte Carlo symbol pairs per grid point")
     parser.add_argument("--seed", metavar="N", help="Monte Carlo seed")
@@ -41,39 +36,40 @@ def _build_parser() -> argparse.ArgumentParser:
                     "under hardware and channel-estimation impairments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, swept in _SWEEP_OF_COMMAND.items():
-        p = sub.add_parser(command, help=f"sweep {swept} and write CSV")
+    for swept, sweep in experiments.SWEEPS.items():
+        p = sub.add_parser(sweep.command, help=f"sweep {swept} and write CSV")
         p.add_argument("--config", metavar="PATH",
                        help="flat key = value sweep config (see the README)")
         p.add_argument("--out", metavar="PATH", default="-",
                        help="output CSV path, '-' for stdout (default)")
         p.add_argument("--methods", metavar="LIST",
-                       help="comma-separated subset of: analytic, mc")
+                       help=f"comma-separated subset of: {', '.join(experiments.METHODS)}")
         _add_sim_flags(p)
+        p.set_defaults(swept=swept, run=_run_sweep_command)
     v = sub.add_parser("validate",
                        help="compare simulation against the closed forms "
                             "on the reference grid")
     _add_sim_flags(v)
+    v.set_defaults(swept="snr_db", run=_validate_command)
     return parser
 
 
 def _load_spec(args) -> experiments.SweepSpec:
     """The command's config file, if any, with its flags as keys that override it."""
-    swept = _SWEEP_OF_COMMAND.get(args.command, "snr_db")
     text = ""
     if getattr(args, "config", None):
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with open(args.config, encoding="utf-8-sig") as fh:
                 text = fh.read()
         except UnicodeDecodeError as exc:
             raise experiments.ConfigError(
                 f"{args.config} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     flags = {key: getattr(args, key, None) for key in ("schemes", "methods", "symbols", "seed")}
-    spec = experiments.parse_config(text, default_sweep=swept, flags=flags)
-    if spec.swept_parameter != swept:
+    spec = experiments.parse_config(text, default_sweep=args.swept, flags=flags)
+    if spec.swept_parameter != args.swept:
         raise experiments.ConfigError(
             f"{args.config} sweeps {spec.swept_parameter} but {args.command} "
-            f"sweeps {swept}")
+            f"sweeps {args.swept}")
     return spec
 
 
@@ -133,9 +129,7 @@ def _validate_command(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "validate":
-            return _validate_command(args)
-        return _run_sweep_command(args)
+        return args.run(args)
     except (experiments.ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,24 +13,34 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import analytic, simulator
 from .model import SystemConfig
 
-# The SystemConfig copy constructor that sets each swept parameter.  It is
-# looked up by name on each call, so a wrapper installed on the class (as
-# benchmarks/tracing.py does) sees every grid point.
-_CONSTRUCTOR_OF_PARAMETER = {"snr_db": "with_snr_db", "hwi_k": "with_hwi",
-                             "alpha1": "with_alpha1"}
-SWEPT_PARAMETERS = tuple(_CONSTRUCTOR_OF_PARAMETER)
-
 CSV_HEADER = "swept_param,value,scheme,user,method,ber,std_err"
 
-DEFAULT_SNR_GRID = tuple(float(v) for v in range(0, 45, 5))
-DEFAULT_HWI_GRID = tuple(round(0.025 * i, 3) for i in range(0, 9))
-DEFAULT_ALPHA_GRID = tuple(round(0.55 + 0.05 * i, 2) for i in range(0, 9))
-DEFAULT_GRIDS = {"snr_db": DEFAULT_SNR_GRID, "hwi_k": DEFAULT_HWI_GRID,
-                 "alpha1": DEFAULT_ALPHA_GRID}
+
+class Sweep(NamedTuple):
+    """What the package knows of one swept parameter."""
+
+    command: str                # the command-line subcommand that runs it
+    constructor: str            # the SystemConfig copy constructor that sets it
+    grid: tuple[float, ...]     # default grid
+    snr_db: float               # default operating SNR
+
+
+# One record per swept parameter.  The copy constructor is looked up by name
+# on each call, so a wrapper installed on the class (as benchmarks/tracing.py
+# does) sees every grid point.  The operating SNR of an SNR sweep is a
+# placeholder (each grid point replaces it); hardware sweeps run at high SNR,
+# where the floor shows, power-split sweeps at the usual mid-SNR setting.
+SWEEPS = {
+    "snr_db": Sweep("sweep-snr", "with_snr_db", tuple(map(float, range(0, 45, 5))), 40.0),
+    "hwi_k": Sweep("sweep-hwi", "with_hwi", tuple(round(0.025 * i, 3) for i in range(9)), 40.0),
+    "alpha1": Sweep("sweep-pa", "with_alpha1",
+                    tuple(round(0.55 + 0.05 * i, 2) for i in range(9)), 20.0),
+}
 
 
 class ConfigError(ValueError):
@@ -55,9 +65,9 @@ class SweepSpec:
     sim: simulator.SimSpec = field(default_factory=simulator.SimSpec)
 
     def __post_init__(self):
-        if self.swept_parameter not in SWEPT_PARAMETERS:
+        if self.swept_parameter not in SWEEPS:
             raise ValueError(
-                f"swept_parameter must be one of {SWEPT_PARAMETERS}, "
+                f"swept_parameter must be one of {tuple(SWEEPS)}, "
                 f"got {self.swept_parameter!r}"
             )
         grid = tuple(float(v) for v in self.grid)
@@ -77,7 +87,7 @@ class SweepSpec:
             self.config_at(value)  # every grid point must yield a valid scenario
 
     def config_at(self, value: float) -> SystemConfig:
-        return getattr(self.base, _CONSTRUCTOR_OF_PARAMETER[self.swept_parameter])(value)
+        return getattr(self.base, SWEEPS[self.swept_parameter].constructor)(value)
 
 
 @dataclass(frozen=True)
@@ -253,8 +263,6 @@ def emit_csv(result: SweepResult) -> str:
 # Each key's parser turns the text of its value, from a file line or from the
 # command-line flag of the same name, into what the sweep spec holds.
 
-_ALIASES = {"mc": "monte-carlo"}
-
 
 def _number(kind):
     what = "integer" if kind is int else "number"
@@ -276,30 +284,28 @@ def _list_of(parse_entry, what):
     return parse
 
 
-def _name_in(known, what):
+def _name_in(known, what, aliases=None):
+    """A parser of one name of ``known``, any case, or of its alias."""
     def parse(key, text):
-        name = _ALIASES.get(text.lower(), text.lower())
+        name = (aliases or {}).get(text.lower(), text.lower())
         if name not in known:
-            raise ConfigError(f"unknown {what} {name!r}")
+            raise ConfigError(f"unknown {what} {text!r}, expected one of {tuple(known)}")
         return name
     return parse
 
 
-def _sweep(key, text):
-    if text not in SWEPT_PARAMETERS:
-        raise ConfigError(f"sweep must be one of {SWEPT_PARAMETERS}, got {text!r}")
-    return text
-
+# The scenario keys that SystemConfig.defaults takes as they are; snr_db and
+# alpha1 (which also sets alpha2) are the other two.
+_SCENARIO_KEYS = ("d_s1", "d_s2", "d_sr", "d_r1", "d_r2", "a", "sigma_eps_sq", "hwi_k")
 
 _PARSERS = {
-    "sweep": _sweep,
+    "sweep": _name_in(SWEEPS, "sweep"),
     "grid": _list_of(_number(float), "grid"),
     "schemes": _list_of(_name_in(analytic.SCHEMES, "scheme"), "scheme"),
-    "methods": _list_of(_name_in(METHODS, "method"), "method"),
+    "methods": _list_of(_name_in(METHODS, "method", {"mc": "monte-carlo"}), "method"),
     "symbols": _number(int),
     "seed": _number(int),
-    **dict.fromkeys(("d_s1", "d_s2", "d_sr", "d_r1", "d_r2", "a", "alpha1", "hwi_k",
-                     "sigma_eps_sq", "snr_db"), _number(float)),
+    **dict.fromkeys((*_SCENARIO_KEYS, "snr_db", "alpha1"), _number(float)),
 }
 
 
@@ -314,12 +320,12 @@ def parse_config(text: str, default_sweep: str = "snr_db",
     each given flag is parsed like its key's file line and overrides it.
     Recognized keys:
 
-    ``sweep`` (snr_db | hwi_k | alpha1), ``grid``, ``schemes``, ``methods``,
-    ``symbols``, ``seed``, ``snr_db`` (the operating point for non-SNR
-    sweeps: 40 dB for hardware sweeps, 20 dB for power-split sweeps unless
-    set here), ``alpha1``, ``hwi_k`` (all five links), ``sigma_eps_sq``,
-    the five distances ``d_s1 .. d_r2`` and the path-loss exponent ``a``.
-    The swept parameter's own key is rejected: its values are ``grid``.
+    ``sweep`` (a key of :data:`SWEEPS`, any case), ``grid``, ``schemes``,
+    ``methods``, ``symbols``, ``seed``, ``snr_db`` (the operating point for
+    non-SNR sweeps; by default the swept parameter's record gives it),
+    ``alpha1``, ``hwi_k`` (all five links), ``sigma_eps_sq``, the five
+    distances ``d_s1 .. d_r2`` and the path-loss exponent ``a``.  The swept
+    parameter's own key is rejected: its values are ``grid``.
     """
     seen: dict[str, object] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -344,29 +350,19 @@ def parse_config(text: str, default_sweep: str = "snr_db",
     return _spec_from_keys(seen, default_sweep)
 
 
-# Operating point when the config does not set one: the SNR-sweep value is a
-# placeholder (each grid point replaces it), hardware sweeps run at high SNR
-# where the floor behavior shows, power-split sweeps at the usual mid-SNR
-# benchmark setting.
-_DEFAULT_OPERATING_SNR = {"snr_db": 40.0, "hwi_k": 40.0, "alpha1": 20.0}
-
-
 def _spec_from_keys(seen: dict, default_sweep: str) -> SweepSpec:
     swept = seen.get("sweep", default_sweep)
     if swept in seen:
         raise ConfigError(f"key {swept!r} sets the swept parameter; "
                           f"list its values in 'grid' instead")
-    base_kw = {key: seen[key] for key in ("d_s1", "d_s2", "d_sr", "d_r1", "d_r2", "a",
-                                          "sigma_eps_sq", "hwi_k") if key in seen}
+    base_kw = {key: seen[key] for key in _SCENARIO_KEYS if key in seen}
     if "alpha1" in seen:
-        base_kw["alpha1"] = seen["alpha1"]
-        base_kw["alpha2"] = 1.0 - seen["alpha1"]
+        base_kw.update(alpha1=seen["alpha1"], alpha2=1.0 - seen["alpha1"])
     sim_kw = {name: seen[key] for key, name in (("symbols", "n_symbols"), ("seed", "seed"))
               if key in seen}
     try:
-        base = SystemConfig.defaults(
-            snr_db=seen.get("snr_db", _DEFAULT_OPERATING_SNR[swept]), **base_kw)
-        return SweepSpec(swept, seen.get("grid", DEFAULT_GRIDS[swept]), base,
+        base = SystemConfig.defaults(snr_db=seen.get("snr_db", SWEEPS[swept].snr_db), **base_kw)
+        return SweepSpec(swept, seen.get("grid", SWEEPS[swept].grid), base,
                          seen.get("schemes", analytic.SCHEMES),
                          seen.get("methods", tuple(METHODS)), simulator.SimSpec(**sim_kw))
     except ValueError as exc:

@@ -38,11 +38,15 @@ _ALPHA_SUM_TOL = 1e-12
 
 def _power_at_snr_db(snr_db: float) -> float:
     """Transmit power 10**(snr_db/10) at N0 = 1; an SNR past the float range
-    gives inf, which SystemConfig then rejects by name."""
+    gives inf, which SystemConfig then rejects by name.  No SNR means zero
+    power, which SystemConfig accepts, so -inf (or an underflow) is refused."""
     try:
-        return 10.0 ** (snr_db / 10.0)
+        power = 10.0 ** (snr_db / 10.0)
     except OverflowError:
         return math.inf
+    if power == 0.0:
+        raise ValueError(f"snr_db must give a positive power, got {snr_db}")
+    return power
 
 
 @dataclass(frozen=True)

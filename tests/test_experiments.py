@@ -12,8 +12,7 @@ import pytest
 from nomalink import analytic, cli, experiments, simulator
 from nomalink.experiments import (
     CSV_HEADER,
-    DEFAULT_HWI_GRID,
-    DEFAULT_SNR_GRID,
+    SWEEPS,
     ConfigError,
     SweepSpec,
     emit_csv,
@@ -87,7 +86,7 @@ def test_rows_come_out_in_deterministic_order():
 
 
 def test_reference_sweep_cardinality():
-    spec = SweepSpec(swept_parameter="snr_db", grid=DEFAULT_SNR_GRID, sim=FAST_SIM)
+    spec = SweepSpec(swept_parameter="snr_db", grid=SWEEPS["snr_db"].grid, sim=FAST_SIM)
     result = run_sweep(spec)
     assert len(result.rows) == 9 * 3 * 2 * 2 == 108
 
@@ -138,7 +137,7 @@ def test_sweep_shares_each_batch_yet_every_point_equals_simulate(swept, grid):
     assert run_sweep(spec, max_workers=1).rows == rows
 
 
-def test_method_table_is_the_one_place_that_names_a_method(monkeypatch):
+def test_method_table_is_the_one_place_that_names_a_method(monkeypatch, capsys):
     def fake(spec, configs, pool):
         return {(point, scheme, user): (point / 8, 0.01) if user == "u1" else "no u2"
                 for point in range(len(configs)) for scheme in spec.schemes
@@ -148,6 +147,9 @@ def test_method_table_is_the_one_place_that_names_a_method(monkeypatch):
     assert SweepSpec("snr_db", (0.0,), methods=("analytic", "fake")).methods == \
         ("analytic", "fake")
     assert parse_config("methods = analytic, fake").methods == ("analytic", "fake")
+    with pytest.raises(SystemExit):
+        cli.main(["sweep-snr", "--help"])
+    assert "subset of: analytic, monte-carlo, fake" in " ".join(capsys.readouterr().out.split())
     spec = SweepSpec("snr_db", (0.0, 10.0), schemes=("noma", "cnoma"), sim=FAST_SIM,
                      methods=("analytic", "monte-carlo", "fake"))
     result = run_sweep(spec)
@@ -247,7 +249,7 @@ _CSV_SHA256 = {
 
 @pytest.mark.parametrize("swept", sorted(_CSV_SHA256))
 def test_sweep_csv_is_pinned(swept):
-    spec = SweepSpec(swept_parameter=swept, grid=experiments.DEFAULT_GRIDS[swept],
+    spec = SweepSpec(swept_parameter=swept, grid=SWEEPS[swept].grid,
                      base=SystemConfig.defaults(snr_db=20.0),
                      sim=SimSpec(n_symbols=20_000, seed=3))
     csv = emit_csv(run_sweep(spec))
@@ -257,7 +259,7 @@ def test_sweep_csv_is_pinned(swept):
 def test_parse_config_empty_gives_reference_sweep():
     spec = parse_config("")
     assert spec.swept_parameter == "snr_db"
-    assert spec.grid == DEFAULT_SNR_GRID
+    assert spec.grid == SWEEPS["snr_db"].grid
     assert spec.schemes == ("noma", "cnoma", "cnoma-wdl")
     assert spec.methods == ("analytic", "monte-carlo")
     assert spec.sim.n_symbols == 1_000_000 and spec.sim.seed == 1
@@ -305,6 +307,8 @@ def test_parse_config_operating_point_defaults():
     assert parse_config("sweep = hwi_k").base.P_s == pytest.approx(1e4)
     assert parse_config("sweep = alpha1").base.P_s == pytest.approx(100.0)
     assert parse_config("sweep = alpha1\nsnr_db = 10").base.P_s == pytest.approx(10.0)
+    # the sweep key is a name like schemes and methods: any case
+    assert parse_config("sweep = HWI_K").swept_parameter == "hwi_k"
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -314,8 +318,10 @@ def test_parse_config_operating_point_defaults():
     ("seed = 1\nseed = 2", "line 2: duplicate"),
     ("grid = 1, two, 3", "invalid number"),
     ("symbols = 1e4", "invalid integer"),
-    ("sweep = power", "sweep must be one of"),
+    ("sweep = power", "unknown sweep 'power'"),
     ("schemes = noma, pdma", "unknown scheme"),
+    # the mc alias is a method's alone, and the message quotes the text as written
+    ("schemes = mc", "unknown scheme 'mc'"),
     ("methods = quadrature", "unknown method"),
     ("schemes = noma,,cnoma", "line 1: empty entry in scheme list"),
     ("methods = analytic,", "empty entry in method list"),
@@ -383,19 +389,22 @@ def test_cli_snr_sweep_to_file(tmp_path):
     assert {line.split(",")[0] for line in lines[1:]} == {"snr_db"}
 
 
-def test_cli_subcommand_picks_the_swept_parameter(tmp_path):
+@pytest.mark.parametrize("text", [b"schemes = noma\nsymbols = 10000\n",
+                                  b"\xef\xbb\xbfschemes = noma\r\nsymbols = 10000\r\n"],
+                         ids=["plain", "bom-crlf"])
+def test_cli_subcommand_picks_the_swept_parameter(text, tmp_path):
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("schemes = noma\nsymbols = 10000\n")
+    cfg.write_bytes(text)
     out = tmp_path / "hwi.csv"
     code = cli.main(["sweep-hwi", "--config", str(cfg), "--methods", "analytic",
                      "--out", str(out)])
     assert code == 0
     values = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
-    assert sorted(set(values)) == list(DEFAULT_HWI_GRID)
+    assert sorted(set(values)) == list(SWEEPS["hwi_k"].grid)
 
 
 def test_default_hwi_grid_holds_the_reference_level(capsys):
-    assert 0.175 in DEFAULT_HWI_GRID
+    assert 0.175 in SWEEPS["hwi_k"].grid
     assert cli.main(["sweep-hwi", "--methods", "analytic", "--schemes", "noma"]) == 0
     values = [line.split(",")[1] for line in capsys.readouterr().out.splitlines()[1:]]
     assert sorted(set(values), key=float) == ["0.0", "0.025", "0.05", "0.075", "0.1",
@@ -463,6 +472,10 @@ def test_cli_bad_numbers_exit_2_with_one_error_line(command, flags, capsys):
     ("sweep-hwi", "sweep = hwi_k\ngrid = nan\n", "k_s1 must be finite, got nan"),
     ("sweep-snr", "grid = 0, 4000\n", "P_s must be finite, got inf"),
     ("sweep-pa", "sweep = alpha1\nsnr_db = inf\n", "P_s must be finite, got inf"),
+    # an SNR of -inf would mean zero power, which SystemConfig accepts
+    ("sweep-snr", "grid = -inf, 0\n", "snr_db must give a positive power, got -inf"),
+    ("sweep-hwi", "sweep = hwi_k\nsnr_db = -inf\n",
+     "snr_db must give a positive power, got -inf"),
 ])
 def test_cli_rejects_non_finite_scenario_with_one_error_line(command, text, message,
                                                              tmp_path, capsys):
