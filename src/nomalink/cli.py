@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import dataclasses
 import sys
+import warnings
 from collections import Counter
 
 from . import analytic, experiments
@@ -55,7 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_spec(args) -> experiments.SweepSpec:
-    """The command's config file, if any, with its flags as keys that override it."""
+    """The command's config file, if any, with its flags as keys that override it;
+    each warning of the parser goes to stderr as one ``warning:`` line."""
     text = ""
     if getattr(args, "config", None):
         try:
@@ -65,11 +67,15 @@ def _load_spec(args) -> experiments.SweepSpec:
             raise experiments.ConfigError(
                 f"{args.config} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     flags = {key: getattr(args, key, None) for key in ("schemes", "methods", "symbols", "seed")}
-    spec = experiments.parse_config(text, default_sweep=args.swept, flags=flags)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", experiments.ConfigWarning)
+        spec = experiments.parse_config(text, default_sweep=args.swept, flags=flags)
     if spec.swept_parameter != args.swept:
         raise experiments.ConfigError(
             f"{args.config} sweeps {spec.swept_parameter} but {args.command} "
             f"sweeps {args.swept}")
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     return spec
 
 

@@ -3,7 +3,8 @@
 A sweep varies one parameter (transmit SNR, hardware-quality factor, or the
 power split) over a grid and evaluates BER for the requested schemes and
 users by each requested method of :data:`METHODS`: closed forms, or Monte
-Carlo batches that run concurrently, each shared by every grid point.  Rows
+Carlo batches that run concurrently, each shared by every grid point and
+every scheme it serves.  Rows
 come out in a fixed order: grid-major, then scheme, user, method.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -45,6 +47,10 @@ SWEEPS = {
 
 class ConfigError(ValueError):
     """A sweep config file could not be understood."""
+
+
+class ConfigWarning(UserWarning):
+    """A sweep config sets a key that the sweep it describes never reads."""
 
 
 @dataclass(frozen=True)
@@ -143,28 +149,35 @@ def _closed_forms(spec: SweepSpec, configs: list[SystemConfig], pool) -> dict:
     return outcomes
 
 
-def _simulate_batch(sim: simulator.SimSpec, configs: list[SystemConfig], scheme: str,
-                    index: int) -> list:
-    """One pool task: draw batch ``index`` of ``scheme`` once and simulate it
-    at every grid point.  Each entry is that point's result or, when the draw
-    or the simulation raised, its message."""
-    batch = _attempt(sim.draw, scheme, index)
+def _simulate_batch(sim: simulator.SimSpec, configs: list[SystemConfig], carrier: str,
+                    schemes: tuple[str, ...], index: int) -> dict[str, list]:
+    """One pool task: draw batch ``index`` for ``carrier`` once and simulate
+    each of ``schemes``, the schemes it serves, on it at every grid point.
+    Each scheme's entries are, per point, its result or, when the draw or
+    the simulation raised, the message."""
+    batch = _attempt(sim.draw, carrier, index)
     if isinstance(batch, str):
-        return [batch] * len(configs)
-    return [_attempt(simulator.simulate, cfg, scheme, batch) for cfg in configs]
+        return dict.fromkeys(schemes, [batch] * len(configs))
+    return {scheme: [_attempt(simulator.simulate, cfg, scheme, batch) for cfg in configs]
+            for scheme in schemes}
 
 
 def _simulations(spec: SweepSpec, configs: list[SystemConfig], pool) -> dict:
-    """The ``monte-carlo`` method: one pool task per (scheme, batch), so the
-    grid points share each batch's draws, yet each point's counts, summed over
-    its batches, equal those of ``simulate`` with the sweep's SimSpec.  A point
-    keeps the first error among its batches."""
-    tasks = {scheme: [pool.submit(_simulate_batch, spec.sim, configs, scheme, index)
-                      for index in range(len(spec.sim.batches()))]
-             for scheme in spec.schemes}
+    """The ``monte-carlo`` method: one pool task per (carrier, batch)
+    (``simulator.carriers``), so the grid points, and the schemes one batch
+    serves, share each batch's draws, yet each point's counts, summed over
+    its batches, equal those of ``simulate`` with the sweep's SimSpec.  A
+    point keeps the first error among its batches."""
+    tasks = [pool.submit(_simulate_batch, spec.sim, configs, carrier, schemes, index)
+             for carrier, schemes in simulator.carriers(spec.schemes).items()
+             for index in range(len(spec.sim.batches()))]
+    per_batch = {scheme: [] for scheme in spec.schemes}
+    for task in tasks:
+        for scheme, results in task.result().items():
+            per_batch[scheme].append(results)
     outcomes = {}
-    for scheme, per_batch in tasks.items():
-        for point, results in enumerate(zip(*(task.result() for task in per_batch))):
+    for scheme, batches in per_batch.items():
+        for point, results in enumerate(zip(*batches)):
             error = next((r for r in results if isinstance(r, str)), None)
             if error is None:
                 total = simulator.McResult.from_counts(sum(r.trials for r in results),
@@ -325,7 +338,9 @@ def parse_config(text: str, default_sweep: str = "snr_db",
     non-SNR sweeps; by default the swept parameter's record gives it),
     ``alpha1``, ``hwi_k`` (all five links), ``sigma_eps_sq``, the five
     distances ``d_s1 .. d_r2`` and the path-loss exponent ``a``.  The swept
-    parameter's own key is rejected: its values are ``grid``.
+    parameter's own key is rejected: its values are ``grid``.  ``symbols``
+    or ``seed`` without ``monte-carlo`` among the methods is read but
+    unused, and warned of with a :class:`ConfigWarning`.
     """
     seen: dict[str, object] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -362,8 +377,14 @@ def _spec_from_keys(seen: dict, default_sweep: str) -> SweepSpec:
               if key in seen}
     try:
         base = SystemConfig.defaults(snr_db=seen.get("snr_db", SWEEPS[swept].snr_db), **base_kw)
-        return SweepSpec(swept, seen.get("grid", SWEEPS[swept].grid), base,
+        spec = SweepSpec(swept, seen.get("grid", SWEEPS[swept].grid), base,
                          seen.get("schemes", analytic.SCHEMES),
                          seen.get("methods", tuple(METHODS)), simulator.SimSpec(**sim_kw))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    ignored = [key for key in ("symbols", "seed") if key in seen]
+    if ignored and "monte-carlo" not in spec.methods:
+        verb = "apply" if len(ignored) > 1 else "applies"
+        warnings.warn(f"{' and '.join(ignored)} only {verb} to monte-carlo, which methods "
+                      f"leaves out; ignored", ConfigWarning, stacklevel=3)
+    return spec

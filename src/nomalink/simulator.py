@@ -60,7 +60,8 @@ class SimSpec:
 
     def draw(self, scheme: str, index: int) -> "Batch":
         """Draw batch ``index`` of this run for ``scheme``, from the batch's
-        own stream: bits m1 and m2, then four variates per receiver."""
+        own stream: bits m1 and m2, then four variates per receiver.  The
+        batch also serves every scheme ``scheme`` carries (``carriers``)."""
         if not isinstance(index, numbers.Integral):
             raise ValueError(f"batch index must be an integer, got {index!r}")
         sizes = self.batches()
@@ -125,38 +126,43 @@ class CondPropStats:
 
 
 class Batch:
-    """One batch of a run's random draws for one scheme, drawn once.
+    """One batch of a run's random draws, drawn once for one scheme, its
+    carrier, and serving every scheme whose receivers begin the carrier's.
 
     Built by :meth:`SimSpec.draw`; a :class:`SimSpec` run is its batches,
     drawn and simulated one at a time.  ``bits`` holds the BPSK bits m1 and
     m2 as +-1 floats.  ``receivers`` holds one row of four per receiver, in
     the order of ``_receiver_links``: as drawn, the four standard variates
     of ``_receive``, an exponential x and three normals e_par, e_perp and z.
+    The stream is drawn in that order, so a batch starts with the draws of
+    every scheme whose receivers are a prefix of its own (``carriers``): a
+    cnoma-wdl batch's bits and first two rows are noma's batch of the same
+    seed and index, bit for bit, and noma reads only those.
 
-    The first simulation settles the batch to its scenario's geometry, the
-    estimation-error variance sigma_eps_sq and the estimate variance
-    sigma~^2 of each link the scheme hears (``_settle``).  Settling turns
-    each receiver's variates, in place, into the four terms of ``_receive``
-    that no sweep parameter changes: g = |h~|^2, the field f along h~,
-    s = |h~ + e|^2, and z.  Every later simulation runs only the tail that
-    powers, hardware factors and the split change, and one of another
-    geometry raises ValueError.  The grid points of a sweep share one
-    geometry, so they share both the draws and this arithmetic: common
-    random numbers.  ``bits`` and ``receivers`` are read-only views, so no
-    caller can write them, but settling writes the block beneath
-    ``receivers``: it holds the raw variates until the first simulation and
-    the settled terms from then on.  Copy it before simulating to keep the
-    variates.
+    The first simulation that reads a receiver row settles it to its link's
+    geometry, the estimation-error variance sigma_eps_sq and the estimate
+    variance sigma~^2 (``_settle``).  Settling turns the row's variates, in
+    place, into the four terms of ``_receive`` that no sweep parameter
+    changes: g = |h~|^2, f sqrt(g), s = |h~ + e|^2 and z sqrt(g), where f is
+    the field along h~.  Every later simulation runs only the tail that
+    powers, hardware factors and the split change, and one that reads a
+    row at another geometry raises ValueError.  The grid points of a sweep
+    share one geometry, so they share both the draws and this arithmetic:
+    common random numbers.  ``bits`` and ``receivers`` are read-only views,
+    so no caller can write them, but settling writes the block beneath
+    ``receivers``: it holds the raw variates until a row's first simulation
+    and the settled terms from then on.  Copy it before simulating to keep
+    the variates.
 
     The batch owns, from its draw, what no scenario changes: the work rows
-    its simulations write, eight float and four boolean, and the boolean
+    its simulations write, seven float and four boolean, and the boolean
     rows of the bits, true where a bit is +1.  The geometry is the one
     thing a simulation sets.  A lock lets one simulation at a time settle
     the batch and use its rows, so a batch is safe to share between threads.
     """
 
     __slots__ = ("scheme", "n_symbols", "bits", "receivers", "_terms", "_positive",
-                 "_floats", "_flags", "_geometry", "_lock")
+                 "_floats", "_flags", "_settled", "_lock")
 
     def __init__(self, scheme: str, rng, n: int):
         scheme = _scheme(scheme)
@@ -176,42 +182,45 @@ class Batch:
         self.bits = draws[:2]
         self.receivers = draws[2:].reshape(receivers, 4, n)
         self._positive = np.greater(self.bits, 0.0)
-        self._floats = np.empty((8, n))  # ``_chain`` names the rows
+        self._floats = np.empty((7, n))  # ``_chain`` names the rows
         self._flags = np.empty((4, n), dtype=bool)
-        self._geometry = None
+        self._settled = [None] * receivers  # each row's geometry, once settled
         self._lock = threading.Lock()
 
-    def _settle(self, cfg: SystemConfig) -> None:
-        """Settle the batch to the geometry of ``cfg`` if this is its first
-        simulation, else check that ``cfg`` has the geometry it was settled to.
+    def _settle(self, cfg: SystemConfig, links: tuple[str, ...]) -> None:
+        """Settle the first ``len(links)`` receiver rows, those of a scheme
+        the batch serves, to the geometry of ``cfg``: each row that no
+        simulation has read yet, after checking that every row read before
+        was settled to the geometry ``cfg`` gives its link.
 
-        Per receiver, in place: g = x sigma~^2, f = e_par sigma + sqrt(g)
-        and s = (e_perp sigma)^2 + f f, where sigma is the deviation of each
-        of the two parts of e; z stays.  A work row holds sqrt(g), then f f.
-        Each operation and its order are fixed, as in ``_receive``.
+        Per row, in place: g = x sigma~^2, f = e_par sigma + sqrt(g),
+        s = (e_perp sigma)^2 + f f, where sigma is the deviation of each of
+        the two parts of e, and then f sqrt(g) and z sqrt(g) replace f and z.
+        Two work rows hold sqrt(g) and f f.  Each operation and its order
+        are fixed, as in ``_receive``.
         """
-        links = _receiver_links(self.scheme)
-        geometry = (cfg.sigma_eps_sq,
-                    *(cfg.link_budget(link).sigma_tilde_sq for link in links))
-        if self._geometry is not None:
-            if geometry != self._geometry:
+        geometry = [(cfg.sigma_eps_sq, cfg.link_budget(link).sigma_tilde_sq) for link in links]
+        for link, settled, wanted in zip(links, self._settled, geometry):
+            if settled is not None and settled != wanted:
                 raise ValueError(
-                    f"batch was settled to the geometry (sigma_eps_sq, sigma~^2 of "
-                    f"{', '.join(links)}) = {self._geometry}, not {geometry}; "
-                    f"draw a new batch for another geometry")
-            return
+                    f"batch was settled to (sigma_eps_sq, sigma~^2 of {link}) = {settled}, "
+                    f"not {wanted}; draw a new batch for another geometry")
         err_sd = math.sqrt(cfg.sigma_eps_sq)  # each of the two parts of e
-        scratch = self._floats[0]
-        for (g, f, s, _), st in zip(self._terms, geometry[1:]):
-            g *= st
+        root, square = self._floats[:2]
+        for row, ((g, f, s, z), wanted) in enumerate(zip(self._terms, geometry)):
+            if self._settled[row] is not None:
+                continue
+            g *= wanted[1]
             f *= err_sd
-            np.sqrt(g, out=scratch)
-            f += scratch
+            np.sqrt(g, out=root)
+            f += root
             s *= err_sd
             s *= s
-            np.multiply(f, f, out=scratch)
-            s += scratch
-        self._geometry = geometry
+            np.multiply(f, f, out=square)
+            s += square
+            f *= root
+            z *= root
+            self._settled[row] = wanted
 
 
 def _scheme(name: str) -> str:
@@ -222,7 +231,7 @@ def _scheme(name: str) -> str:
 
 
 def _receive(cfg: SystemConfig, link: str, tx: np.ndarray, terms: np.ndarray,
-             phi: np.ndarray, gain: np.ndarray, scratch: np.ndarray) -> None:
+             phi: np.ndarray, gain: np.ndarray | None, scratch: np.ndarray) -> None:
     """One link's receive chain for a batch, reduced to what detection reads.
 
     Detection uses only the estimate power |h~|^2 and the projection
@@ -240,32 +249,32 @@ def _receive(cfg: SystemConfig, link: str, tx: np.ndarray, terms: np.ndarray,
     fixes the same stream for every scenario.
 
     ``terms`` is the receiver's row of a settled batch (``Batch._settle``):
-    g = |h~|^2, f = |h~| + e_par, s = |h~ + e|^2 and z, the same for every
-    scenario of the batch's geometry.  What is left depends on P, k and N0:
-    ``phi`` gets the projection with the maximum-ratio weight sqrt(P),
-    sqrt(P) sqrt(g) (f sqrt(P) tx + sqrt((s 2 k^2 P + N0) / 2) z), so a hop
-    enters a user's statistic with energy P g, which goes to ``gain``.
-    ``scratch`` is one more work array, for the spread, then sqrt(g).  Each
-    operation and its order are fixed, here and in settling: the seeded
-    counts of the tests pin them bit for bit (halving by ``*= 0.5`` is
-    exact, the same as dividing by 2).
+    g = |h~|^2, f sqrt(g) with f = |h~| + e_par, s = |h~ + e|^2 and
+    z sqrt(g), the same for every scenario of the batch's geometry.  What
+    is left depends on P, k and N0: ``phi`` gets the projection with the
+    maximum-ratio weight sqrt(P),
+    P f sqrt(g) tx + sqrt(P) sqrt(s k^2 P + N0 / 2) z sqrt(g),
+    in eight passes with one square root, and a hop enters a user's
+    statistic with energy P g, which goes to ``gain`` unless ``gain`` is
+    None: the far user slices only the sign of ``phi`` and reads none.
+    ``scratch`` is one more work array, for the spread.  Each operation and
+    its order are fixed, here and in settling: the seeded counts of the
+    tests pin them.
     """
-    g, f, s, z = terms
+    g, fg, s, zg = terms
     spread = scratch
     P = cfg.power(link)
     k = cfg.hwi(link)
-    np.multiply(s, 2.0 * k * k * P, out=spread)
-    spread += cfg.N0
-    spread *= 0.5
+    np.multiply(s, k * k * P, out=spread)
+    spread += 0.5 * cfg.N0
     np.sqrt(spread, out=spread)
-    np.multiply(f, math.sqrt(P), out=phi)
+    spread *= zg
+    spread *= math.sqrt(P)
+    np.multiply(fg, P, out=phi)
     phi *= tx
-    spread *= z
     phi += spread
-    np.sqrt(g, out=spread)
-    phi *= spread
-    phi *= math.sqrt(P)
-    np.multiply(g, P, out=gain)
+    if gain is not None:
+        np.multiply(g, P, out=gain)
 
 
 #: The hops each scheme's users hear, in transmission order: "s" is the
@@ -283,6 +292,27 @@ def _receiver_links(scheme: str) -> tuple[str, ...]:
         links += ("sr",) if hop == "r" else ()
         links += (hop + "1", hop + "2")
     return links
+
+
+def _carries(carrier: str, scheme: str) -> bool:
+    """Whether a batch drawn for ``carrier`` serves ``scheme``: the
+    receivers of ``scheme`` are a prefix of the carrier's."""
+    links = _receiver_links(scheme)
+    return _receiver_links(carrier)[:len(links)] == links
+
+
+def carriers(schemes) -> dict[str, tuple[str, ...]]:
+    """Group ``schemes`` (any case) by the scheme to draw batches for: each
+    carrier maps to the schemes whose receivers are a prefix of its own,
+    itself included, so one batch serves its whole group (see
+    :class:`Batch`).  Carriers and their groups keep the order of
+    ``schemes``."""
+    names = [_scheme(name) for name in schemes]
+    tops = [c for c in names if not any(o != c and _carries(o, c) for o in names)]
+    groups = {carrier: [] for carrier in tops}
+    for name in names:
+        groups[next(c for c in tops if _carries(c, name))].append(name)
+    return {carrier: tuple(group) for carrier, group in groups.items()}
 
 
 def _superpose(cfg: SystemConfig, m1: np.ndarray, m2: np.ndarray, out: np.ndarray,
@@ -338,63 +368,49 @@ def _sic(phi: np.ndarray, gain: np.ndarray, sqrt_a1: float,
     np.subtract(phi, gain, out=gain)
 
 
-def _chain(cfg: SystemConfig, batch: Batch, genie_relay: bool, genie_sic: bool):
-    """Detect one settled batch (``Batch._settle``); return each user's
-    error mask on its own bit and the relay's two error masks (None without
-    a relay), all work rows of the batch.
+def _chain(cfg: SystemConfig, scheme: str, batch: Batch, genie_relay: bool,
+           genie_sic: bool, slips: bool):
+    """Detect ``scheme`` on a settled batch that serves it
+    (``Batch._settle``); return each user's error mask on its own bit and,
+    when ``slips`` asks for them, the relay's two error masks (else None),
+    all work rows of the batch.
 
     The relay and both users read the same law: they slice the
     sqrt(P)-weighted sum of the hops they hear (``_sic``).  The relay hears
     the source on link sr and re-encodes its +-1 decisions at the relay
     power, unless ``genie_relay`` forwards the true bits.  The users'
     decisions are only counted, so ``_errors`` compares them as booleans.
+    The far user slices only the sign of its sum, so it sums no gain.
     """
-    tx, phi1, gain1, phi2, gain2, phi, gain, scratch = batch._floats
+    tx, phi1, phi2, gain2, phi, gain, scratch = batch._floats
     err1, err2, slip1, slip2 = batch._flags
     m1, m2 = batch.bits
     m1_known = m1 if genie_sic else None
     sqrt_a1 = math.sqrt(cfg.alpha1)
-    terms = dict(zip(_receiver_links(batch.scheme), batch.receivers))
+    terms = dict(zip(_receiver_links(scheme), batch.receivers))
     _superpose(cfg, m1, m2, tx, gain)
     relay = None
-    for heard, hop in enumerate(_HOPS[batch.scheme]):
+    for heard, hop in enumerate(_HOPS[scheme]):
         if hop == "r":
             _receive(cfg, "sr", tx, terms["sr"], phi, gain, scratch)
             _sic(phi, gain, sqrt_a1, m1_known, scratch)
             far, near = scratch, _slice_sign(gain, gain)
-            relay = np.not_equal(far, m1, out=slip1), np.not_equal(near, m2, out=slip2)
+            if slips:
+                relay = np.not_equal(far, m1, out=slip1), np.not_equal(near, m2, out=slip2)
             if not genie_relay:
                 _superpose(cfg, far, near, tx, phi)
-        for link, user_phi, user_gain in ((hop + "1", phi1, gain1), (hop + "2", phi2, gain2)):
+        users = ((hop + "1", phi1, None, None), (hop + "2", phi2, gain2, gain))
+        for link, user_phi, user_gain, hop_gain in users:
             if not heard:  # a user's first hop starts its sums
                 _receive(cfg, link, tx, terms[link], user_phi, user_gain, scratch)
             else:  # later hops fold in by maximum-ratio combining
-                _receive(cfg, link, tx, terms[link], phi, gain, scratch)
+                _receive(cfg, link, tx, terms[link], phi, hop_gain, scratch)
                 user_phi += phi
-                user_gain += gain
+                if user_gain is not None:
+                    user_gain += hop_gain
     positive1, positive2 = batch._positive
     _sic(phi2, gain2, sqrt_a1, m1_known, scratch)
     return _errors(phi1, positive1, err1), _errors(gain2, positive2, err2), relay
-
-
-def _tally(cfg: SystemConfig, scheme: str, spec: SimSpec | Batch, tally,
-           genie_relay: bool = False, genie_sic: bool = False):
-    """``tally`` of ``_chain``'s masks on ``spec``.  A SimSpec's is the sum,
-    entry by entry, of its batches', each drawn once and freed before the
-    next is drawn.  A Batch is settled (``Batch._settle``), detected and
-    tallied under its lock: the masks are its work rows, which the next
-    simulation overwrites."""
-    if isinstance(spec, SimSpec):
-        per_batch = [_tally(cfg, scheme, spec.draw(scheme, index), tally,
-                            genie_relay, genie_sic) for index in range(len(spec.batches()))]
-        return [sum(counts) for counts in zip(*per_batch)]
-    if not isinstance(spec, Batch):
-        raise TypeError(f"spec must be a SimSpec or a Batch, got {type(spec).__name__}")
-    if spec.scheme != scheme:
-        raise ValueError(f"batch was drawn for {spec.scheme}, not {scheme}")
-    with spec._lock:
-        spec._settle(cfg)
-        return tally(*_chain(cfg, spec, genie_relay, genie_sic))
 
 
 def _user_errors(err1, err2, relay) -> tuple[int, int]:
@@ -408,15 +424,39 @@ def _relay_slips(err1, err2, relay) -> tuple[int, int, int, int]:
             int(np.count_nonzero(slip2)), int(np.count_nonzero(err2 & slip2)))
 
 
+def _tally(cfg: SystemConfig, scheme: str, spec: SimSpec | Batch, slips: bool = False,
+           genie_relay: bool = False, genie_sic: bool = False):
+    """The counts of ``_chain``'s masks on ``spec``: each user's errors, or
+    with ``slips`` those of ``_relay_slips``.  A SimSpec's are the sum,
+    entry by entry, of its batches', each drawn once and freed before the
+    next is drawn.  A Batch must serve ``scheme``; it is settled
+    (``Batch._settle``), detected and tallied under its lock: the masks are
+    its work rows, which the next simulation overwrites."""
+    if isinstance(spec, SimSpec):
+        per_batch = [_tally(cfg, scheme, spec.draw(scheme, index), slips, genie_relay,
+                            genie_sic) for index in range(len(spec.batches()))]
+        return [sum(counts) for counts in zip(*per_batch)]
+    if not isinstance(spec, Batch):
+        raise TypeError(f"spec must be a SimSpec or a Batch, got {type(spec).__name__}")
+    if not _carries(spec.scheme, scheme):
+        raise ValueError(f"batch was drawn for {spec.scheme}, which does not serve {scheme}")
+    count = _relay_slips if slips else _user_errors
+    with spec._lock:
+        spec._settle(cfg, _receiver_links(scheme))
+        return count(*_chain(cfg, scheme, spec, genie_relay, genie_sic, slips))
+
+
 def simulate(cfg: SystemConfig, scheme: str, spec: SimSpec | Batch, *,
              genie_relay: bool = False, genie_sic: bool = False) -> McResult:
     """Simulate ``scheme`` (noma, cnoma or cnoma-wdl, any case) and count bit errors.
 
     ``spec`` is a :class:`SimSpec`, a run of its batches, or one
-    :class:`Batch` drawn for ``scheme`` (:meth:`SimSpec.draw`); anything
-    else raises TypeError.  Both take one path: each batch is settled to
-    the geometry of ``cfg``, or checked against the geometry it was
-    settled to, then detected and counted.  So the counts of a SimSpec's
+    :class:`Batch` (:meth:`SimSpec.draw`) drawn for ``scheme`` or for a
+    scheme that carries it (``carriers``); anything else raises TypeError,
+    and a batch that does not serve ``scheme`` ValueError.  Both take one
+    path: the receivers ``scheme`` hears in each batch are settled to the
+    geometry of ``cfg``, or checked against the geometry they were settled
+    to, then detected and counted.  So the counts of a SimSpec's
     batches, each simulated alone, sum to the SimSpec's, and a batch
     reused at another power, hardware factor or split gets the counts of a
     fresh draw.  ``genie_relay`` forwards the true bits regardless of what
@@ -428,7 +468,7 @@ def simulate(cfg: SystemConfig, scheme: str, spec: SimSpec | Batch, *,
     scheme = _scheme(scheme)
     if genie_relay and scheme == "noma":
         raise ValueError("genie_relay needs a relay, and noma has none")
-    e1, e2 = _tally(cfg, scheme, spec, _user_errors, genie_relay, genie_sic)
+    e1, e2 = _tally(cfg, scheme, spec, genie_relay=genie_relay, genie_sic=genie_sic)
     return McResult.from_counts(spec.n_symbols, e1, e2)
 
 
@@ -441,7 +481,7 @@ def conditional_prop_stats(cfg: SystemConfig, spec: SimSpec | Batch) -> CondProp
     100 conditioning events flags the estimate as low-confidence rather
     than failing.
     """
-    ev1, er1, ev2, er2 = _tally(cfg, "cnoma-wdl", spec, _relay_slips)
+    ev1, er1, ev2, er2 = _tally(cfg, "cnoma-wdl", spec, slips=True)
     rate1 = er1 / ev1 if ev1 else math.nan
     rate2 = er2 / ev2 if ev2 else math.nan
     se1 = math.sqrt(rate1 * (1.0 - rate1) / ev1) if ev1 else math.nan

@@ -207,6 +207,59 @@ def test_failed_draw_is_recorded_on_its_scheme_alone(monkeypatch):
             assert row == before
 
 
+def test_failed_carrier_draw_is_recorded_on_every_scheme_it_serves(monkeypatch):
+    """noma rides on cnoma-wdl's batches, so a failed cnoma-wdl draw lands on
+    the rows of both; cnoma draws its own batches and stays clean."""
+    spec = SweepSpec(swept_parameter="snr_db", grid=(0.0, 10.0),
+                     sim=SimSpec(n_symbols=150_000, seed=4))
+    clean = run_sweep(spec).rows
+    real = SimSpec.draw
+
+    def draw(self, scheme, index):
+        if scheme == "cnoma-wdl" and index == 1:
+            raise RuntimeError("synthetic draw failure")
+        return real(self, scheme, index)
+
+    monkeypatch.setattr(SimSpec, "draw", draw)
+    rows = run_sweep(spec).rows
+    assert len(rows) == len(clean) == 2 * 3 * 2 * 2
+    for row, before in zip(rows, clean):
+        if row.scheme in ("noma", "cnoma-wdl") and row.method == "monte-carlo":
+            assert math.isnan(row.ber) and row.std_err is None
+            assert row.error == "synthetic draw failure"
+        else:
+            assert row == before
+
+
+@pytest.mark.parametrize("schemes, carriers", [
+    (("noma", "cnoma", "cnoma-wdl"), 2),
+    (("cnoma-wdl", "noma"), 1),
+    (("noma", "cnoma"), 2),
+])
+def test_sweep_draws_each_batch_once_per_carrier(schemes, carriers, monkeypatch):
+    sim = SimSpec(n_symbols=150_000, seed=4)
+    drawn = []
+    real = SimSpec.draw
+
+    def draw(self, scheme, index):
+        drawn.append((scheme, index))
+        return real(self, scheme, index)
+
+    monkeypatch.setattr(SimSpec, "draw", draw)
+    run_sweep(SweepSpec("snr_db", (0.0, 10.0), schemes=schemes, methods=("monte-carlo",),
+                        sim=sim))
+    assert len(drawn) == len(set(drawn)) == carriers * len(sim.batches())
+
+
+def test_noma_rows_do_not_depend_on_the_schemes_beside_it():
+    sim = SimSpec(n_symbols=150_000, seed=6)
+    rows = {schemes: [r for r in run_sweep(SweepSpec("alpha1", (0.6, 0.8), schemes=schemes,
+                                                     sim=sim)).rows if r.scheme == "noma"]
+            for schemes in (("noma",), ("noma", "cnoma", "cnoma-wdl"), ("cnoma-wdl", "noma"))}
+    assert rows[("noma",)] == rows[("noma", "cnoma", "cnoma-wdl")] == rows[("cnoma-wdl", "noma")]
+    assert len(rows[("noma",)]) == 2 * 2 * 2
+
+
 def test_csv_single_row():
     spec = SweepSpec(swept_parameter="snr_db", grid=(10.0,), schemes=("noma",),
                      methods=("analytic",))
@@ -430,6 +483,38 @@ def test_cli_monte_carlo_flags_reach_the_simulator(tmp_path):
     assert cli.main(args + ["--out", str(out1)]) == 0
     assert cli.main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_cli_warns_that_closed_forms_ignore_the_monte_carlo_flags(capsys):
+    args = ["sweep-snr", "--methods", "analytic", "--schemes", "noma"]
+    assert cli.main(args) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert cli.main(args + ["--symbols", "20000", "--seed", "5"]) == 0
+    flagged = capsys.readouterr()
+    assert flagged.out == plain.out
+    assert flagged.err == ("warning: symbols and seed only apply to monte-carlo, "
+                           "which methods leaves out; ignored\n")
+    assert cli.main(["sweep-snr", "--methods", "mc", "--schemes", "noma", "--symbols",
+                     "10000", "--seed", "5", "--out", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_warns_that_closed_forms_ignore_the_monte_carlo_keys(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("methods = analytic\nschemes = noma\nseed = 5\n")
+    assert cli.main(["sweep-pa", "--config", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(CSV_HEADER + "\n")
+    assert captured.err == ("warning: seed only applies to monte-carlo, "
+                            "which methods leaves out; ignored\n")
+    with pytest.warns(experiments.ConfigWarning, match="^symbols only applies"):
+        parse_config("symbols = 20000", flags={"methods": "analytic"})
+    # a flag restoring monte-carlo silences it
+    cfg.write_text("methods = analytic\nsymbols = 10000\n")
+    assert cli.main(["sweep-pa", "--config", str(cfg), "--methods", "mc", "--schemes",
+                     "noma", "--out", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_rejects_bad_inputs(tmp_path, capsys):

@@ -137,9 +137,13 @@ def test_drawn_batch_is_read_only_and_bound_to_its_scheme():
             array[0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             np.multiply(array, 2.0, out=array)
+    # a batch serves the schemes whose receivers begin its own, and no other
     cfg = SystemConfig.defaults()
-    with pytest.raises(ValueError, match="drawn for cnoma-wdl, not noma"):
-        simulator.simulate(cfg, "noma", batch)
+    assert simulator.simulate(cfg, "NOMA", batch) == simulator.simulate(cfg, "noma", spec)
+    with pytest.raises(ValueError, match="drawn for cnoma-wdl, which does not serve cnoma"):
+        simulator.simulate(cfg, "cnoma", batch)
+    with pytest.raises(ValueError, match="drawn for noma, which does not serve cnoma-wdl"):
+        simulator.simulate(cfg, "cnoma-wdl", spec.draw("noma", 0))
     for index in (1, -1):
         with pytest.raises(ValueError, match="batch index must be in"):
             spec.draw("noma", index)
@@ -154,6 +158,57 @@ def test_drawn_batch_is_read_only_and_bound_to_its_scheme():
     assert simulator.Batch("NOMA", rng, 10).scheme == "noma"
     with pytest.raises(ValueError, match="unknown scheme 'dnoma'"):
         simulator.Batch("dnoma", rng, 10)
+
+
+def test_carriers_group_each_scheme_under_a_batch_that_serves_it():
+    assert simulator.carriers(analytic.SCHEMES) == {"cnoma": ("cnoma",),
+                                                    "cnoma-wdl": ("noma", "cnoma-wdl")}
+    assert simulator.carriers(("CNOMA-WDL", "noma")) == {"cnoma-wdl": ("cnoma-wdl", "noma")}
+    for alone in analytic.SCHEMES:
+        assert simulator.carriers((alone,)) == {alone: (alone,)}
+    assert simulator.carriers(("noma", "cnoma")) == {"noma": ("noma",), "cnoma": ("cnoma",)}
+    with pytest.raises(ValueError, match="unknown scheme 'dnoma'"):
+        simulator.carriers(("noma", "dnoma"))
+
+
+@pytest.mark.parametrize("seed, index", [(1, 0), (3, 1), (8, 2), (2**40, 0)])
+def test_a_carrier_batch_starts_with_the_draws_of_the_schemes_it_serves(seed, index):
+    spec = SimSpec(n_symbols=250_000, seed=seed)
+    carrier, noma = spec.draw("cnoma-wdl", index), spec.draw("noma", index)
+    assert np.array_equal(carrier.bits, noma.bits)
+    assert np.array_equal(carrier.receivers[:2], noma.receivers)
+    assert not np.array_equal(carrier.receivers[2:4], noma.receivers)
+
+
+@pytest.mark.parametrize("noma_first", [True, False], ids=["noma-first", "wdl-first"])
+def test_noma_on_a_carrier_batch_equals_noma_on_its_own(noma_first):
+    """noma settles and reads only the rows it hears, so it gets the counts
+    of its own batch at every grid point, whichever scheme settles the
+    carrier first; cnoma-wdl keeps the counts of its own run."""
+    spec = SimSpec(n_symbols=30_000, seed=4)
+    base = SystemConfig.defaults(snr_db=15.0)
+    carrier, own = spec.draw("cnoma-wdl", 0), spec.draw("noma", 0)
+    if not noma_first:
+        simulator.simulate(base, "cnoma-wdl", carrier)
+    for cfg in _grid_configs(base):
+        for genies in ({}, {"genie_sic": True}):
+            assert simulator.simulate(cfg, "noma", carrier, **genies) == \
+                simulator.simulate(cfg, "noma", own, **genies), (cfg, genies)
+        assert simulator.simulate(cfg, "cnoma-wdl", carrier) == \
+            simulator.simulate(cfg, "cnoma-wdl", spec), cfg
+    # a geometry that moves only the relay's links is no part of noma
+    far_relay = replace(base, d_sr=1.5)
+    assert simulator.simulate(far_relay, "noma", carrier) == \
+        simulator.simulate(far_relay, "noma", spec)
+    with pytest.raises(ValueError, match="batch was settled to .*draw a new batch"):
+        simulator.simulate(far_relay, "cnoma-wdl", carrier)
+    with pytest.raises(ValueError, match="batch was settled to .*draw a new batch"):
+        simulator.simulate(replace(base, sigma_eps_sq=0.01), "noma", carrier)
+    # noma leaves the relay's rows as drawn, for cnoma-wdl to settle at its own geometry
+    fresh = spec.draw("cnoma-wdl", 0)
+    simulator.simulate(far_relay, "noma", fresh)
+    assert simulator.simulate(base, "cnoma-wdl", fresh) == \
+        simulator.simulate(base, "cnoma-wdl", spec)
 
 
 def test_spec_must_be_a_simspec_or_a_batch():
@@ -194,6 +249,32 @@ def test_a_run_holds_one_batch_at_a_time(scheme):
 
     one, three = peak(100_000), peak(300_000)
     assert three <= 1.2 * one, (one, three)
+
+
+def test_carrier_shared_by_threads_of_both_schemes_gives_serial_counts():
+    """Threads racing to be the first simulation of a cnoma-wdl batch, half
+    of them running noma on it, each get the serial count of their own
+    scheme and scenario."""
+    spec = SimSpec(n_symbols=20_000, seed=12)
+    configs = _grid_configs(SystemConfig.defaults(snr_db=10.0))[:8]
+    jobs = [(cfg, scheme) for cfg in configs for scheme in ("noma", "cnoma-wdl")]
+    serial = [simulator.simulate(cfg, scheme, spec) for cfg, scheme in jobs]
+    batch = spec.draw("cnoma-wdl", 0)
+    start = threading.Barrier(len(jobs))
+
+    def run(job):
+        start.wait(timeout=60)
+        cfg, scheme = job
+        return simulator.simulate(cfg, scheme, batch)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+            shared = [f.result(timeout=60) for f in [pool.submit(run, job) for job in jobs]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert shared == serial
 
 
 def test_batch_shared_between_threads_gives_serial_counts():
@@ -305,13 +386,16 @@ def test_settled_batch_serves_every_grid_point_and_rejects_another_geometry():
         batch = spec.draw(scheme, 0)
         raw = batch.receivers.copy()
         simulator.simulate(base, scheme, batch)
-        # settling rewrites what ``receivers`` shows: g = sigma~^2 x, f, s; z stays
-        assert not np.array_equal(batch.receivers[:, :3], raw[:, :3])
-        np.testing.assert_array_equal(batch.receivers[:, 3], raw[:, 3])
-        for link, settled, drawn in zip(simulator._receiver_links(scheme),
-                                        batch.receivers, raw):
-            np.testing.assert_array_equal(
-                settled[0], drawn[0] * base.link_budget(link).sigma_tilde_sq)
+        # settling rewrites what ``receivers`` shows: g = sigma~^2 x, f sqrt(g),
+        # s = |h~ + e|^2 and z sqrt(g), with f = sqrt(g) + e_par
+        err_sd = math.sqrt(base.sigma_eps_sq)
+        for link, settled, (x, e_par, e_perp, z) in zip(simulator._receiver_links(scheme),
+                                                        batch.receivers, raw):
+            g = x * base.link_budget(link).sigma_tilde_sq
+            f = e_par * err_sd + np.sqrt(g)
+            for got, want in zip(settled, (g, f * np.sqrt(g),
+                                           (e_perp * err_sd) ** 2 + f * f, z * np.sqrt(g))):
+                np.testing.assert_array_equal(got, want)
         for other, unheard in ((replace(base, sigma_eps_sq=0.01), ()),
                                (replace(base, a=3.0), ()),
                                (replace(base, d_sr=1.5), ("noma",)),
@@ -499,8 +583,8 @@ class _FullFieldReceiver:
     Gaussians from the test's own generator, form
     y = (h~ + e)(sqrt(P) x + d) + n and project it on conj(h~).  Called
     like ``simulator._receive``, whose settled batch terms it ignores, and
-    writes the same two outputs: the projection weighted by sqrt(P) and the
-    energy P |h~|^2.  ``scale`` multiplies the distortion variance k^2 P and the
+    writes the same two outputs: the projection weighted by sqrt(P) and,
+    unless ``gain`` is None, the energy P |h~|^2.  ``scale`` multiplies the distortion variance k^2 P and the
     estimation-error variance sigma_eps_sq; the simulator doubles both."""
 
     scale = 2.0
@@ -521,7 +605,8 @@ class _FullFieldReceiver:
         distortion = cn(self.scale * k * k * P)
         noise = cn(cfg.N0)
         y = (h_tilde + est_err) * (math.sqrt(P) * tx + distortion) + noise
-        gain[:] = P * np.abs(h_tilde) ** 2
+        if gain is not None:
+            gain[:] = P * np.abs(h_tilde) ** 2
         phi[:] = math.sqrt(P) * (np.conj(h_tilde) * y).real
 
 
