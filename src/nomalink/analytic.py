@@ -12,8 +12,8 @@ branch (see :mod:`nomalink.model`).  Three schemes are covered:
 ``scheme_ber`` and ``scheme_ber_floor`` are the entry points; they read a
 validated :class:`~nomalink.model.SystemConfig`, so the private composition
 steps trust their inputs.  The propagation probability ``prop_error`` reads
-one too; the public single-link, combiner and two-hop pieces still check
-theirs, because they take bare numbers.
+one too; the public combiner and two-hop pieces still check theirs,
+because they take bare numbers.
 
 A call composes at most six branches per link, so it runs in scalar float
 math: array bookkeeping cost more than the flops.  Branch sums run left to
@@ -36,18 +36,6 @@ def _fade_term(delta_bar: float) -> float:
     """Rayleigh average of Q(sqrt(2*g)) for g exponential with mean delta_bar:
     (1/2) * (1 - sqrt(d/(1+d))), and 0 for an infinite mean."""
     return 0.0 if delta_bar == math.inf else 0.5 * (1.0 - math.sqrt(delta_bar / (1.0 + delta_bar)))
-
-
-def aber_p2p_m1(delta_bars) -> float:
-    """Average BER of the far user's bit on a single link.
-
-    ``delta_bars`` holds the two per-branch mean SINRs (near user's bit
-    agreeing / disagreeing).
-    """
-    d = tuple(delta_bars) if hasattr(delta_bars, "__iter__") else (delta_bars,)
-    if len(d) != 2 or not (d[0] >= 0 and d[1] >= 0):
-        raise ValueError(f"expected two nonnegative branch SINRs, got {d}")
-    return (_fade_term(d[0]) + _fade_term(d[1])) / 2.0
 
 
 def aber_mrc_pair(delta_bar_a: float, delta_bar_b: float) -> float:

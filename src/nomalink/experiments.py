@@ -151,11 +151,12 @@ def _closed_forms(spec: SweepSpec, configs: list[SystemConfig], pool) -> dict:
 
 def _simulate_batch(sim: simulator.SimSpec, configs: list[SystemConfig], carrier: str,
                     schemes: tuple[str, ...], index: int) -> dict[str, list]:
-    """One pool task: draw batch ``index`` for ``carrier`` once and simulate
-    each of ``schemes``, the schemes it serves, on it at every grid point.
-    Each scheme's entries are, per point, its result or, when the draw or
-    the simulation raised, the message."""
-    batch = _attempt(sim.draw, carrier, index)
+    """One pool task: draw batch ``index`` for ``carrier`` once, at the
+    geometry the grid points share, and simulate each of ``schemes``, the
+    schemes it serves, on it at every grid point.  Each scheme's entries
+    are, per point, its result or, when the draw or the simulation raised,
+    the message."""
+    batch = _attempt(sim.draw, configs[0], carrier, index)
     if isinstance(batch, str):
         return dict.fromkeys(schemes, [batch] * len(configs))
     return {scheme: [_attempt(simulator.simulate, cfg, scheme, batch) for cfg in configs]

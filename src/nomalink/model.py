@@ -154,6 +154,10 @@ class SystemConfig:
         """Fading statistics of one of the five links."""
         return self._link(link)[0]
 
+    def sigma_tilde_sq(self, link: str) -> float:
+        """Variance of a link's channel estimate, as in its ``link_budget``."""
+        return self._link(link)[0].sigma_tilde_sq
+
     def power(self, link: str) -> float:
         """Transmit power feeding a link (source power or relay power)."""
         return self._link(link)[1]

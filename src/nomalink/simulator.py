@@ -38,7 +38,7 @@ class SimSpec:
     100000 and one shorter final batch for the remainder.  Each batch owns
     a private random stream derived from ``(seed, batch index)``, so results
     are bit-identical for identical inputs regardless of evaluation order,
-    and a batch's draws do not depend on the scenario (see ``draw``).
+    and a batch's variates do not depend on the scenario (see ``Batch``).
     """
 
     n_symbols: int = 1_000_000
@@ -47,7 +47,7 @@ class SimSpec:
     def __post_init__(self):
         for name in ("n_symbols", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_symbols < _MIN_SYMBOLS:
             raise ValueError(f"n_symbols must be at least {_MIN_SYMBOLS}")
@@ -58,17 +58,22 @@ class SimSpec:
         full, rem = divmod(self.n_symbols, _BATCH_SYMBOLS)
         return [_BATCH_SYMBOLS] * full + ([rem] if rem else [])
 
-    def draw(self, scheme: str, index: int) -> "Batch":
-        """Draw batch ``index`` of this run for ``scheme``, from the batch's
-        own stream: bits m1 and m2, then four variates per receiver.  The
-        batch also serves every scheme ``scheme`` carries (``carriers``)."""
-        if not isinstance(index, numbers.Integral):
+    def draw(self, cfg: SystemConfig, scheme: str, index: int) -> "Batch":
+        """Draw batch ``index`` of this run for ``scheme`` from the batch's
+        own stream, settled to the geometry of ``cfg`` (see :class:`Batch`).
+        The batch also serves every scheme ``scheme`` carries (``carriers``)."""
+        if not _is_integer(index):
             raise ValueError(f"batch index must be an integer, got {index!r}")
         sizes = self.batches()
         if not 0 <= index < len(sizes):
             raise ValueError(f"batch index must be in [0, {len(sizes)}), got {index}")
         rng = np.random.default_rng(np.random.SeedSequence((self.seed, index)))
-        return Batch(scheme, rng, sizes[index])
+        return Batch(cfg, scheme, rng, sizes[index])
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -126,91 +131,62 @@ class CondPropStats:
 
 
 class Batch:
-    """One batch of a run's random draws, drawn once for one scheme, its
-    carrier, and serving every scheme whose receivers begin the carrier's.
+    """One batch of a run's random draws, drawn for one scheme, its carrier,
+    settled to one geometry, and serving every scheme whose receivers begin
+    the carrier's at that geometry.
 
     Built by :meth:`SimSpec.draw`; a :class:`SimSpec` run is its batches,
-    drawn and simulated one at a time.  ``bits`` holds the BPSK bits m1 and
-    m2 as +-1 floats.  ``receivers`` holds one row of four per receiver, in
-    the order of ``_receiver_links``: as drawn, the four standard variates
-    of ``_receive``, an exponential x and three normals e_par, e_perp and z.
-    The stream is drawn in that order, so a batch starts with the draws of
-    every scheme whose receivers are a prefix of its own (``carriers``): a
-    cnoma-wdl batch's bits and first two rows are noma's batch of the same
-    seed and index, bit for bit, and noma reads only those.
+    drawn and simulated one at a time.  The stream holds the BPSK bits m1
+    and m2, then, per receiver in the order of ``_receiver_links``, the four
+    standard variates of ``_receive``: an exponential x and three normals
+    e_par, e_perp and z.  So a batch starts with the draws of every scheme
+    whose receivers are a prefix of its own (``carriers``): a cnoma-wdl
+    batch's bits and first two rows are noma's batch of the same seed and
+    index, bit for bit, and noma reads only those.
 
-    The first simulation that reads a receiver row settles it to its link's
+    At its draw the batch settles every receiver row to its link's
     geometry, the estimation-error variance sigma_eps_sq and the estimate
-    variance sigma~^2 (``_settle``).  Settling turns the row's variates, in
-    place, into the four terms of ``_receive`` that no sweep parameter
-    changes: g = |h~|^2, f sqrt(g), s = |h~ + e|^2 and z sqrt(g), where f is
-    the field along h~.  Every later simulation runs only the tail that
-    powers, hardware factors and the split change, and one that reads a
-    row at another geometry raises ValueError.  The grid points of a sweep
-    share one geometry, so they share both the draws and this arithmetic:
-    common random numbers.  ``bits`` and ``receivers`` are read-only views,
-    so no caller can write them, but settling writes the block beneath
-    ``receivers``: it holds the raw variates until a row's first simulation
-    and the settled terms from then on.  Copy it before simulating to keep
-    the variates.
+    variance sigma~^2 of ``cfg``, recorded per row in ``geometry``.  Per
+    row, in place: g = x sigma~^2, f = e_par sigma + sqrt(g),
+    s = (e_perp sigma)^2 + f f, where sigma is the deviation of each of the
+    two parts of e, and then f sqrt(g) and z sqrt(g) replace f and z.  Each
+    operation and its order are fixed, as in ``_receive``.  From then on
+    ``bits`` (+-1 floats) and ``receivers`` (g, f sqrt(g), s, z sqrt(g) per
+    row) are read-only and never change.  A simulation runs only the tail
+    that powers, hardware factors and the split change, on any scenario
+    whose heard links share the batch's geometry; it refuses any other with
+    ValueError.  The grid points of a sweep share one geometry, so they
+    share both the draws and the settling: common random numbers.
 
-    The batch owns, from its draw, what no scenario changes: the work rows
-    its simulations write, seven float and four boolean, and the boolean
-    rows of the bits, true where a bit is +1.  The geometry is the one
-    thing a simulation sets.  A lock lets one simulation at a time settle
-    the batch and use its rows, so a batch is safe to share between threads.
+    The batch also owns the work rows its simulations write, seven float
+    and four boolean, and the boolean rows of the bits, true where a bit is
+    +1.  A lock lets one simulation at a time use the work rows, so a batch
+    is safe to share between threads.
     """
 
-    __slots__ = ("scheme", "n_symbols", "bits", "receivers", "_terms", "_positive",
-                 "_floats", "_flags", "_settled", "_lock")
+    __slots__ = ("scheme", "n_symbols", "geometry", "bits", "receivers", "_positive",
+                 "_floats", "_flags", "_lock")
 
-    def __init__(self, scheme: str, rng, n: int):
+    def __init__(self, cfg: SystemConfig, scheme: str, rng, n: int):
         scheme = _scheme(scheme)
-        receivers = len(_receiver_links(scheme))
-        draws = np.empty((2 + 4 * receivers, n))
+        links = _receiver_links(scheme)
+        draws = np.empty((2 + 4 * len(links), n))
         for bits in draws[:2]:
             bits[:] = rng.integers(0, 2, n)
             bits *= 2.0
             bits -= 1.0
-        for variates in draws[2:].reshape(receivers, 4, n):
+        receivers = draws[2:].reshape(len(links), 4, n)
+        for variates in receivers:
             rng.standard_exponential(out=variates[0])
             rng.standard_normal(out=variates[1:])
-        self._terms = draws[2:].reshape(receivers, 4, n)  # the one writable view
-        draws.flags.writeable = False  # every view taken from here on inherits it
-        self.scheme = scheme
-        self.n_symbols = n
-        self.bits = draws[:2]
-        self.receivers = draws[2:].reshape(receivers, 4, n)
-        self._positive = np.greater(self.bits, 0.0)
+        self._positive = np.greater(draws[:2], 0.0)
         self._floats = np.empty((7, n))  # ``_chain`` names the rows
         self._flags = np.empty((4, n), dtype=bool)
-        self._settled = [None] * receivers  # each row's geometry, once settled
-        self._lock = threading.Lock()
-
-    def _settle(self, cfg: SystemConfig, links: tuple[str, ...]) -> None:
-        """Settle the first ``len(links)`` receiver rows, those of a scheme
-        the batch serves, to the geometry of ``cfg``: each row that no
-        simulation has read yet, after checking that every row read before
-        was settled to the geometry ``cfg`` gives its link.
-
-        Per row, in place: g = x sigma~^2, f = e_par sigma + sqrt(g),
-        s = (e_perp sigma)^2 + f f, where sigma is the deviation of each of
-        the two parts of e, and then f sqrt(g) and z sqrt(g) replace f and z.
-        Two work rows hold sqrt(g) and f f.  Each operation and its order
-        are fixed, as in ``_receive``.
-        """
-        geometry = [(cfg.sigma_eps_sq, cfg.link_budget(link).sigma_tilde_sq) for link in links]
-        for link, settled, wanted in zip(links, self._settled, geometry):
-            if settled is not None and settled != wanted:
-                raise ValueError(
-                    f"batch was settled to (sigma_eps_sq, sigma~^2 of {link}) = {settled}, "
-                    f"not {wanted}; draw a new batch for another geometry")
+        self.geometry = _geometry(cfg, links)
         err_sd = math.sqrt(cfg.sigma_eps_sq)  # each of the two parts of e
         root, square = self._floats[:2]
-        for row, ((g, f, s, z), wanted) in enumerate(zip(self._terms, geometry)):
-            if self._settled[row] is not None:
-                continue
-            g *= wanted[1]
+        for (g, f, s, z), (_, sigma_tilde_sq) in zip(receivers, self.geometry):
+            g *= sigma_tilde_sq
             f *= err_sd
             np.sqrt(g, out=root)
             f += root
@@ -220,7 +196,18 @@ class Batch:
             s += square
             f *= root
             z *= root
-            self._settled[row] = wanted
+        draws.flags.writeable = False  # every view taken from here on inherits it
+        self.scheme = scheme
+        self.n_symbols = n
+        self.bits = draws[:2]
+        self.receivers = draws[2:].reshape(len(links), 4, n)
+        self._lock = threading.Lock()
+
+
+def _geometry(cfg: SystemConfig, links: tuple[str, ...]) -> tuple[tuple[float, float], ...]:
+    """Per link, what settling a receiver row reads of ``cfg``:
+    (sigma_eps_sq, sigma~^2)."""
+    return tuple((cfg.sigma_eps_sq, cfg.sigma_tilde_sq(link)) for link in links)
 
 
 def _scheme(name: str) -> str:
@@ -248,11 +235,11 @@ def _receive(cfg: SystemConfig, link: str, tx: np.ndarray, terms: np.ndarray,
     plus noise.  All four are drawn even when a variance is zero, so a seed
     fixes the same stream for every scenario.
 
-    ``terms`` is the receiver's row of a settled batch (``Batch._settle``):
-    g = |h~|^2, f sqrt(g) with f = |h~| + e_par, s = |h~ + e|^2 and
-    z sqrt(g), the same for every scenario of the batch's geometry.  What
-    is left depends on P, k and N0: ``phi`` gets the projection with the
-    maximum-ratio weight sqrt(P),
+    ``terms`` is the receiver's row of a batch, settled at its draw
+    (``Batch``): g = |h~|^2, f sqrt(g) with f = |h~| + e_par,
+    s = |h~ + e|^2 and z sqrt(g), the same for every scenario of the
+    batch's geometry.  What is left depends on P, k and N0: ``phi`` gets
+    the projection with the maximum-ratio weight sqrt(P),
     P f sqrt(g) tx + sqrt(P) sqrt(s k^2 P + N0 / 2) z sqrt(g),
     in eight passes with one square root, and a hop enters a user's
     statistic with energy P g, which goes to ``gain`` unless ``gain`` is
@@ -370,8 +357,8 @@ def _sic(phi: np.ndarray, gain: np.ndarray, sqrt_a1: float,
 
 def _chain(cfg: SystemConfig, scheme: str, batch: Batch, genie_relay: bool,
            genie_sic: bool, slips: bool):
-    """Detect ``scheme`` on a settled batch that serves it
-    (``Batch._settle``); return each user's error mask on its own bit and,
+    """Detect ``scheme`` on a batch that serves it at ``cfg``'s geometry
+    (``Batch``); return each user's error mask on its own bit and,
     when ``slips`` asks for them, the relay's two error masks (else None),
     all work rows of the batch.
 
@@ -413,37 +400,36 @@ def _chain(cfg: SystemConfig, scheme: str, batch: Batch, genie_relay: bool,
     return _errors(phi1, positive1, err1), _errors(gain2, positive2, err2), relay
 
 
-def _user_errors(err1, err2, relay) -> tuple[int, int]:
-    return int(np.count_nonzero(err1)), int(np.count_nonzero(err2))
-
-
-def _relay_slips(err1, err2, relay) -> tuple[int, int, int, int]:
-    """Per user: the relay's slips on the user's bit, and the user's errors among them."""
-    slip1, slip2 = relay
-    return (int(np.count_nonzero(slip1)), int(np.count_nonzero(err1 & slip1)),
-            int(np.count_nonzero(slip2)), int(np.count_nonzero(err2 & slip2)))
-
-
 def _tally(cfg: SystemConfig, scheme: str, spec: SimSpec | Batch, slips: bool = False,
            genie_relay: bool = False, genie_sic: bool = False):
     """The counts of ``_chain``'s masks on ``spec``: each user's errors, or
-    with ``slips`` those of ``_relay_slips``.  A SimSpec's are the sum,
-    entry by entry, of its batches', each drawn once and freed before the
-    next is drawn.  A Batch must serve ``scheme``; it is settled
-    (``Batch._settle``), detected and tallied under its lock: the masks are
-    its work rows, which the next simulation overwrites."""
+    with ``slips``, per user, the relay's slips on the user's bit and the
+    user's errors among them.  A SimSpec's are the sum, entry by entry, of
+    its batches', each drawn at ``cfg`` and freed before the next is drawn.
+    A Batch must serve ``scheme`` at ``cfg``'s geometry on every link
+    ``scheme`` hears; it is detected and tallied under its lock: the masks
+    are its work rows, which the next simulation overwrites."""
     if isinstance(spec, SimSpec):
-        per_batch = [_tally(cfg, scheme, spec.draw(scheme, index), slips, genie_relay,
+        per_batch = [_tally(cfg, scheme, spec.draw(cfg, scheme, index), slips, genie_relay,
                             genie_sic) for index in range(len(spec.batches()))]
         return [sum(counts) for counts in zip(*per_batch)]
     if not isinstance(spec, Batch):
         raise TypeError(f"spec must be a SimSpec or a Batch, got {type(spec).__name__}")
     if not _carries(spec.scheme, scheme):
         raise ValueError(f"batch was drawn for {spec.scheme}, which does not serve {scheme}")
-    count = _relay_slips if slips else _user_errors
+    links = _receiver_links(scheme)
+    for link, settled, wanted in zip(links, spec.geometry, _geometry(cfg, links)):
+        if settled != wanted:
+            raise ValueError(
+                f"batch was settled to (sigma_eps_sq, sigma~^2 of {link}) = {settled}, "
+                f"not {wanted}; draw a new batch for another geometry")
     with spec._lock:
-        spec._settle(cfg, _receiver_links(scheme))
-        return count(*_chain(cfg, scheme, spec, genie_relay, genie_sic, slips))
+        err1, err2, relay = _chain(cfg, scheme, spec, genie_relay, genie_sic, slips)
+        if slips:
+            slip1, slip2 = relay
+            return (int(np.count_nonzero(slip1)), int(np.count_nonzero(err1 & slip1)),
+                    int(np.count_nonzero(slip2)), int(np.count_nonzero(err2 & slip2)))
+        return int(np.count_nonzero(err1)), int(np.count_nonzero(err2))
 
 
 def simulate(cfg: SystemConfig, scheme: str, spec: SimSpec | Batch, *,
@@ -453,13 +439,12 @@ def simulate(cfg: SystemConfig, scheme: str, spec: SimSpec | Batch, *,
     ``spec`` is a :class:`SimSpec`, a run of its batches, or one
     :class:`Batch` (:meth:`SimSpec.draw`) drawn for ``scheme`` or for a
     scheme that carries it (``carriers``); anything else raises TypeError,
-    and a batch that does not serve ``scheme`` ValueError.  Both take one
-    path: the receivers ``scheme`` hears in each batch are settled to the
-    geometry of ``cfg``, or checked against the geometry they were settled
-    to, then detected and counted.  So the counts of a SimSpec's
-    batches, each simulated alone, sum to the SimSpec's, and a batch
-    reused at another power, hardware factor or split gets the counts of a
-    fresh draw.  ``genie_relay`` forwards the true bits regardless of what
+    and a batch that does not serve ``scheme`` ValueError, as does one
+    settled to another geometry on a link ``scheme`` hears.  Both take one
+    path: a SimSpec draws each batch at ``cfg``, and each batch is
+    detected and counted.  So the counts of a SimSpec's batches, each
+    simulated alone, sum to the SimSpec's, and a batch reused at another
+    power, hardware factor or split gets the counts of a fresh draw.  ``genie_relay`` forwards the true bits regardless of what
     the relay detected (noma has no relay and rejects it); ``genie_sic``
     feeds the true far-user bit to every subtraction, relay and near user,
     leaving the detections themselves unchanged.  Both isolate one loss for

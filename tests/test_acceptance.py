@@ -208,8 +208,6 @@ def test_acceptance_07_invariant_suite():
                             p = analytic.scheme_ber(cfg, scheme, user)
                             if not 0.0 <= p <= 1.0:
                                 failures.append(f"range {scheme}/{user}")
-    if not 0.0 <= analytic.aber_p2p_m1([2.0, 0.5]) <= 0.5:
-        failures.append("single-link far-bit range")
 
     # far user improves with power, degrades with impairments
     for scheme in analytic.SCHEMES:

@@ -22,7 +22,6 @@ from nomalink.analytic import (
     SCHEMES,
     USERS,
     aber_mrc_pair,
-    aber_p2p_m1,
     e2e_cnoma,
     prop_error,
     scheme_ber,
@@ -50,25 +49,21 @@ def mrc_quadrature(a: float, b: float) -> float:
 
 @pytest.mark.parametrize("delta", [0.05, 0.5, 2.0, 25.0])
 def test_single_link_far_bit_matches_quadrature(delta):
-    # equal branch means make the two-branch average collapse to one branch
-    assert aber_p2p_m1([delta, delta]) == pytest.approx(fade_quadrature(delta), rel=1e-9)
+    # one branch of the far user's bit on a single link
+    assert analytic._fade_term(delta) == pytest.approx(fade_quadrature(delta), rel=1e-9)
+
+
+def far_bit(deltas):
+    """The far user's bit on a single link: its two branches, unit signs."""
+    return analytic._branch_sum((1.0, 1.0), [analytic._fade_term(d) for d in deltas], "u1")
 
 
 def test_far_bit_average_of_two_branches():
-    got = aber_p2p_m1([2.0, 0.5])
+    got = far_bit([2.0, 0.5])
     expect = 0.5 * (fade_quadrature(2.0) + fade_quadrature(0.5))
     assert got == pytest.approx(expect, rel=1e-9)
-    assert aber_p2p_m1([np.inf, np.inf]) == 0.0
-    assert aber_p2p_m1([0.0, 0.0]) == 0.5
-
-
-def test_far_bit_rejects_wrong_branch_count():
-    with pytest.raises(ValueError):
-        aber_p2p_m1([1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        aber_p2p_m1([-1.0, 2.0])
-    with pytest.raises(ValueError):
-        aber_p2p_m1([math.nan, 1.0])
+    assert far_bit([np.inf, np.inf]) == 0.0
+    assert far_bit([0.0, 0.0]) == 0.5
 
 
 def test_near_bit_signed_sum_matches_quadrature():
@@ -221,7 +216,7 @@ def test_combined_composition_signed_branches():
 def test_direct_scheme_unwinds_to_building_blocks():
     cfg = SystemConfig.defaults(snr_db=10.0)
     t = build_coefficient_tables(cfg)
-    far = aber_p2p_m1(mean_sinr(cfg, "s1", t.psi, t.psi))
+    far = far_bit(mean_sinr(cfg, "s1", t.psi, t.psi))
     assert scheme_ber(cfg, "noma", "u1") == far
     fades = [analytic._fade_term(d) for d in mean_sinr(cfg, "s2", t.zeta, t.xi)]
     near = analytic._branch_sum(t.g_v, fades, "u2")
@@ -233,7 +228,7 @@ def test_relayed_scheme_unwinds_to_two_hops():
     t = build_coefficient_tables(cfg)
 
     def far_hop(link):
-        return aber_p2p_m1(mean_sinr(cfg, link, t.psi, t.psi))
+        return far_bit(mean_sinr(cfg, link, t.psi, t.psi))
 
     assert scheme_ber(cfg, "cnoma", "u1") == e2e_cnoma(far_hop("sr"), far_hop("r1"))
 

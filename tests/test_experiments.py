@@ -191,10 +191,10 @@ def test_failed_draw_is_recorded_on_its_scheme_alone(monkeypatch):
     clean = run_sweep(spec).rows
     real = SimSpec.draw
 
-    def draw(self, scheme, index):
+    def draw(self, cfg, scheme, index):
         if scheme == "cnoma" and index == 1:
             raise RuntimeError("synthetic draw failure")
-        return real(self, scheme, index)
+        return real(self, cfg, scheme, index)
 
     monkeypatch.setattr(SimSpec, "draw", draw)
     rows = run_sweep(spec).rows
@@ -215,10 +215,10 @@ def test_failed_carrier_draw_is_recorded_on_every_scheme_it_serves(monkeypatch):
     clean = run_sweep(spec).rows
     real = SimSpec.draw
 
-    def draw(self, scheme, index):
+    def draw(self, cfg, scheme, index):
         if scheme == "cnoma-wdl" and index == 1:
             raise RuntimeError("synthetic draw failure")
-        return real(self, scheme, index)
+        return real(self, cfg, scheme, index)
 
     monkeypatch.setattr(SimSpec, "draw", draw)
     rows = run_sweep(spec).rows
@@ -241,9 +241,9 @@ def test_sweep_draws_each_batch_once_per_carrier(schemes, carriers, monkeypatch)
     drawn = []
     real = SimSpec.draw
 
-    def draw(self, scheme, index):
+    def draw(self, cfg, scheme, index):
         drawn.append((scheme, index))
-        return real(self, scheme, index)
+        return real(self, cfg, scheme, index)
 
     monkeypatch.setattr(SimSpec, "draw", draw)
     run_sweep(SweepSpec("snr_db", (0.0, 10.0), schemes=schemes, methods=("monte-carlo",),

@@ -84,8 +84,10 @@ def test_link_accessors():
     assert cfg.power("s1") == 2.0 and cfg.power("sr") == 2.0
     assert cfg.power("r1") == 3.0 and cfg.power("r2") == 3.0
     assert cfg.hwi("r1") == 0.05 and cfg.hwi("s2") == 0.175
+    for link in ("s1", "s2", "sr", "r1", "r2"):
+        assert cfg.sigma_tilde_sq(link) == cfg.link_budget(link).sigma_tilde_sq
     for link in ("rx", "S1", "", None, ["s1"]):
-        for accessor in (cfg.link_budget, cfg.power, cfg.hwi):
+        for accessor in (cfg.link_budget, cfg.sigma_tilde_sq, cfg.power, cfg.hwi):
             with pytest.raises(ValueError, match="unknown link"):
                 accessor(link)
 

@@ -38,7 +38,8 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="seed"):
         SimSpec(seed=-1)
     for field, value in (("n_symbols", 2e5), ("n_symbols", 20_000.0), ("n_symbols", "20000"),
-                         ("seed", 1.5), ("seed", 1.0), ("seed", None)):
+                         ("n_symbols", True), ("seed", 1.5), ("seed", 1.0), ("seed", None),
+                         ("seed", True)):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SimSpec(**{field: value})
     spec = SimSpec(n_symbols=np.int64(20_000), seed=np.uint32(3))
@@ -114,12 +115,13 @@ def test_drawn_batches_sum_to_the_run():
     """Simulating a SimSpec's batches one by one, each drawn once, gives the
     SimSpec's counts; a batch can be simulated again at another scenario."""
     spec = SimSpec(n_symbols=150_000, seed=1)
+    configs = [SystemConfig.defaults(snr_db=snr_db) for snr_db in (20.0, 5.0)]
     for scheme, genies in (("noma", {}), ("cnoma", {"genie_relay": True}),
                            ("cnoma-wdl", {"genie_sic": True})):
-        batches = [spec.draw(scheme, index) for index in range(len(spec.batches()))]
+        batches = [spec.draw(configs[0], scheme, index)
+                   for index in range(len(spec.batches()))]
         assert [b.n_symbols for b in batches] == spec.batches()
-        for snr_db in (20.0, 5.0):
-            cfg = SystemConfig.defaults(snr_db=snr_db)
+        for cfg in configs:
             parts = [simulator.simulate(cfg, scheme, b, **genies) for b in batches]
             whole = simulator.simulate(cfg, scheme, spec, **genies)
             assert McResult.from_counts(sum(p.trials for p in parts),
@@ -129,7 +131,8 @@ def test_drawn_batches_sum_to_the_run():
 
 def test_drawn_batch_is_read_only_and_bound_to_its_scheme():
     spec = SimSpec(n_symbols=20_000, seed=3)
-    batch = spec.draw("CNOMA-wdl", 0)
+    cfg = SystemConfig.defaults()
+    batch = spec.draw(cfg, "CNOMA-wdl", 0)
     assert batch.scheme == "cnoma-wdl"
     assert batch.bits.shape == (2, 20_000) and batch.receivers.shape == (5, 4, 20_000)
     for array in (batch.bits, batch.bits[0], batch.receivers, batch.receivers[2, 1]):
@@ -138,26 +141,25 @@ def test_drawn_batch_is_read_only_and_bound_to_its_scheme():
         with pytest.raises(ValueError, match="read-only"):
             np.multiply(array, 2.0, out=array)
     # a batch serves the schemes whose receivers begin its own, and no other
-    cfg = SystemConfig.defaults()
     assert simulator.simulate(cfg, "NOMA", batch) == simulator.simulate(cfg, "noma", spec)
     with pytest.raises(ValueError, match="drawn for cnoma-wdl, which does not serve cnoma"):
         simulator.simulate(cfg, "cnoma", batch)
     with pytest.raises(ValueError, match="drawn for noma, which does not serve cnoma-wdl"):
-        simulator.simulate(cfg, "cnoma-wdl", spec.draw("noma", 0))
+        simulator.simulate(cfg, "cnoma-wdl", spec.draw(cfg, "noma", 0))
     for index in (1, -1):
         with pytest.raises(ValueError, match="batch index must be in"):
-            spec.draw("noma", index)
-    for index in (1.5, np.float64(0.0), "0", None):
+            spec.draw(cfg, "noma", index)
+    for index in (1.5, np.float64(0.0), "0", None, True):
         with pytest.raises(ValueError, match=re.escape(
                 f"batch index must be an integer, got {index!r}")):
-            spec.draw("noma", index)
-    assert spec.draw("noma", np.int64(0)).n_symbols == 20_000
+            spec.draw(cfg, "noma", index)
+    assert spec.draw(cfg, "noma", np.int64(0)).n_symbols == 20_000
     with pytest.raises(ValueError, match="unknown scheme"):
-        spec.draw("dnoma", 0)
+        spec.draw(cfg, "dnoma", 0)
     rng = np.random.default_rng(0)
-    assert simulator.Batch("NOMA", rng, 10).scheme == "noma"
+    assert simulator.Batch(cfg, "NOMA", rng, 10).scheme == "noma"
     with pytest.raises(ValueError, match="unknown scheme 'dnoma'"):
-        simulator.Batch("dnoma", rng, 10)
+        simulator.Batch(cfg, "dnoma", rng, 10)
 
 
 def test_carriers_group_each_scheme_under_a_batch_that_serves_it():
@@ -174,7 +176,8 @@ def test_carriers_group_each_scheme_under_a_batch_that_serves_it():
 @pytest.mark.parametrize("seed, index", [(1, 0), (3, 1), (8, 2), (2**40, 0)])
 def test_a_carrier_batch_starts_with_the_draws_of_the_schemes_it_serves(seed, index):
     spec = SimSpec(n_symbols=250_000, seed=seed)
-    carrier, noma = spec.draw("cnoma-wdl", index), spec.draw("noma", index)
+    cfg = SystemConfig.defaults()
+    carrier, noma = spec.draw(cfg, "cnoma-wdl", index), spec.draw(cfg, "noma", index)
     assert np.array_equal(carrier.bits, noma.bits)
     assert np.array_equal(carrier.receivers[:2], noma.receivers)
     assert not np.array_equal(carrier.receivers[2:4], noma.receivers)
@@ -182,12 +185,12 @@ def test_a_carrier_batch_starts_with_the_draws_of_the_schemes_it_serves(seed, in
 
 @pytest.mark.parametrize("noma_first", [True, False], ids=["noma-first", "wdl-first"])
 def test_noma_on_a_carrier_batch_equals_noma_on_its_own(noma_first):
-    """noma settles and reads only the rows it hears, so it gets the counts
-    of its own batch at every grid point, whichever scheme settles the
-    carrier first; cnoma-wdl keeps the counts of its own run."""
+    """noma reads only the rows it hears, so on a cnoma-wdl batch it gets
+    the counts of its own batch at every grid point, whichever scheme runs
+    on the carrier first; cnoma-wdl keeps the counts of its own run."""
     spec = SimSpec(n_symbols=30_000, seed=4)
     base = SystemConfig.defaults(snr_db=15.0)
-    carrier, own = spec.draw("cnoma-wdl", 0), spec.draw("noma", 0)
+    carrier, own = spec.draw(base, "cnoma-wdl", 0), spec.draw(base, "noma", 0)
     if not noma_first:
         simulator.simulate(base, "cnoma-wdl", carrier)
     for cfg in _grid_configs(base):
@@ -204,16 +207,17 @@ def test_noma_on_a_carrier_batch_equals_noma_on_its_own(noma_first):
         simulator.simulate(far_relay, "cnoma-wdl", carrier)
     with pytest.raises(ValueError, match="batch was settled to .*draw a new batch"):
         simulator.simulate(replace(base, sigma_eps_sq=0.01), "noma", carrier)
-    # noma leaves the relay's rows as drawn, for cnoma-wdl to settle at its own geometry
-    fresh = spec.draw("cnoma-wdl", 0)
-    simulator.simulate(far_relay, "noma", fresh)
-    assert simulator.simulate(base, "cnoma-wdl", fresh) == \
-        simulator.simulate(base, "cnoma-wdl", spec)
+    # a carrier drawn with the relay moved serves noma at the base geometry,
+    # with noma's own counts, and refuses cnoma-wdl there
+    moved = spec.draw(far_relay, "cnoma-wdl", 0)
+    assert simulator.simulate(base, "noma", moved) == simulator.simulate(base, "noma", own)
+    with pytest.raises(ValueError, match="batch was settled to .*draw a new batch"):
+        simulator.simulate(base, "cnoma-wdl", moved)
 
 
 def test_spec_must_be_a_simspec_or_a_batch():
     cfg = SystemConfig.defaults()
-    batch = SimSpec(n_symbols=20_000, seed=3).draw("cnoma-wdl", 0)
+    batch = SimSpec(n_symbols=20_000, seed=3).draw(cfg, "cnoma-wdl", 0)
     for spec in (20_000, None, batch.receivers, {"n_symbols": 20_000}):
         with pytest.raises(TypeError, match="spec must be a SimSpec or a Batch"):
             simulator.simulate(cfg, "noma", spec)
@@ -252,14 +256,14 @@ def test_a_run_holds_one_batch_at_a_time(scheme):
 
 
 def test_carrier_shared_by_threads_of_both_schemes_gives_serial_counts():
-    """Threads racing to be the first simulation of a cnoma-wdl batch, half
-    of them running noma on it, each get the serial count of their own
-    scheme and scenario."""
+    """Threads released at once onto a cnoma-wdl batch, half of them
+    running noma on it, each get the serial count of their own scheme and
+    scenario."""
     spec = SimSpec(n_symbols=20_000, seed=12)
     configs = _grid_configs(SystemConfig.defaults(snr_db=10.0))[:8]
     jobs = [(cfg, scheme) for cfg in configs for scheme in ("noma", "cnoma-wdl")]
     serial = [simulator.simulate(cfg, scheme, spec) for cfg, scheme in jobs]
-    batch = spec.draw("cnoma-wdl", 0)
+    batch = spec.draw(configs[0], "cnoma-wdl", 0)
     start = threading.Barrier(len(jobs))
 
     def run(job):
@@ -279,21 +283,31 @@ def test_carrier_shared_by_threads_of_both_schemes_gives_serial_counts():
 
 def test_batch_shared_between_threads_gives_serial_counts():
     """A batch keeps one set of work arrays for all its simulations; threads
-    sharing it, switching as often as the interpreter allows, must still
-    each get the serial count of their own scenario."""
-    batch = SimSpec(n_symbols=20_000, seed=6).draw("cnoma-wdl", 0)
-    configs = [SystemConfig.defaults(snr_db=float(v)) for v in range(0, 40, 5)]
-    serial = [simulator.simulate(cfg, "cnoma-wdl", batch) for cfg in configs]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=2 * len(configs)) as pool:
-            futures = [pool.submit(simulator.simulate, cfg, "cnoma-wdl", batch)
-                       for _ in range(3) for cfg in configs]
-            shared = [f.result(timeout=60) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    assert shared == serial * 3
+    sharing it, released at once and switching as often as the interpreter
+    allows, must still each get the count of a freshly drawn batch at their
+    own scenario: three rounds of an SNR grid, and sixteen threads at points
+    of SNR, hardware and split grids."""
+    by_snr = [SystemConfig.defaults(snr_db=float(v)) for v in range(0, 40, 5)]
+    mixed = (_grid_configs(SystemConfig.defaults(snr_db=10.0)) * 2)[:16]
+    for seed, jobs in ((6, by_snr * 3), (8, mixed)):
+        spec = SimSpec(n_symbols=20_000, seed=seed)
+        serial = [simulator.simulate(cfg, "cnoma-wdl", spec) for cfg in jobs]
+        batch = spec.draw(jobs[0], "cnoma-wdl", 0)
+        start = threading.Barrier(len(jobs))
+
+        def run(cfg):
+            start.wait(timeout=60)
+            return simulator.simulate(cfg, "cnoma-wdl", batch)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+                futures = [pool.submit(run, cfg) for cfg in jobs]
+                shared = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert shared == serial, seed
 
 
 #: Error counts of the reference scenario at 20 dB, seed 1, 150000 symbols
@@ -377,20 +391,28 @@ def _grid_configs(base):
 
 
 def test_settled_batch_serves_every_grid_point_and_rejects_another_geometry():
-    """The first simulation settles a batch to its scenario's geometry;
-    later ones at any power, hardware factor or split get the counts of a
-    freshly drawn batch, and one of another geometry is refused."""
-    spec = SimSpec(n_symbols=20_000, seed=3)
+    """A batch is settled to its scenario's geometry when it is drawn; it
+    serves any power, hardware factor or split with the counts of a fresh
+    draw, and refuses a scenario of another geometry."""
+    n, seed = 20_000, 3
+    spec = SimSpec(n_symbols=n, seed=seed)
     base = SystemConfig.defaults(snr_db=20.0)
+    err_sd = math.sqrt(base.sigma_eps_sq)
     for scheme in analytic.SCHEMES:
-        batch = spec.draw(scheme, 0)
-        raw = batch.receivers.copy()
-        simulator.simulate(base, scheme, batch)
-        # settling rewrites what ``receivers`` shows: g = sigma~^2 x, f sqrt(g),
-        # s = |h~ + e|^2 and z sqrt(g), with f = sqrt(g) + e_par
-        err_sd = math.sqrt(base.sigma_eps_sq)
-        for link, settled, (x, e_par, e_perp, z) in zip(simulator._receiver_links(scheme),
-                                                        batch.receivers, raw):
+        batch = spec.draw(base, scheme, 0)
+        # the documented stream, rebuilt without Batch: bits m1 and m2, then
+        # x, e_par, e_perp and z per receiver
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+        bits = [rng.integers(0, 2, n) * 2.0 - 1.0 for _ in range(2)]
+        np.testing.assert_array_equal(batch.bits, bits)
+        links = simulator._receiver_links(scheme)
+        assert batch.geometry == tuple((base.sigma_eps_sq, base.link_budget(link).sigma_tilde_sq)
+                                       for link in links)
+        # as drawn, ``receivers`` already shows the settled terms: g = sigma~^2 x,
+        # f sqrt(g), s = |h~ + e|^2 and z sqrt(g), with f = sqrt(g) + e_par
+        for link, settled in zip(links, batch.receivers):
+            x = rng.standard_exponential(n)
+            e_par, e_perp, z = rng.standard_normal((3, n))
             g = x * base.link_budget(link).sigma_tilde_sq
             f = e_par * err_sd + np.sqrt(g)
             for got, want in zip(settled, (g, f * np.sqrt(g),
@@ -415,32 +437,6 @@ def test_settled_batch_serves_every_grid_point_and_rejects_another_geometry():
                 array[0] = 0.0
             with pytest.raises(ValueError, match="WRITEABLE"):
                 array.flags.writeable = True
-
-
-def test_unsettled_batch_shared_by_16_threads_gives_serial_counts():
-    """Sixteen threads race to be a batch's first simulation, at points of
-    SNR, hardware and split grids; whichever settles it, every thread gets
-    the count of a freshly drawn batch."""
-    spec = SimSpec(n_symbols=20_000, seed=8)
-    base = SystemConfig.defaults(snr_db=10.0)
-    configs = (_grid_configs(base) * 2)[:16]
-    serial = [simulator.simulate(cfg, "cnoma-wdl", spec) for cfg in configs]
-    batch = spec.draw("cnoma-wdl", 0)
-    start = threading.Barrier(len(configs))
-
-    def run(cfg):
-        start.wait(timeout=60)
-        return simulator.simulate(cfg, "cnoma-wdl", batch)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=len(configs)) as pool:
-            futures = [pool.submit(run, cfg) for cfg in configs]
-            shared = [f.result(timeout=60) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    assert shared == serial
 
 
 def test_error_masks_read_decisions_as_slice_sign_does():
