@@ -281,33 +281,44 @@ def test_carrier_shared_by_threads_of_both_schemes_gives_serial_counts():
     assert shared == serial
 
 
+def _shared_counts(spec, jobs):
+    """Counts of ``cnoma-wdl`` at each of ``jobs``, every thread released
+    at once onto one batch, switching as often as the interpreter allows."""
+    batch = spec.draw(jobs[0], "cnoma-wdl", 0)
+    start = threading.Barrier(len(jobs))
+
+    def run(cfg):
+        start.wait(timeout=60)
+        return simulator.simulate(cfg, "cnoma-wdl", batch)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+            futures = [pool.submit(run, cfg) for cfg in jobs]
+            return [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_batch_shared_between_threads_gives_serial_counts():
     """A batch keeps one set of work arrays for all its simulations; threads
-    sharing it, released at once and switching as often as the interpreter
-    allows, must still each get the count of a freshly drawn batch at their
-    own scenario: three rounds of an SNR grid, and sixteen threads at points
-    of SNR, hardware and split grids."""
-    by_snr = [SystemConfig.defaults(snr_db=float(v)) for v in range(0, 40, 5)]
-    mixed = (_grid_configs(SystemConfig.defaults(snr_db=10.0)) * 2)[:16]
-    for seed, jobs in ((6, by_snr * 3), (8, mixed)):
-        spec = SimSpec(n_symbols=20_000, seed=seed)
-        serial = [simulator.simulate(cfg, "cnoma-wdl", spec) for cfg in jobs]
-        batch = spec.draw(jobs[0], "cnoma-wdl", 0)
-        start = threading.Barrier(len(jobs))
+    sharing it must still each get the count of a freshly drawn batch at
+    their own scenario, here three rounds of an SNR grid."""
+    jobs = [SystemConfig.defaults(snr_db=float(v)) for v in range(0, 40, 5)] * 3
+    spec = SimSpec(n_symbols=20_000, seed=6)
+    serial = [simulator.simulate(cfg, "cnoma-wdl", spec) for cfg in jobs]
+    assert _shared_counts(spec, jobs) == serial
 
-        def run(cfg):
-            start.wait(timeout=60)
-            return simulator.simulate(cfg, "cnoma-wdl", batch)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-                futures = [pool.submit(run, cfg) for cfg in jobs]
-                shared = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert shared == serial, seed
+def test_unsettled_batch_shared_by_16_threads_gives_serial_counts():
+    """Sixteen threads share one batch at points of SNR, hardware and split
+    grids; since the batch is settled when drawn, none of them changes what
+    the others read, and each gets the count of a freshly drawn batch."""
+    jobs = (_grid_configs(SystemConfig.defaults(snr_db=10.0)) * 2)[:16]
+    spec = SimSpec(n_symbols=20_000, seed=8)
+    serial = [simulator.simulate(cfg, "cnoma-wdl", spec) for cfg in jobs]
+    assert _shared_counts(spec, jobs) == serial
 
 
 #: Error counts of the reference scenario at 20 dB, seed 1, 150000 symbols
