@@ -3,9 +3,9 @@
 A sweep varies one parameter (transmit SNR, hardware-quality factor, or the
 power split) over a grid and evaluates BER for the requested schemes and
 users by each requested method of :data:`METHODS`: closed forms, or Monte
-Carlo batches that run concurrently, each shared by every grid point and
-every scheme it serves.  Rows
-come out in a fixed order: grid-major, then scheme, user, method.
+Carlo batches that run concurrently, each drawn once per index and shared
+by every grid point and every requested scheme.  Rows come out in a fixed
+order: grid-major, then scheme, user, method.
 """
 
 from __future__ import annotations
@@ -149,14 +149,13 @@ def _closed_forms(spec: SweepSpec, configs: list[SystemConfig], pool) -> dict:
     return outcomes
 
 
-def _simulate_batch(sim: simulator.SimSpec, configs: list[SystemConfig], carrier: str,
+def _simulate_batch(sim: simulator.SimSpec, configs: list[SystemConfig],
                     schemes: tuple[str, ...], index: int) -> dict[str, list]:
-    """One pool task: draw batch ``index`` for ``carrier`` once, at the
-    geometry the grid points share, and simulate each of ``schemes``, the
-    schemes it serves, on it at every grid point.  Each scheme's entries
-    are, per point, its result or, when the draw or the simulation raised,
-    the message."""
-    batch = _attempt(sim.draw, configs[0], carrier, index)
+    """One pool task: draw batch ``index`` once for all of ``schemes``, at
+    the geometry the grid points share, and simulate each scheme on it at
+    every grid point.  Each scheme's entries are, per point, its result
+    or, when the draw or the simulation raised, the message."""
+    batch = _attempt(sim.draw, configs[0], schemes, index)
     if isinstance(batch, str):
         return dict.fromkeys(schemes, [batch] * len(configs))
     return {scheme: [_attempt(simulator.simulate, cfg, scheme, batch) for cfg in configs]
@@ -164,21 +163,17 @@ def _simulate_batch(sim: simulator.SimSpec, configs: list[SystemConfig], carrier
 
 
 def _simulations(spec: SweepSpec, configs: list[SystemConfig], pool) -> dict:
-    """The ``monte-carlo`` method: one pool task per (carrier, batch)
-    (``simulator.carriers``), so the grid points, and the schemes one batch
-    serves, share each batch's draws, yet each point's counts, summed over
-    its batches, equal those of ``simulate`` with the sweep's SimSpec.  A
-    point keeps the first error among its batches."""
-    tasks = [pool.submit(_simulate_batch, spec.sim, configs, carrier, schemes, index)
-             for carrier, schemes in simulator.carriers(spec.schemes).items()
+    """The ``monte-carlo`` method: one pool task per batch index, so the
+    grid points and the requested schemes share each batch's draws, yet
+    each point's counts, summed over its batches, equal those of
+    ``simulate`` with the sweep's SimSpec.  A point keeps the first error
+    among its batches."""
+    tasks = [pool.submit(_simulate_batch, spec.sim, configs, spec.schemes, index)
              for index in range(len(spec.sim.batches()))]
-    per_batch = {scheme: [] for scheme in spec.schemes}
-    for task in tasks:
-        for scheme, results in task.result().items():
-            per_batch[scheme].append(results)
+    per_batch = [task.result() for task in tasks]
     outcomes = {}
-    for scheme, batches in per_batch.items():
-        for point, results in enumerate(zip(*batches)):
+    for scheme in spec.schemes:
+        for point, results in enumerate(zip(*(batch[scheme] for batch in per_batch))):
             error = next((r for r in results if isinstance(r, str)), None)
             if error is None:
                 total = simulator.McResult.from_counts(sum(r.trials for r in results),

@@ -36,9 +36,10 @@ class SimSpec:
 
     ``n_symbols`` counts transmitted symbol pairs, split into batches of
     100000 and one shorter final batch for the remainder.  Each batch owns
-    a private random stream derived from ``(seed, batch index)``, so results
-    are bit-identical for identical inputs regardless of evaluation order,
-    and a batch's variates do not depend on the scenario (see ``Batch``).
+    private random streams derived from ``(seed, batch index)``, one per
+    hop it holds (see ``Batch``), so results are bit-identical for
+    identical inputs regardless of evaluation order, and a batch's variates
+    depend neither on the scenario nor on the schemes it was drawn for.
     """
 
     n_symbols: int = 1_000_000
@@ -58,17 +59,16 @@ class SimSpec:
         full, rem = divmod(self.n_symbols, _BATCH_SYMBOLS)
         return [_BATCH_SYMBOLS] * full + ([rem] if rem else [])
 
-    def draw(self, cfg: SystemConfig, scheme: str, index: int) -> "Batch":
-        """Draw batch ``index`` of this run for ``scheme`` from the batch's
-        own stream, settled to the geometry of ``cfg`` (see :class:`Batch`).
-        The batch also serves every scheme ``scheme`` carries (``carriers``)."""
+    def draw(self, cfg: SystemConfig, schemes, index: int) -> "Batch":
+        """Draw batch ``index`` of this run for ``schemes`` (one name or
+        several) from the batch's own streams, settled to the geometry of
+        ``cfg`` (see :class:`Batch`)."""
         if not _is_integer(index):
             raise ValueError(f"batch index must be an integer, got {index!r}")
         sizes = self.batches()
         if not 0 <= index < len(sizes):
             raise ValueError(f"batch index must be in [0, {len(sizes)}), got {index}")
-        rng = np.random.default_rng(np.random.SeedSequence((self.seed, index)))
-        return Batch(cfg, scheme, rng, sizes[index])
+        return Batch(cfg, schemes, np.random.SeedSequence((self.seed, index)), sizes[index])
 
 
 def _is_integer(value) -> bool:
@@ -131,32 +131,37 @@ class CondPropStats:
 
 
 class Batch:
-    """One batch of a run's random draws, drawn for one scheme, its carrier,
-    settled to one geometry, and serving every scheme whose receivers begin
-    the carrier's at that geometry.
+    """One batch of a run's random draws, drawn for a set of schemes,
+    settled to one geometry, and serving every scheme whose hops it holds.
 
     Built by :meth:`SimSpec.draw`; a :class:`SimSpec` run is its batches,
-    drawn and simulated one at a time.  The stream holds the BPSK bits m1
-    and m2, then, per receiver in the order of ``_receiver_links``, the four
-    standard variates of ``_receive``: an exponential x and three normals
-    e_par, e_perp and z.  So a batch starts with the draws of every scheme
-    whose receivers are a prefix of its own (``carriers``): a cnoma-wdl
-    batch's bits and first two rows are noma's batch of the same seed and
-    index, bit for bit, and noma reads only those.
+    drawn and simulated one at a time.  A batch holds the hops (``_HOPS``)
+    of the schemes it was drawn for, in the order "s", "r", in ``hops``.
+    Each hop draws from its own stream: the bits and the source hop from
+    ``seq``, the relay hop from seq's first spawned child (spawn key 0,
+    rebuilt, so drawing never changes ``seq``).  The first stream holds the
+    BPSK bits m1 and m2, then the source hop's receivers; each receiver,
+    in the order of ``_HOP_LINKS``, takes the four standard variates of
+    ``_receive``: an exponential x and three normals e_par, e_perp and z.
+    So a hop's rows do not depend on whether the other hop was drawn: noma
+    reads the same bits and rows on its own batch as on one drawn for every
+    scheme, and cnoma the same relay rows as cnoma-wdl.
 
     At its draw the batch settles every receiver row to its link's
     geometry, the estimation-error variance sigma_eps_sq and the estimate
-    variance sigma~^2 of ``cfg``, recorded per row in ``geometry``.  Per
-    row, in place: g = x sigma~^2, f = e_par sigma + sqrt(g),
-    s = (e_perp sigma)^2 + f f, where sigma is the deviation of each of the
-    two parts of e, and then f sqrt(g) and z sqrt(g) replace f and z.  Each
-    operation and its order are fixed, as in ``_receive``.  From then on
-    ``bits`` (+-1 floats) and ``receivers`` (g, f sqrt(g), s, z sqrt(g) per
-    row) are read-only and never change.  A simulation runs only the tail
-    that powers, hardware factors and the split change, on any scenario
-    whose heard links share the batch's geometry; it refuses any other with
-    ValueError.  The grid points of a sweep share one geometry, so they
-    share both the draws and the settling: common random numbers.
+    variance sigma~^2 of ``cfg``: ``geometry`` maps each link, in row
+    order, to that pair.  Per row, in place: g = x sigma~^2,
+    f = e_par sigma + sqrt(g), s = (e_perp sigma)^2 + f f, where sigma is
+    the deviation of each of the two parts of e, and then f sqrt(g) and
+    z sqrt(g) replace f and z.  Each operation and its order are fixed, as
+    in ``_receive``.  From then on ``bits`` (+-1 floats) and ``receivers``
+    (g, f sqrt(g), s, z sqrt(g) per row) are read-only and never change.
+    A simulation runs only the tail that powers, hardware factors and the
+    split change, on any scenario whose heard links share the batch's
+    geometry; it refuses any other, and a scheme whose hops the batch
+    lacks, with ValueError.  The grid points and schemes of a sweep share
+    one geometry, so they share both the draws and the settling: common
+    random numbers.
 
     The batch also owns the work rows its simulations write, seven float
     and four boolean, and the boolean rows of the bits, true where a bit is
@@ -164,19 +169,27 @@ class Batch:
     is safe to share between threads.
     """
 
-    __slots__ = ("scheme", "n_symbols", "geometry", "bits", "receivers", "_positive",
+    __slots__ = ("hops", "n_symbols", "geometry", "bits", "receivers", "_positive",
                  "_floats", "_flags", "_lock")
 
-    def __init__(self, cfg: SystemConfig, scheme: str, rng, n: int):
-        scheme = _scheme(scheme)
-        links = _receiver_links(scheme)
+    def __init__(self, cfg: SystemConfig, schemes, seq: np.random.SeedSequence, n: int):
+        names = (schemes,) if isinstance(schemes, str) else tuple(schemes)
+        if not names:
+            raise ValueError("a batch is drawn for at least one scheme, got none")
+        held = {hop for name in names for hop in _HOPS[_scheme(name)]}
+        hops = tuple(hop for hop in _HOP_LINKS if hop in held)
+        links = [link for hop in hops for link in _HOP_LINKS[hop]]
         draws = np.empty((2 + 4 * len(links), n))
+        rng = np.random.default_rng(seq)
         for bits in draws[:2]:
             bits[:] = rng.integers(0, 2, n)
             bits *= 2.0
             bits -= 1.0
         receivers = draws[2:].reshape(len(links), 4, n)
-        for variates in receivers:
+        for link, variates in zip(links, receivers):
+            if link == _HOP_LINKS["r"][0]:  # the relay hop: seq's first child
+                rng = np.random.default_rng(np.random.SeedSequence(
+                    seq.entropy, spawn_key=(*seq.spawn_key, 0), pool_size=seq.pool_size))
             rng.standard_exponential(out=variates[0])
             rng.standard_normal(out=variates[1:])
         self._positive = np.greater(draws[:2], 0.0)
@@ -185,7 +198,7 @@ class Batch:
         self.geometry = _geometry(cfg, links)
         err_sd = math.sqrt(cfg.sigma_eps_sq)  # each of the two parts of e
         root, square = self._floats[:2]
-        for (g, f, s, z), (_, sigma_tilde_sq) in zip(receivers, self.geometry):
+        for (g, f, s, z), (_, sigma_tilde_sq) in zip(receivers, self.geometry.values()):
             g *= sigma_tilde_sq
             f *= err_sd
             np.sqrt(g, out=root)
@@ -197,17 +210,17 @@ class Batch:
             f *= root
             z *= root
         draws.flags.writeable = False  # every view taken from here on inherits it
-        self.scheme = scheme
+        self.hops = hops
         self.n_symbols = n
         self.bits = draws[:2]
         self.receivers = draws[2:].reshape(len(links), 4, n)
         self._lock = threading.Lock()
 
 
-def _geometry(cfg: SystemConfig, links: tuple[str, ...]) -> tuple[tuple[float, float], ...]:
+def _geometry(cfg: SystemConfig, links) -> dict[str, tuple[float, float]]:
     """Per link, what settling a receiver row reads of ``cfg``:
     (sigma_eps_sq, sigma~^2)."""
-    return tuple((cfg.sigma_eps_sq, cfg.sigma_tilde_sq(link)) for link in links)
+    return {link: (cfg.sigma_eps_sq, cfg.sigma_tilde_sq(link)) for link in links}
 
 
 def _scheme(name: str) -> str:
@@ -270,36 +283,9 @@ def _receive(cfg: SystemConfig, link: str, tx: np.ndarray, terms: np.ndarray,
 #: them by maximum-ratio combining.
 _HOPS = {"noma": ("s",), "cnoma": ("r",), "cnoma-wdl": ("s", "r")}
 
-
-def _receiver_links(scheme: str) -> tuple[str, ...]:
-    """The links of ``scheme``'s receivers in draw order: per hop, the
-    relay's link sr before its forward, then the hop's links to u1 and u2."""
-    links = ()
-    for hop in _HOPS[scheme]:
-        links += ("sr",) if hop == "r" else ()
-        links += (hop + "1", hop + "2")
-    return links
-
-
-def _carries(carrier: str, scheme: str) -> bool:
-    """Whether a batch drawn for ``carrier`` serves ``scheme``: the
-    receivers of ``scheme`` are a prefix of the carrier's."""
-    links = _receiver_links(scheme)
-    return _receiver_links(carrier)[:len(links)] == links
-
-
-def carriers(schemes) -> dict[str, tuple[str, ...]]:
-    """Group ``schemes`` (any case) by the scheme to draw batches for: each
-    carrier maps to the schemes whose receivers are a prefix of its own,
-    itself included, so one batch serves its whole group (see
-    :class:`Batch`).  Carriers and their groups keep the order of
-    ``schemes``."""
-    names = [_scheme(name) for name in schemes]
-    tops = [c for c in names if not any(o != c and _carries(o, c) for o in names)]
-    groups = {carrier: [] for carrier in tops}
-    for name in names:
-        groups[next(c for c in tops if _carries(c, name))].append(name)
-    return {carrier: tuple(group) for carrier, group in groups.items()}
+#: The links of each hop's receivers, in draw order: the relay's own
+#: receive on sr before its forward.
+_HOP_LINKS = {"s": ("s1", "s2"), "r": ("sr", "r1", "r2")}
 
 
 def _superpose(cfg: SystemConfig, m1: np.ndarray, m2: np.ndarray, out: np.ndarray,
@@ -374,7 +360,7 @@ def _chain(cfg: SystemConfig, scheme: str, batch: Batch, genie_relay: bool,
     m1, m2 = batch.bits
     m1_known = m1 if genie_sic else None
     sqrt_a1 = math.sqrt(cfg.alpha1)
-    terms = dict(zip(_receiver_links(scheme), batch.receivers))
+    terms = dict(zip(batch.geometry, batch.receivers))
     _superpose(cfg, m1, m2, tx, gain)
     relay = None
     for heard, hop in enumerate(_HOPS[scheme]):
@@ -406,8 +392,8 @@ def _tally(cfg: SystemConfig, scheme: str, spec: SimSpec | Batch, slips: bool = 
     with ``slips``, per user, the relay's slips on the user's bit and the
     user's errors among them.  A SimSpec's are the sum, entry by entry, of
     its batches', each drawn at ``cfg`` and freed before the next is drawn.
-    A Batch must serve ``scheme`` at ``cfg``'s geometry on every link
-    ``scheme`` hears; it is detected and tallied under its lock: the masks
+    A Batch must hold every hop ``scheme`` hears, settled to ``cfg``'s
+    geometry; it is detected and tallied under its lock: the masks
     are its work rows, which the next simulation overwrites."""
     if isinstance(spec, SimSpec):
         per_batch = [_tally(cfg, scheme, spec.draw(cfg, scheme, index), slips, genie_relay,
@@ -415,14 +401,15 @@ def _tally(cfg: SystemConfig, scheme: str, spec: SimSpec | Batch, slips: bool = 
         return [sum(counts) for counts in zip(*per_batch)]
     if not isinstance(spec, Batch):
         raise TypeError(f"spec must be a SimSpec or a Batch, got {type(spec).__name__}")
-    if not _carries(spec.scheme, scheme):
-        raise ValueError(f"batch was drawn for {spec.scheme}, which does not serve {scheme}")
-    links = _receiver_links(scheme)
-    for link, settled, wanted in zip(links, spec.geometry, _geometry(cfg, links)):
-        if settled != wanted:
-            raise ValueError(
-                f"batch was settled to (sigma_eps_sq, sigma~^2 of {link}) = {settled}, "
-                f"not {wanted}; draw a new batch for another geometry")
+    for hop in _HOPS[scheme]:
+        if hop not in spec.hops:
+            raise ValueError(f"batch holds the hops {spec.hops}, not {hop!r}, which {scheme} "
+                             f"hears; draw a batch for {scheme}")
+        for link, wanted in _geometry(cfg, _HOP_LINKS[hop]).items():
+            if spec.geometry[link] != wanted:
+                raise ValueError(
+                    f"batch was settled to (sigma_eps_sq, sigma~^2 of {link}) = "
+                    f"{spec.geometry[link]}, not {wanted}; draw a new batch for another geometry")
     with spec._lock:
         err1, err2, relay = _chain(cfg, scheme, spec, genie_relay, genie_sic, slips)
         if slips:
@@ -437,18 +424,20 @@ def simulate(cfg: SystemConfig, scheme: str, spec: SimSpec | Batch, *,
     """Simulate ``scheme`` (noma, cnoma or cnoma-wdl, any case) and count bit errors.
 
     ``spec`` is a :class:`SimSpec`, a run of its batches, or one
-    :class:`Batch` (:meth:`SimSpec.draw`) drawn for ``scheme`` or for a
-    scheme that carries it (``carriers``); anything else raises TypeError,
-    and a batch that does not serve ``scheme`` ValueError, as does one
+    :class:`Batch` (:meth:`SimSpec.draw`) that holds every hop ``scheme``
+    hears, whatever schemes it was drawn for; anything else raises
+    TypeError, and a batch that lacks such a hop ValueError, as does one
     settled to another geometry on a link ``scheme`` hears.  Both take one
-    path: a SimSpec draws each batch at ``cfg``, and each batch is
-    detected and counted.  So the counts of a SimSpec's batches, each
-    simulated alone, sum to the SimSpec's, and a batch reused at another
-    power, hardware factor or split gets the counts of a fresh draw.  ``genie_relay`` forwards the true bits regardless of what
-    the relay detected (noma has no relay and rejects it); ``genie_sic``
-    feeds the true far-user bit to every subtraction, relay and near user,
-    leaving the detections themselves unchanged.  Both isolate one loss for
-    instrumentation and are deliberately not reachable from file configs.
+    path: a SimSpec draws each batch at ``cfg`` for ``scheme`` alone, and
+    each batch is detected and counted.  So the counts of a SimSpec's
+    batches, each simulated alone, sum to the SimSpec's, and a batch
+    reused at another power, hardware factor or split, or drawn beside
+    other schemes, gets the counts of a fresh draw.  ``genie_relay``
+    forwards the true bits regardless of what the relay detected (noma has
+    no relay and rejects it); ``genie_sic`` feeds the true far-user bit to
+    every subtraction, relay and near user, leaving the detections
+    themselves unchanged.  Both isolate one loss for instrumentation and
+    are deliberately not reachable from file configs.
     """
     scheme = _scheme(scheme)
     if genie_relay and scheme == "noma":

@@ -15,12 +15,12 @@ model the simulator realises, in three measured ways (1M symbols, seed 1).
     at 30 dB.
 (b) ``e2e_cnoma`` and ``_e2e_wdl`` compose the relay hops as independent
     binary channels.  That fails even with hardware and estimation clean:
-    at 0 dB cnoma u1 is -33 sigma and cnoma-wdl u2 -215 sigma, while an
+    at 0 dB cnoma u1 is -33 sigma and cnoma-wdl u2 -214 sigma, while an
     exact quadrature (``exact_clean_ber`` in the simulator suite) is
-    within 1 sigma.
+    within 1.7 sigma.
 (c) The signed branch sum in ``_e2e_wdl`` gives 0.534 for cnoma-wdl u2 at
     0 dB with the reference impairments, above 1/2, where the simulator
-    measures 0.425.
+    measures 0.426.
 
 Passing it needs new values from ``scheme_ber``.  The simulator is the
 trusted reference: it is pinned independently by quadrature and

@@ -123,7 +123,7 @@ def test_simulation_failure_is_recorded_not_raised(monkeypatch):
     ("alpha1", (0.6, 0.75, 0.9)),
 ])
 def test_sweep_shares_each_batch_yet_every_point_equals_simulate(swept, grid):
-    """A sweep draws each (scheme, batch) once for all its grid points; a
+    """A sweep draws each batch once for all its grid points and schemes; a
     point's counts must still be those of its own ``simulate`` call, over
     two full batches and a remainder, whatever the pool size."""
     sim = SimSpec(n_symbols=250_000, seed=5)
@@ -185,79 +185,58 @@ def test_sweep_pool_defaults_to_the_usable_cores(monkeypatch):
     assert experiments._cores() == (os.cpu_count() or 1)
 
 
-def test_failed_draw_is_recorded_on_its_scheme_alone(monkeypatch):
+def test_failed_draw_is_recorded_on_every_scheme_it_serves(monkeypatch):
+    """A batch index is drawn once for every requested scheme, so a failed
+    draw lands on the monte-carlo rows of all of them; the analytic rows
+    stay clean."""
     spec = SweepSpec(swept_parameter="snr_db", grid=(0.0, 10.0),
                      sim=SimSpec(n_symbols=150_000, seed=4))
     clean = run_sweep(spec).rows
     real = SimSpec.draw
 
-    def draw(self, cfg, scheme, index):
-        if scheme == "cnoma" and index == 1:
+    def draw(self, cfg, schemes, index):
+        if index == 1:
             raise RuntimeError("synthetic draw failure")
-        return real(self, cfg, scheme, index)
+        return real(self, cfg, schemes, index)
 
     monkeypatch.setattr(SimSpec, "draw", draw)
     rows = run_sweep(spec).rows
     assert len(rows) == len(clean) == 2 * 3 * 2 * 2
     for row, before in zip(rows, clean):
-        if row.scheme == "cnoma" and row.method == "monte-carlo":
+        if row.method == "monte-carlo":
             assert math.isnan(row.ber) and row.std_err is None
             assert row.error == "synthetic draw failure"
         else:
             assert row == before
 
 
-def test_failed_carrier_draw_is_recorded_on_every_scheme_it_serves(monkeypatch):
-    """noma rides on cnoma-wdl's batches, so a failed cnoma-wdl draw lands on
-    the rows of both; cnoma draws its own batches and stays clean."""
-    spec = SweepSpec(swept_parameter="snr_db", grid=(0.0, 10.0),
-                     sim=SimSpec(n_symbols=150_000, seed=4))
-    clean = run_sweep(spec).rows
-    real = SimSpec.draw
-
-    def draw(self, cfg, scheme, index):
-        if scheme == "cnoma-wdl" and index == 1:
-            raise RuntimeError("synthetic draw failure")
-        return real(self, cfg, scheme, index)
-
-    monkeypatch.setattr(SimSpec, "draw", draw)
-    rows = run_sweep(spec).rows
-    assert len(rows) == len(clean) == 2 * 3 * 2 * 2
-    for row, before in zip(rows, clean):
-        if row.scheme in ("noma", "cnoma-wdl") and row.method == "monte-carlo":
-            assert math.isnan(row.ber) and row.std_err is None
-            assert row.error == "synthetic draw failure"
-        else:
-            assert row == before
-
-
-@pytest.mark.parametrize("schemes, carriers", [
-    (("noma", "cnoma", "cnoma-wdl"), 2),
-    (("cnoma-wdl", "noma"), 1),
-    (("noma", "cnoma"), 2),
+@pytest.mark.parametrize("schemes", [
+    analytic.SCHEMES, ("cnoma-wdl", "noma"), ("noma", "cnoma"), ("cnoma",),
 ])
-def test_sweep_draws_each_batch_once_per_carrier(schemes, carriers, monkeypatch):
+def test_sweep_draws_each_batch_index_once(schemes, monkeypatch):
     sim = SimSpec(n_symbols=150_000, seed=4)
     drawn = []
     real = SimSpec.draw
 
-    def draw(self, cfg, scheme, index):
-        drawn.append((scheme, index))
-        return real(self, cfg, scheme, index)
+    def draw(self, cfg, schemes, index):
+        drawn.append((schemes, index))
+        return real(self, cfg, schemes, index)
 
     monkeypatch.setattr(SimSpec, "draw", draw)
     run_sweep(SweepSpec("snr_db", (0.0, 10.0), schemes=schemes, methods=("monte-carlo",),
                         sim=sim))
-    assert len(drawn) == len(set(drawn)) == carriers * len(sim.batches())
+    assert sorted(drawn) == [(schemes, index) for index in range(len(sim.batches()))]
 
 
-def test_noma_rows_do_not_depend_on_the_schemes_beside_it():
+@pytest.mark.parametrize("scheme", analytic.SCHEMES)
+def test_rows_of_a_scheme_do_not_depend_on_the_schemes_beside_it(scheme):
     sim = SimSpec(n_symbols=150_000, seed=6)
-    rows = {schemes: [r for r in run_sweep(SweepSpec("alpha1", (0.6, 0.8), schemes=schemes,
-                                                     sim=sim)).rows if r.scheme == "noma"]
-            for schemes in (("noma",), ("noma", "cnoma", "cnoma-wdl"), ("cnoma-wdl", "noma"))}
-    assert rows[("noma",)] == rows[("noma", "cnoma", "cnoma-wdl")] == rows[("cnoma-wdl", "noma")]
-    assert len(rows[("noma",)]) == 2 * 2 * 2
+    one, other = (s for s in analytic.SCHEMES if s != scheme)
+    rows = [[r for r in run_sweep(SweepSpec("alpha1", (0.6, 0.8), schemes=schemes,
+                                            sim=sim)).rows if r.scheme == scheme]
+            for schemes in ((scheme,), (scheme, one), (other, scheme), (one, other, scheme))]
+    assert all(r == rows[0] for r in rows[1:])
+    assert len(rows[0]) == 2 * 2 * 2
 
 
 def test_csv_single_row():
@@ -294,9 +273,9 @@ def test_csv_is_byte_identical_across_runs():
 #: 20000 symbols, seed 3.  Any change to the random stream, the detection
 #: chain, the closed forms or the CSV rendering moves them.
 _CSV_SHA256 = {
-    "snr_db": "5e3a962a2201bfa1732cdc42bc1b4d8e119e19efc42e66a9b86f48f78022aa83",
-    "hwi_k": "05fa65d883f1238030f17b61c10467d0f0fc2864e5f96fd305acb5d6ae9e2af7",
-    "alpha1": "3d9c27c8a578b7f12918b690683581891262280289444a3859d783c1ee915040",
+    "snr_db": "dec432dd4866ce03fb9de0f1658af8e15a26268d18792d10247e03992aaa1f42",
+    "hwi_k": "6fcd2e6e5eb3673ac75ae324540757c42c9ffb9e31269a7d316fb3feb4dc3439",
+    "alpha1": "ef67a96119e874fb028006c633d9ba5534d6f4716f876ef7a31ed86f3f333450",
 }
 
 

@@ -133,18 +133,16 @@ def test_drawn_batch_is_read_only_and_bound_to_its_scheme():
     spec = SimSpec(n_symbols=20_000, seed=3)
     cfg = SystemConfig.defaults()
     batch = spec.draw(cfg, "CNOMA-wdl", 0)
-    assert batch.scheme == "cnoma-wdl"
+    assert batch.hops == ("s", "r")
     assert batch.bits.shape == (2, 20_000) and batch.receivers.shape == (5, 4, 20_000)
     for array in (batch.bits, batch.bits[0], batch.receivers, batch.receivers[2, 1]):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             np.multiply(array, 2.0, out=array)
-    # a batch serves the schemes whose receivers begin its own, and no other
+    # a batch serves the schemes whose hops it holds, and no other
     assert simulator.simulate(cfg, "NOMA", batch) == simulator.simulate(cfg, "noma", spec)
-    with pytest.raises(ValueError, match="drawn for cnoma-wdl, which does not serve cnoma"):
-        simulator.simulate(cfg, "cnoma", batch)
-    with pytest.raises(ValueError, match="drawn for noma, which does not serve cnoma-wdl"):
+    with pytest.raises(ValueError, match="batch holds the hops .*'s',.*not 'r', which cnoma-wdl"):
         simulator.simulate(cfg, "cnoma-wdl", spec.draw(cfg, "noma", 0))
     for index in (1, -1):
         with pytest.raises(ValueError, match="batch index must be in"):
@@ -154,65 +152,129 @@ def test_drawn_batch_is_read_only_and_bound_to_its_scheme():
                 f"batch index must be an integer, got {index!r}")):
             spec.draw(cfg, "noma", index)
     assert spec.draw(cfg, "noma", np.int64(0)).n_symbols == 20_000
-    with pytest.raises(ValueError, match="unknown scheme"):
-        spec.draw(cfg, "dnoma", 0)
-    rng = np.random.default_rng(0)
-    assert simulator.Batch(cfg, "NOMA", rng, 10).scheme == "noma"
-    with pytest.raises(ValueError, match="unknown scheme 'dnoma'"):
-        simulator.Batch(cfg, "dnoma", rng, 10)
 
 
-def test_carriers_group_each_scheme_under_a_batch_that_serves_it():
-    assert simulator.carriers(analytic.SCHEMES) == {"cnoma": ("cnoma",),
-                                                    "cnoma-wdl": ("noma", "cnoma-wdl")}
-    assert simulator.carriers(("CNOMA-WDL", "noma")) == {"cnoma-wdl": ("cnoma-wdl", "noma")}
-    for alone in analytic.SCHEMES:
-        assert simulator.carriers((alone,)) == {alone: (alone,)}
-    assert simulator.carriers(("noma", "cnoma")) == {"noma": ("noma",), "cnoma": ("cnoma",)}
-    with pytest.raises(ValueError, match="unknown scheme 'dnoma'"):
-        simulator.carriers(("noma", "dnoma"))
+def test_a_draw_needs_at_least_one_known_scheme():
+    """A draw takes one scheme name or several; none would leave a batch of
+    bits with no hop, and an unknown name has no hops at all."""
+    spec = SimSpec(n_symbols=20_000, seed=3)
+    cfg = SystemConfig.defaults()
+    seq = np.random.SeedSequence(0)
+    for draw in (lambda schemes: spec.draw(cfg, schemes, 0),
+                 lambda schemes: simulator.Batch(cfg, schemes, seq, 10)):
+        for none in ((), [], iter(())):
+            with pytest.raises(ValueError, match="at least one scheme"):
+                draw(none)
+        for unknown in ("dnoma", ("noma", "dnoma")):
+            with pytest.raises(ValueError, match="unknown scheme 'dnoma'"):
+                draw(unknown)
+        # a bare string is one scheme, not a sequence of letters
+        one, listed = draw("CNOMA"), draw(["cnoma"])
+        assert one.hops == listed.hops == ("r",)
+        np.testing.assert_array_equal(one.receivers, listed.receivers)
+
+
+@pytest.mark.parametrize("schemes", [
+    schemes for size in (1, 2, 3) for schemes in itertools.combinations(analytic.SCHEMES, size)
+], ids="+".join)
+def test_a_batch_refuses_a_scheme_whose_hop_it_lacks(schemes):
+    """A batch drawn for ``schemes`` holds the union of their hops, serves
+    every scheme whose hops it holds with the counts of that scheme's own
+    run, and refuses the others with ValueError."""
+    spec = SimSpec(n_symbols=20_000, seed=5)
+    cfg = SystemConfig.defaults(snr_db=10.0)
+    batch = spec.draw(cfg, schemes, 0)
+    held = {hop for scheme in schemes for hop in simulator._HOPS[scheme]}
+    assert batch.hops == tuple(hop for hop in ("s", "r") if hop in held)
+    for scheme in analytic.SCHEMES:
+        if set(simulator._HOPS[scheme]) <= held:
+            assert simulator.simulate(cfg, scheme, batch) == \
+                simulator.simulate(cfg, scheme, spec), scheme
+            continue
+        with pytest.raises(ValueError, match=f"batch holds the hops .*which {scheme} hears"):
+            simulator.simulate(cfg, scheme, batch)
+
+
+#: Every link at the same distance, so every link settles with the same
+#: sigma~^2 and equal draws would show as equal rows.
+_LEVEL = dict(d_s1=1.0, d_s2=1.0, d_sr=1.0, d_r1=1.0, d_r2=1.0)
 
 
 @pytest.mark.parametrize("seed, index", [(1, 0), (3, 1), (8, 2), (2**40, 0)])
-def test_a_carrier_batch_starts_with_the_draws_of_the_schemes_it_serves(seed, index):
+def test_a_hops_rows_do_not_depend_on_the_other_hop(seed, index):
+    """The bits and the source hop come from the batch's stream, the relay
+    hop from its spawned child, so each hop's rows are the same whether or
+    not the other hop was drawn, and the two hops draw different rows."""
     spec = SimSpec(n_symbols=250_000, seed=seed)
-    cfg = SystemConfig.defaults()
-    carrier, noma = spec.draw(cfg, "cnoma-wdl", index), spec.draw(cfg, "noma", index)
-    assert np.array_equal(carrier.bits, noma.bits)
-    assert np.array_equal(carrier.receivers[:2], noma.receivers)
-    assert not np.array_equal(carrier.receivers[2:4], noma.receivers)
+    cfg = SystemConfig.defaults(**_LEVEL)
+    both = spec.draw(cfg, ("noma", "cnoma"), index)
+    source, relay = spec.draw(cfg, "noma", index), spec.draw(cfg, "cnoma", index)
+    wdl = spec.draw(cfg, "cnoma-wdl", index)
+    for batch in (source, relay, wdl):
+        np.testing.assert_array_equal(batch.bits, both.bits)
+    np.testing.assert_array_equal(wdl.receivers, both.receivers)
+    np.testing.assert_array_equal(source.receivers, both.receivers[:2])
+    np.testing.assert_array_equal(relay.receivers, both.receivers[2:])
+    for row in relay.receivers:
+        for other in source.receivers:
+            assert not np.any(row == other)
 
 
-@pytest.mark.parametrize("noma_first", [True, False], ids=["noma-first", "wdl-first"])
-def test_noma_on_a_carrier_batch_equals_noma_on_its_own(noma_first):
-    """noma reads only the rows it hears, so on a cnoma-wdl batch it gets
-    the counts of its own batch at every grid point, whichever scheme runs
-    on the carrier first; cnoma-wdl keeps the counts of its own run."""
+def test_relay_stream_is_spawned_so_no_batch_replays_another():
+    """Appending 1 to the key (seed, index) would be no new stream:
+    SeedSequence((7, 5, 1)) and SeedSequence(((5 << 32) + 7, 1)) hold the
+    same words, so batch 5 of seed 7 would replay, in its relay rows, the
+    stream of batch 1 of seed (5 << 32) + 7.  The relay hop draws from the
+    spawned child instead."""
+    n = 100_000
+    cfg = SystemConfig.defaults(**_LEVEL)
+    appended, alias = (np.random.SeedSequence(key) for key in ((7, 5, 1), ((5 << 32) + 7, 1)))
+    np.testing.assert_array_equal(appended.generate_state(8), alias.generate_state(8))
+    relay = SimSpec(n_symbols=6 * n, seed=7).draw(cfg, "cnoma", 5)
+    other = SimSpec(n_symbols=2 * n, seed=(5 << 32) + 7).draw(cfg, "noma", 1)
+    # the aliased key is the stream of the other batch's bits and source rows
+    np.testing.assert_array_equal(
+        other.bits[0], np.random.default_rng(alias).integers(0, 2, n) * 2.0 - 1.0)
+    # the relay rows come from the spawned child, not from the aliased key
+    def first_row(seq):  # g = sigma~^2 x of link sr, as settled
+        return np.random.default_rng(seq).standard_exponential(n) * cfg.sigma_tilde_sq("sr")
+
+    spawned = np.random.SeedSequence((7, 5)).spawn(1)[0]
+    np.testing.assert_array_equal(relay.receivers[0, 0], first_row(spawned))
+    assert not np.any(relay.receivers[0, 0] == first_row(alias))
+
+
+@pytest.mark.parametrize("order", [analytic.SCHEMES, analytic.SCHEMES[::-1]],
+                         ids=["noma-first", "wdl-first"])
+def test_a_scheme_on_a_shared_batch_equals_it_on_its_own(order):
+    """Each scheme reads only the rows of the hops it hears, so on a batch
+    drawn for every scheme it gets the counts of its own batch at every
+    grid point, whichever scheme runs on the batch first."""
     spec = SimSpec(n_symbols=30_000, seed=4)
     base = SystemConfig.defaults(snr_db=15.0)
-    carrier, own = spec.draw(base, "cnoma-wdl", 0), spec.draw(base, "noma", 0)
-    if not noma_first:
-        simulator.simulate(base, "cnoma-wdl", carrier)
+    shared = spec.draw(base, order, 0)
+    own = {scheme: spec.draw(base, scheme, 0) for scheme in order}
     for cfg in _grid_configs(base):
-        for genies in ({}, {"genie_sic": True}):
-            assert simulator.simulate(cfg, "noma", carrier, **genies) == \
-                simulator.simulate(cfg, "noma", own, **genies), (cfg, genies)
-        assert simulator.simulate(cfg, "cnoma-wdl", carrier) == \
-            simulator.simulate(cfg, "cnoma-wdl", spec), cfg
+        for scheme in order:
+            for genies in ({}, {"genie_sic": True}):
+                assert simulator.simulate(cfg, scheme, shared, **genies) == \
+                    simulator.simulate(cfg, scheme, own[scheme], **genies), (scheme, cfg)
     # a geometry that moves only the relay's links is no part of noma
     far_relay = replace(base, d_sr=1.5)
-    assert simulator.simulate(far_relay, "noma", carrier) == \
+    assert simulator.simulate(far_relay, "noma", shared) == \
         simulator.simulate(far_relay, "noma", spec)
+    for scheme in ("cnoma", "cnoma-wdl"):
+        with pytest.raises(ValueError, match="batch was settled to .*draw a new batch"):
+            simulator.simulate(far_relay, scheme, shared)
     with pytest.raises(ValueError, match="batch was settled to .*draw a new batch"):
-        simulator.simulate(far_relay, "cnoma-wdl", carrier)
-    with pytest.raises(ValueError, match="batch was settled to .*draw a new batch"):
-        simulator.simulate(replace(base, sigma_eps_sq=0.01), "noma", carrier)
-    # a carrier drawn with the relay moved serves noma at the base geometry,
-    # with noma's own counts, and refuses cnoma-wdl there
-    moved = spec.draw(far_relay, "cnoma-wdl", 0)
-    assert simulator.simulate(base, "noma", moved) == simulator.simulate(base, "noma", own)
-    with pytest.raises(ValueError, match="batch was settled to .*draw a new batch"):
-        simulator.simulate(base, "cnoma-wdl", moved)
+        simulator.simulate(replace(base, sigma_eps_sq=0.01), "noma", shared)
+    # a batch drawn with the relay moved serves noma at the base geometry,
+    # with noma's own counts, and refuses the relayed schemes there
+    moved = spec.draw(far_relay, order, 0)
+    assert simulator.simulate(base, "noma", moved) == simulator.simulate(base, "noma", own["noma"])
+    for scheme in ("cnoma", "cnoma-wdl"):
+        with pytest.raises(ValueError, match="batch was settled to .*draw a new batch"):
+            simulator.simulate(base, scheme, moved)
 
 
 def test_spec_must_be_a_simspec_or_a_batch():
@@ -255,15 +317,15 @@ def test_a_run_holds_one_batch_at_a_time(scheme):
     assert three <= 1.2 * one, (one, three)
 
 
-def test_carrier_shared_by_threads_of_both_schemes_gives_serial_counts():
-    """Threads released at once onto a cnoma-wdl batch, half of them
-    running noma on it, each get the serial count of their own scheme and
-    scenario."""
+def test_batch_shared_by_threads_of_every_scheme_gives_serial_counts():
+    """Threads released at once onto a batch drawn for every scheme, each
+    running one scheme at one scenario, each get the serial count of their
+    own scheme and scenario."""
     spec = SimSpec(n_symbols=20_000, seed=12)
-    configs = _grid_configs(SystemConfig.defaults(snr_db=10.0))[:8]
-    jobs = [(cfg, scheme) for cfg in configs for scheme in ("noma", "cnoma-wdl")]
+    configs = _grid_configs(SystemConfig.defaults(snr_db=10.0))[:6]
+    jobs = [(cfg, scheme) for cfg in configs for scheme in analytic.SCHEMES]
     serial = [simulator.simulate(cfg, scheme, spec) for cfg, scheme in jobs]
-    batch = spec.draw(configs[0], "cnoma-wdl", 0)
+    batch = spec.draw(configs[0], analytic.SCHEMES, 0)
     start = threading.Barrier(len(jobs))
 
     def run(job):
@@ -328,16 +390,16 @@ def test_unsettled_batch_shared_by_16_threads_gives_serial_counts():
 _GOLDEN_COUNTS = {
     ("noma",): (17_320, 19_407),
     ("noma", "genie_sic"): (17_320, 15_086),
-    ("cnoma",): (14_084, 15_099),
-    ("cnoma", "genie_relay"): (12_019, 7_982),
-    ("cnoma", "genie_sic"): (14_294, 11_748),
-    ("cnoma-wdl",): (6_365, 8_828),
-    ("cnoma-wdl", "genie_relay"): (5_059, 2_749),
-    ("cnoma-wdl", "genie_sic"): (6_844, 6_837),
+    ("cnoma",): (13_876, 15_327),
+    ("cnoma", "genie_relay"): (11_878, 8_165),
+    ("cnoma", "genie_sic"): (14_103, 11_881),
+    ("cnoma-wdl",): (6_204, 8_880),
+    ("cnoma-wdl", "genie_relay"): (4_904, 2_800),
+    ("cnoma-wdl", "genie_sic"): (6_715, 6_803),
 }
 
 #: ``conditional_prop_stats`` on the same run: events and errors per user.
-_GOLDEN_CONDITIONAL = (2_433, 1_477, 7_982, 6_119)
+_GOLDEN_CONDITIONAL = (2_507, 1_483, 8_023, 6_121)
 
 
 def test_seeded_counts_are_pinned():
@@ -353,31 +415,33 @@ def test_seeded_counts_are_pinned():
 
 #: The counts of ``_GOLDEN_COUNTS`` (same run, same keys) and of
 #: ``conditional_prop_stats`` at two more geometries, recorded with the
-#: whole receive chain run at every scenario, so they check settling
-#: against the arithmetic it splits: with no estimation error, where the
-#: field f is exactly sqrt(g), and with a longer source-relay link, a
-#: larger estimation error and a lower hardware factor.
+#: whole receive chain run at every scenario on raw variates rebuilt from
+#: the documented streams (the relay hop's from the spawned child), so
+#: they check settling against the arithmetic it splits: with no
+#: estimation error, where the field f is exactly sqrt(g), and with a
+#: longer source-relay link, a larger estimation error and a lower
+#: hardware factor.
 _GOLDEN_AT_GEOMETRY = {
     "no-estimation-error": (dict(sigma_eps_sq=0.0), {
         ("noma",): (12_851, 13_732),
         ("noma", "genie_sic"): (12_851, 9_559),
-        ("cnoma",): (10_730, 11_031),
-        ("cnoma", "genie_relay"): (9_091, 5_746),
-        ("cnoma", "genie_sic"): (10_908, 7_679),
-        ("cnoma-wdl",): (4_804, 5_997),
-        ("cnoma-wdl", "genie_relay"): (3_732, 1_587),
-        ("cnoma-wdl", "genie_sic"): (5_238, 4_109),
-    }, (2_057, 1_239, 5_746, 4_418)),
+        ("cnoma",): (10_783, 11_074),
+        ("cnoma", "genie_relay"): (9_161, 5_793),
+        ("cnoma", "genie_sic"): (11_000, 7_630),
+        ("cnoma-wdl",): (4_673, 6_032),
+        ("cnoma-wdl", "genie_relay"): (3_554, 1_642),
+        ("cnoma-wdl", "genie_sic"): (5_124, 4_051),
+    }, (2_105, 1_273, 5_731, 4_391)),
     "far-relay": (dict(d_sr=1.5, sigma_eps_sq=0.02, hwi_k=0.1), {
         ("noma",): (28_460, 25_297),
         ("noma", "genie_sic"): (28_460, 21_856),
-        ("cnoma",): (23_015, 24_905),
-        ("cnoma", "genie_relay"): (18_557, 9_524),
-        ("cnoma", "genie_sic"): (23_290, 21_969),
-        ("cnoma-wdl",): (12_805, 17_918),
-        ("cnoma-wdl", "genie_relay"): (9_695, 4_492),
-        ("cnoma-wdl", "genie_sic"): (13_620, 15_893),
-    }, (5_639, 3_420, 17_553, 13_478)),
+        ("cnoma",): (22_755, 25_123),
+        ("cnoma", "genie_relay"): (18_279, 9_674),
+        ("cnoma", "genie_sic"): (23_066, 22_175),
+        ("cnoma-wdl",): (12_780, 17_975),
+        ("cnoma-wdl", "genie_relay"): (9_616, 4_439),
+        ("cnoma-wdl", "genie_sic"): (13_581, 15_807),
+    }, (5_696, 3_470, 17_624, 13_580)),
 }
 
 
@@ -411,17 +475,23 @@ def test_settled_batch_serves_every_grid_point_and_rejects_another_geometry():
     err_sd = math.sqrt(base.sigma_eps_sq)
     for scheme in analytic.SCHEMES:
         batch = spec.draw(base, scheme, 0)
-        # the documented stream, rebuilt without Batch: bits m1 and m2, then
-        # x, e_par, e_perp and z per receiver
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+        # the documented streams, rebuilt without Batch: bits m1 and m2 from
+        # (seed, index), then x, e_par, e_perp and z per receiver, the source
+        # hop's from the same stream and the relay hop's from its spawned child
+        root = np.random.SeedSequence((seed, 0))
+        rng = np.random.default_rng(root)
         bits = [rng.integers(0, 2, n) * 2.0 - 1.0 for _ in range(2)]
         np.testing.assert_array_equal(batch.bits, bits)
-        links = simulator._receiver_links(scheme)
-        assert batch.geometry == tuple((base.sigma_eps_sq, base.link_budget(link).sigma_tilde_sq)
-                                       for link in links)
+        streams = {"s": rng, "r": np.random.default_rng(root.spawn(1)[0])}
+        links = [(hop, link) for hop in simulator._HOPS[scheme]
+                 for link in simulator._HOP_LINKS[hop]]
+        assert batch.geometry == {link: (base.sigma_eps_sq,
+                                         base.link_budget(link).sigma_tilde_sq)
+                                  for _, link in links}
         # as drawn, ``receivers`` already shows the settled terms: g = sigma~^2 x,
         # f sqrt(g), s = |h~ + e|^2 and z sqrt(g), with f = sqrt(g) + e_par
-        for link, settled in zip(links, batch.receivers):
+        for (hop, link), settled in zip(links, batch.receivers, strict=True):
+            rng = streams[hop]
             x = rng.standard_exponential(n)
             e_par, e_perp, z = rng.standard_normal((3, n))
             g = x * base.link_budget(link).sigma_tilde_sq
@@ -591,8 +661,9 @@ class _FullFieldReceiver:
     y = (h~ + e)(sqrt(P) x + d) + n and project it on conj(h~).  Called
     like ``simulator._receive``, whose settled batch terms it ignores, and
     writes the same two outputs: the projection weighted by sqrt(P) and,
-    unless ``gain`` is None, the energy P |h~|^2.  ``scale`` multiplies the distortion variance k^2 P and the
-    estimation-error variance sigma_eps_sq; the simulator doubles both."""
+    unless ``gain`` is None, the energy P |h~|^2.  ``scale`` multiplies the
+    distortion variance k^2 P and the estimation-error variance
+    sigma_eps_sq; the simulator doubles both."""
 
     scale = 2.0
 
