@@ -185,10 +185,10 @@ def test_sweep_pool_defaults_to_the_usable_cores(monkeypatch):
     assert experiments._cores() == (os.cpu_count() or 1)
 
 
-def test_failed_draw_is_recorded_on_every_scheme_it_serves(monkeypatch):
-    """A batch index is drawn once for every requested scheme, so a failed
-    draw lands on the monte-carlo rows of all of them; the analytic rows
-    stay clean."""
+def test_failed_carrier_draw_is_recorded_on_every_scheme_it_serves(monkeypatch):
+    """A batch index is drawn once for every requested scheme, so the batch
+    carries them all and a failed draw lands on the monte-carlo rows of
+    every one; the analytic rows stay clean."""
     spec = SweepSpec(swept_parameter="snr_db", grid=(0.0, 10.0),
                      sim=SimSpec(n_symbols=150_000, seed=4))
     clean = run_sweep(spec).rows
@@ -206,6 +206,32 @@ def test_failed_draw_is_recorded_on_every_scheme_it_serves(monkeypatch):
         if row.method == "monte-carlo":
             assert math.isnan(row.ber) and row.std_err is None
             assert row.error == "synthetic draw failure"
+        else:
+            assert row == before
+
+
+def test_failed_draw_is_recorded_on_its_scheme_alone(monkeypatch):
+    """Every scheme reads the one batch drawn at an index, so what can fail
+    for one scheme alone is its simulation on that batch: the failure lands
+    on that scheme's monte-carlo rows and no other row moves."""
+    spec = SweepSpec(swept_parameter="snr_db", grid=(0.0, 10.0),
+                     sim=SimSpec(n_symbols=150_000, seed=4))
+    assert spec.sim.batches() == [100_000, 50_000]
+    clean = run_sweep(spec).rows
+    real = simulator.simulate
+
+    def simulate(cfg, scheme, batch, **kwargs):
+        if scheme == "cnoma" and batch.n_symbols == 50_000:  # batch index 1
+            raise RuntimeError("synthetic simulation failure")
+        return real(cfg, scheme, batch, **kwargs)
+
+    monkeypatch.setattr(experiments.simulator, "simulate", simulate)
+    rows = run_sweep(spec).rows
+    assert len(rows) == len(clean) == 2 * 3 * 2 * 2
+    for row, before in zip(rows, clean):
+        if row.scheme == "cnoma" and row.method == "monte-carlo":
+            assert math.isnan(row.ber) and row.std_err is None
+            assert row.error == "synthetic simulation failure"
         else:
             assert row == before
 
