@@ -117,6 +117,8 @@ def _checked_probability(p: float, label: str) -> float:
 def _scheme_ber(cfg: SystemConfig, scheme: str, user: str, limit: bool) -> float:
     if user not in USERS:
         raise ValueError(f"unknown user {user!r}, expected one of {USERS}")
+    if not isinstance(scheme, str) or scheme.lower() not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     scheme = scheme.lower()
     tables = build_coefficient_tables(cfg)
     # The user picks its branch table and links; the far user's bit is the
@@ -137,11 +139,9 @@ def _scheme_ber(cfg: SystemConfig, scheme: str, user: str, limit: bool) -> float
     if scheme == "cnoma":
         return e2e_cnoma(_branch_sum(signs, fades("sr"), label),
                          _branch_sum(signs, fades(rel), label))
-    if scheme == "cnoma-wdl":
-        p_coop = list(map(aber_mrc_pair, branch_sinr(cfg, direct, amp, air),
-                          branch_sinr(cfg, rel, amp, air)))
-        return _e2e_wdl(fades("sr"), prop_error(cfg, user), p_coop, signs, label)
-    raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+    p_coop = list(map(aber_mrc_pair, branch_sinr(cfg, direct, amp, air),
+                      branch_sinr(cfg, rel, amp, air)))
+    return _e2e_wdl(fades("sr"), prop_error(cfg, user), p_coop, signs, label)
 
 
 def scheme_ber(cfg: SystemConfig, scheme: str, user: str) -> float:

@@ -83,9 +83,13 @@ class SweepSpec:
             raise ValueError("grid values must be strictly increasing")
         object.__setattr__(self, "grid", grid)
         for name, known in (("schemes", analytic.SCHEMES), ("methods", tuple(METHODS))):
-            names = tuple(n.lower() for n in getattr(self, name))
-            if not names or not set(names) <= set(known):
-                raise ValueError(f"{name} must be a nonempty subset of {known}")
+            value = getattr(self, name)  # a string, or any other non-iterable, is one entry
+            one = isinstance(value, str) or not hasattr(value, "__iter__")
+            names = (value,) if one else tuple(value)
+            for entry in names or [value]:  # an empty value is its own bad entry
+                if not isinstance(entry, str) or entry.lower() not in known:
+                    raise ValueError(f"{name} must be a nonempty subset of {known}, got {entry!r}")
+            names = tuple(n.lower() for n in names)
             if len(set(names)) < len(names):
                 raise ValueError(f"{name} must not repeat an entry, got {names}")
             object.__setattr__(self, name, names)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,26 +153,24 @@ class Batch:
     f = e_par sigma + sqrt(g), s = (e_perp sigma)^2 + f f, where sigma is
     the deviation of each of the two parts of e, and then f sqrt(g) and
     z sqrt(g) replace f and z.  Each operation and its order are fixed, as
-    in ``_receive``.  From then on ``bits`` (+-1 floats) and ``receivers``
-    (g, f sqrt(g), s, z sqrt(g) per row) are read-only and never change.
-    A simulation runs only the tail that powers, hardware factors and the
-    split change, on any scenario whose heard links share the batch's
-    geometry; it refuses any other, and a scheme whose hops the batch
-    lacks, with ValueError.  The grid points and schemes of a sweep share
-    one geometry, so they share both the draws and the settling: common
-    random numbers.
-
-    The batch also owns the work rows its simulations write, seven float
-    and four boolean, and the boolean rows of the bits, true where a bit is
-    +1.  A lock lets one simulation at a time use the work rows, so a batch
-    is safe to share between threads.
+    in ``_receive``.  From then on every array the batch holds is
+    read-only, so it never changes: ``bits`` (+-1 floats), ``receivers``
+    (g, f sqrt(g), s, z sqrt(g) per row) and ``_positive`` (true where a
+    bit is +1).  A simulation writes only work rows of its own (``_chain``),
+    so threads share a batch without a lock.  It runs only the tail that
+    powers, hardware factors and the split change, on any scenario whose
+    heard links share the batch's geometry; it refuses any other, and a
+    scheme whose hops the batch lacks, with ValueError.  The grid points
+    and schemes of a sweep share one geometry, so they share both the
+    draws and the settling: common random numbers.
     """
 
-    __slots__ = ("hops", "n_symbols", "geometry", "bits", "receivers", "_positive",
-                 "_floats", "_flags", "_lock")
+    __slots__ = ("hops", "n_symbols", "geometry", "bits", "receivers", "_positive")
 
     def __init__(self, cfg: SystemConfig, schemes, seq: np.random.SeedSequence, n: int):
-        names = (schemes,) if isinstance(schemes, str) else tuple(schemes)
+        if isinstance(schemes, str) or not np.iterable(schemes):
+            schemes = (schemes,)  # one name
+        names = tuple(schemes)
         if not names:
             raise ValueError("a batch is drawn for at least one scheme, got none")
         held = {hop for name in names for hop in _HOPS[_scheme(name)]}
@@ -193,11 +190,10 @@ class Batch:
             rng.standard_exponential(out=variates[0])
             rng.standard_normal(out=variates[1:])
         self._positive = np.greater(draws[:2], 0.0)
-        self._floats = np.empty((7, n))  # ``_chain`` names the rows
-        self._flags = np.empty((4, n), dtype=bool)
+        self._positive.flags.writeable = False
         self.geometry = _geometry(cfg, links)
         err_sd = math.sqrt(cfg.sigma_eps_sq)  # each of the two parts of e
-        root, square = self._floats[:2]
+        root, square = np.empty(n), np.empty(n)
         for (g, f, s, z), (_, sigma_tilde_sq) in zip(receivers, self.geometry.values()):
             g *= sigma_tilde_sq
             f *= err_sd
@@ -214,7 +210,6 @@ class Batch:
         self.n_symbols = n
         self.bits = draws[:2]
         self.receivers = draws[2:].reshape(len(links), 4, n)
-        self._lock = threading.Lock()
 
 
 def _geometry(cfg: SystemConfig, links) -> dict[str, tuple[float, float]]:
@@ -224,10 +219,9 @@ def _geometry(cfg: SystemConfig, links) -> dict[str, tuple[float, float]]:
 
 
 def _scheme(name: str) -> str:
-    scheme = name.lower()
-    if scheme not in _HOPS:
-        raise ValueError(f"unknown scheme {scheme!r}, expected one of {tuple(_HOPS)}")
-    return scheme
+    if not isinstance(name, str) or name.lower() not in _HOPS:
+        raise ValueError(f"unknown scheme {name!r}, expected one of {tuple(_HOPS)}")
+    return name.lower()
 
 
 def _receive(cfg: SystemConfig, link: str, tx: np.ndarray, terms: np.ndarray,
@@ -345,8 +339,9 @@ def _chain(cfg: SystemConfig, scheme: str, batch: Batch, genie_relay: bool,
            genie_sic: bool, slips: bool):
     """Detect ``scheme`` on a batch that serves it at ``cfg``'s geometry
     (``Batch``); return each user's error mask on its own bit and,
-    when ``slips`` asks for them, the relay's two error masks (else None),
-    all work rows of the batch.
+    when ``slips`` asks for them, the relay's two error masks (else None).
+    Every row it writes, seven float and four boolean, is its own, allocated
+    per call; the batch is only read.
 
     The relay and both users read the same law: they slice the
     sqrt(P)-weighted sum of the hops they hear (``_sic``).  The relay hears
@@ -355,8 +350,9 @@ def _chain(cfg: SystemConfig, scheme: str, batch: Batch, genie_relay: bool,
     decisions are only counted, so ``_errors`` compares them as booleans.
     The far user slices only the sign of its sum, so it sums no gain.
     """
-    tx, phi1, phi2, gain2, phi, gain, scratch = batch._floats
-    err1, err2, slip1, slip2 = batch._flags
+    n = batch.n_symbols
+    tx, phi1, phi2, gain2, phi, gain, scratch = (np.empty(n) for _ in range(7))
+    err1, err2, slip1, slip2 = (np.empty(n, dtype=bool) for _ in range(4))
     m1, m2 = batch.bits
     m1_known = m1 if genie_sic else None
     sqrt_a1 = math.sqrt(cfg.alpha1)
@@ -393,8 +389,7 @@ def _tally(cfg: SystemConfig, scheme: str, spec: SimSpec | Batch, slips: bool = 
     user's errors among them.  A SimSpec's are the sum, entry by entry, of
     its batches', each drawn at ``cfg`` and freed before the next is drawn.
     A Batch must hold every hop ``scheme`` hears, settled to ``cfg``'s
-    geometry; it is detected and tallied under its lock: the masks
-    are its work rows, which the next simulation overwrites."""
+    geometry; it is only read, so threads may tally one batch at once."""
     if isinstance(spec, SimSpec):
         per_batch = [_tally(cfg, scheme, spec.draw(cfg, scheme, index), slips, genie_relay,
                             genie_sic) for index in range(len(spec.batches()))]
@@ -410,13 +405,12 @@ def _tally(cfg: SystemConfig, scheme: str, spec: SimSpec | Batch, slips: bool = 
                 raise ValueError(
                     f"batch was settled to (sigma_eps_sq, sigma~^2 of {link}) = "
                     f"{spec.geometry[link]}, not {wanted}; draw a new batch for another geometry")
-    with spec._lock:
-        err1, err2, relay = _chain(cfg, scheme, spec, genie_relay, genie_sic, slips)
-        if slips:
-            slip1, slip2 = relay
-            return (int(np.count_nonzero(slip1)), int(np.count_nonzero(err1 & slip1)),
-                    int(np.count_nonzero(slip2)), int(np.count_nonzero(err2 & slip2)))
-        return int(np.count_nonzero(err1)), int(np.count_nonzero(err2))
+    err1, err2, relay = _chain(cfg, scheme, spec, genie_relay, genie_sic, slips)
+    if slips:
+        slip1, slip2 = relay
+        return (int(np.count_nonzero(slip1)), int(np.count_nonzero(err1 & slip1)),
+                int(np.count_nonzero(slip2)), int(np.count_nonzero(err2 & slip2)))
+    return int(np.count_nonzero(err1)), int(np.count_nonzero(err2))
 
 
 def simulate(cfg: SystemConfig, scheme: str, spec: SimSpec | Batch, *,
@@ -432,7 +426,8 @@ def simulate(cfg: SystemConfig, scheme: str, spec: SimSpec | Batch, *,
     each batch is detected and counted.  So the counts of a SimSpec's
     batches, each simulated alone, sum to the SimSpec's, and a batch
     reused at another power, hardware factor or split, or drawn beside
-    other schemes, gets the counts of a fresh draw.  ``genie_relay``
+    other schemes, gets the counts of a fresh draw: a batch never changes
+    after its draw, and a simulation's work rows are its own.  ``genie_relay``
     forwards the true bits regardless of what the relay detected (noma has
     no relay and rejects it); ``genie_sic`` feeds the true far-user bit to
     every subtraction, relay and near user, leaving the detections

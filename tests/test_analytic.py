@@ -8,6 +8,7 @@ from scipy.special.ndtr.
 
 import hashlib
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -398,8 +399,9 @@ def test_scheme_ber_reprs_over_a_wide_grid_are_pinned():
 
 def test_scheme_ber_rejects_unknown_names():
     cfg = SystemConfig()
-    with pytest.raises(ValueError):
-        scheme_ber(cfg, "oma", "u1")
+    for scheme in ("oma", None, 1):
+        with pytest.raises(ValueError, match=re.escape(f"unknown scheme {scheme!r}, expected")):
+            scheme_ber(cfg, scheme, "u1")
     with pytest.raises(ValueError):
         scheme_ber(cfg, "noma", "u3")
     assert scheme_ber(cfg, "NOMA", "u1") == scheme_ber(cfg, "noma", "u1")

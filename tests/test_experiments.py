@@ -39,8 +39,14 @@ def test_spec_validation():
         SweepSpec(swept_parameter="snr_db", grid=(0.0, 0.0))
     with pytest.raises(ValueError):
         SweepSpec(swept_parameter="snr_db", grid=(10.0, 0.0))
-    with pytest.raises(ValueError):
-        SweepSpec(swept_parameter="snr_db", grid=(0.0,), schemes=("noma", "xnoma"))
+    for bad in ("xnoma", None, 1):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            SweepSpec(swept_parameter="snr_db", grid=(0.0,), schemes=("noma", bad))
+    for bad in ((), None, 1):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            SweepSpec(swept_parameter="snr_db", grid=(0.0,), schemes=bad)
+    # a bare string is one name, not a sequence of letters
+    assert SweepSpec(swept_parameter="snr_db", grid=(0.0,), schemes="NOMA").schemes == ("noma",)
     with pytest.raises(ValueError):
         SweepSpec(swept_parameter="snr_db", grid=(0.0,), methods=())
     # a repeated entry, also one that differs only in case, would repeat rows

@@ -101,8 +101,10 @@ def test_scheme_names_ignore_case_and_unknown_ones_are_rejected():
     cfg = SystemConfig.defaults(snr_db=5.0)
     spec = SimSpec(n_symbols=20_000, seed=3)
     assert simulator.simulate(cfg, "CNOMA", spec) == simulator.simulate(cfg, "cnoma", spec)
-    with pytest.raises(ValueError, match="unknown scheme"):
-        simulator.simulate(cfg, "dnoma", spec)
+    for unknown in ("dnoma", None, 1):
+        with pytest.raises(ValueError, match=re.escape(
+                f"unknown scheme {unknown!r}, expected one of {analytic.SCHEMES}")):
+            simulator.simulate(cfg, unknown, spec)
 
 
 def test_relay_genie_without_a_relay_is_rejected():
@@ -140,6 +142,11 @@ def test_drawn_batch_is_read_only_and_bound_to_its_scheme():
             array[0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             np.multiply(array, 2.0, out=array)
+    # every array the batch holds, private ones included, is read-only
+    held = {name: getattr(batch, name) for name in simulator.Batch.__slots__
+            if isinstance(getattr(batch, name), np.ndarray)}
+    assert {"bits", "receivers", "_positive"} <= held.keys()
+    assert not [name for name, array in held.items() if array.flags.writeable]
     # a batch serves the schemes whose hops it holds, and no other
     assert simulator.simulate(cfg, "NOMA", batch) == simulator.simulate(cfg, "noma", spec)
     with pytest.raises(ValueError, match="batch holds the hops .*'s',.*not 'r', which cnoma-wdl"):
@@ -167,6 +174,11 @@ def test_a_draw_needs_at_least_one_known_scheme():
                 draw(none)
         for unknown in ("dnoma", ("noma", "dnoma")):
             with pytest.raises(ValueError, match="unknown scheme 'dnoma'"):
+                draw(unknown)
+        for unknown in (None, 1, ("noma", None)):
+            name = unknown[1] if isinstance(unknown, tuple) else unknown
+            with pytest.raises(ValueError, match=re.escape(
+                    f"unknown scheme {name!r}, expected one of {analytic.SCHEMES}")):
                 draw(unknown)
         # a bare string is one scheme, not a sequence of letters
         one, listed = draw("CNOMA"), draw(["cnoma"])
@@ -364,9 +376,9 @@ def _shared_counts(spec, jobs):
 
 
 def test_batch_shared_between_threads_gives_serial_counts():
-    """A batch keeps one set of work arrays for all its simulations; threads
-    sharing it must still each get the count of a freshly drawn batch at
-    their own scenario, here three rounds of an SNR grid."""
+    """Threads sharing one batch, each simulation writing its own work rows,
+    must each get the count of a freshly drawn batch at their own scenario,
+    here three rounds of an SNR grid."""
     jobs = [SystemConfig.defaults(snr_db=float(v)) for v in range(0, 40, 5)] * 3
     spec = SimSpec(n_symbols=20_000, seed=6)
     serial = [simulator.simulate(cfg, "cnoma-wdl", spec) for cfg in jobs]
