@@ -149,14 +149,21 @@ class Batch:
     At its draw the batch settles every receiver row to its link's
     geometry, the estimation-error variance sigma_eps_sq and the estimate
     variance sigma~^2 of ``cfg``: ``geometry`` maps each link, in row
-    order, to that pair.  Per row, in place: g = x sigma~^2,
-    f = e_par sigma + sqrt(g), s = (e_perp sigma)^2 + f f, where sigma is
-    the deviation of each of the two parts of e, and then f sqrt(g) and
-    z sqrt(g) replace f and z.  Each operation and its order are fixed, as
-    in ``_receive``.  From then on every array the batch holds is
-    read-only, so it never changes: ``bits`` (+-1 floats), ``receivers``
-    (g, f sqrt(g), s, z sqrt(g) per row) and ``_positive`` (true where a
-    bit is +1).  A simulation writes only work rows of its own (``_chain``),
+    order, to that pair.  Each receiver is drawn and settled in float64,
+    in a scratch block of four rows, and then stored, rounded once, in
+    float32.  Per row, in place: g = x sigma~^2, f = e_par sigma + sqrt(g),
+    s = (e_perp sigma)^2 + f f, where sigma is the deviation of each of the
+    two parts of e, and then f sqrt(g) and z sqrt(g) replace f and z.  Each
+    operation and its order are fixed, as in ``_receive``.  From then on
+    every array the batch holds is read-only, so it never changes: ``bits``
+    (+-1 in float32), ``receivers`` (g, f sqrt(g), s, z sqrt(g) per row, in
+    float32) and ``_positive`` (true where a bit is +1).  The float32 rows
+    halve the bytes every pass of the tail moves; a decision differs from
+    that of a float64 tail only where its statistic lies within float32
+    rounding of a boundary, about 2e-8 of decisions, and no seeded count
+    the tests pin moved.  A simulation refuses, with ValueError, a scenario
+    whose heard links the float32 rows and tail cannot hold
+    (``_FLOAT32_SPAN``).  It writes only work rows of its own (``_chain``),
     so threads share a batch without a lock.  It runs only the tail that
     powers, hardware factors and the split change, on any scenario whose
     heard links share the batch's geometry; it refuses any other, and a
@@ -176,25 +183,25 @@ class Batch:
         held = {hop for name in names for hop in _HOPS[_scheme(name)]}
         hops = tuple(hop for hop in _HOP_LINKS if hop in held)
         links = [link for hop in hops for link in _HOP_LINKS[hop]]
-        draws = np.empty((2 + 4 * len(links), n))
+        draws = np.empty((2 + 4 * len(links), n), dtype=np.float32)
         rng = np.random.default_rng(seq)
         for bits in draws[:2]:
             bits[:] = rng.integers(0, 2, n)
             bits *= 2.0
             bits -= 1.0
-        receivers = draws[2:].reshape(len(links), 4, n)
-        for link, variates in zip(links, receivers):
-            if link == _HOP_LINKS["r"][0]:  # the relay hop: seq's first child
-                rng = np.random.default_rng(np.random.SeedSequence(
-                    seq.entropy, spawn_key=(*seq.spawn_key, 0), pool_size=seq.pool_size))
-            rng.standard_exponential(out=variates[0])
-            rng.standard_normal(out=variates[1:])
         self._positive = np.greater(draws[:2], 0.0)
         self._positive.flags.writeable = False
         self.geometry = _geometry(cfg, links)
         err_sd = math.sqrt(cfg.sigma_eps_sq)  # each of the two parts of e
-        root, square = np.empty(n), np.empty(n)
-        for (g, f, s, z), (_, sigma_tilde_sq) in zip(receivers, self.geometry.values()):
+        variates, root, square = np.empty((4, n)), np.empty(n), np.empty(n)
+        g, f, s, z = variates
+        stored = draws[2:].reshape(len(links), 4, n)
+        for link, row, (_, sigma_tilde_sq) in zip(links, stored, self.geometry.values()):
+            if link == _HOP_LINKS["r"][0]:  # the relay hop: seq's first child
+                rng = np.random.default_rng(np.random.SeedSequence(
+                    seq.entropy, spawn_key=(*seq.spawn_key, 0), pool_size=seq.pool_size))
+            rng.standard_exponential(out=g)
+            rng.standard_normal(out=variates[1:])
             g *= sigma_tilde_sq
             f *= err_sd
             np.sqrt(g, out=root)
@@ -205,6 +212,7 @@ class Batch:
             s += square
             f *= root
             z *= root
+            row[:] = variates  # rounded once, to float32
         draws.flags.writeable = False  # every view taken from here on inherits it
         self.hops = hops
         self.n_symbols = n
@@ -216,6 +224,30 @@ def _geometry(cfg: SystemConfig, links) -> dict[str, tuple[float, float]]:
     """Per link, what settling a receiver row reads of ``cfg``:
     (sigma_eps_sq, sigma~^2)."""
     return {link: (cfg.sigma_eps_sq, cfg.sigma_tilde_sq(link)) for link in links}
+
+
+#: The magnitudes a heard link's float32 rows and tail are built from must
+#: lie in this span (+-320 dB): its channel gain sigma_h^2, the noise N0
+#: and its power P max(1, k^2) max(1, sigma_h^2) at most the top, and the
+#: larger of its received power P sigma_h^2 and N0 at least the bottom.
+#: Every number the tail forms is then within about 1e3 of these, far from
+#: float32's limits (1.2e-38 and 3.4e38).
+_FLOAT32_SPAN = (1e-32, 1e32)
+
+
+def _check_span(cfg: SystemConfig, links) -> None:
+    """Refuse, with ValueError, a scenario whose ``links`` the float32 rows
+    and tail cannot hold (``_FLOAT32_SPAN``), instead of overflowing into
+    wrong counts."""
+    low, high = _FLOAT32_SPAN
+    for link in links:
+        P, k, gain = cfg.power(link), cfg.hwi(link), cfg.link_budget(link).sigma_h_sq
+        if (max(gain, cfg.N0, P * max(1.0, k * k) * max(1.0, gain)) > high
+                or max(P * gain, cfg.N0) < low):
+            raise ValueError(
+                f"link {link} is out of the simulator's float32 span [{low:g}, {high:g}] "
+                f"(+-{10 * math.log10(high):g} dB): P = {P:.3g}, k = {k:g}, "
+                f"sigma_h^2 = {gain:.3g}, N0 = {cfg.N0:.3g}")
 
 
 def _scheme(name: str) -> str:
@@ -242,11 +274,15 @@ def _receive(cfg: SystemConfig, link: str, tx: np.ndarray, terms: np.ndarray,
     plus noise.  All four are drawn even when a variance is zero, so a seed
     fixes the same stream for every scenario.
 
-    ``terms`` is the receiver's row of a batch, settled at its draw
-    (``Batch``): g = |h~|^2, f sqrt(g) with f = |h~| + e_par,
-    s = |h~ + e|^2 and z sqrt(g), the same for every scenario of the
-    batch's geometry.  What is left depends on P, k and N0: ``phi`` gets
-    the projection with the maximum-ratio weight sqrt(P),
+    ``terms`` is the receiver's row of a batch, settled in float64 at its
+    draw and stored in float32 (``Batch``): g = |h~|^2, f sqrt(g) with
+    f = |h~| + e_par, s = |h~ + e|^2 and z sqrt(g), the same for every
+    scenario of the batch's geometry.  Every array here is float32, and
+    numpy keeps a Python float scalar from widening it, so on a scenario
+    of Python floats, as the package builds them, the whole receive runs
+    in float32, within ``_FLOAT32_SPAN``.  What is left depends on P, k
+    and N0: ``phi`` gets the projection with the maximum-ratio weight
+    sqrt(P),
     P f sqrt(g) tx + sqrt(P) sqrt(s k^2 P + N0 / 2) z sqrt(g),
     in eight passes with one square root, and a hop enters a user's
     statistic with energy P g, which goes to ``gain`` unless ``gain`` is
@@ -340,8 +376,10 @@ def _chain(cfg: SystemConfig, scheme: str, batch: Batch, genie_relay: bool,
     """Detect ``scheme`` on a batch that serves it at ``cfg``'s geometry
     (``Batch``); return each user's error mask on its own bit and,
     when ``slips`` asks for them, the relay's two error masks (else None).
-    Every row it writes, seven float and four boolean, is its own, allocated
-    per call; the batch is only read.
+    Every row it writes, seven float32 and four boolean, is its own,
+    allocated per call; the batch is only read.  The tail runs in float32
+    on the batch's float32 rows, on a scenario ``_tally`` has checked
+    against ``_FLOAT32_SPAN``.
 
     The relay and both users read the same law: they slice the
     sqrt(P)-weighted sum of the hops they hear (``_sic``).  The relay hears
@@ -351,7 +389,8 @@ def _chain(cfg: SystemConfig, scheme: str, batch: Batch, genie_relay: bool,
     The far user slices only the sign of its sum, so it sums no gain.
     """
     n = batch.n_symbols
-    tx, phi1, phi2, gain2, phi, gain, scratch = (np.empty(n) for _ in range(7))
+    tx, phi1, phi2, gain2, phi, gain, scratch = (np.empty(n, dtype=np.float32)
+                                                 for _ in range(7))
     err1, err2, slip1, slip2 = (np.empty(n, dtype=bool) for _ in range(4))
     m1, m2 = batch.bits
     m1_known = m1 if genie_sic else None
@@ -389,7 +428,10 @@ def _tally(cfg: SystemConfig, scheme: str, spec: SimSpec | Batch, slips: bool = 
     user's errors among them.  A SimSpec's are the sum, entry by entry, of
     its batches', each drawn at ``cfg`` and freed before the next is drawn.
     A Batch must hold every hop ``scheme`` hears, settled to ``cfg``'s
-    geometry; it is only read, so threads may tally one batch at once."""
+    geometry; it is only read, so threads may tally one batch at once.
+    A scenario outside the float32 span (``_check_span``) raises ValueError
+    before anything is drawn."""
+    _check_span(cfg, [link for hop in _HOPS[scheme] for link in _HOP_LINKS[hop]])
     if isinstance(spec, SimSpec):
         per_batch = [_tally(cfg, scheme, spec.draw(cfg, scheme, index), slips, genie_relay,
                             genie_sic) for index in range(len(spec.batches()))]

@@ -123,6 +123,25 @@ def test_simulation_failure_is_recorded_not_raised(monkeypatch):
         assert by_method["monte-carlo"].error == message
 
 
+def test_points_past_the_float32_span_record_the_refusal_and_spare_the_rest():
+    """The simulator refuses a scenario past its float32 span; a sweep whose
+    grid crosses it records the message on those points alone, and every
+    other row is that of a sweep without them."""
+    crossing = SweepSpec(swept_parameter="snr_db", grid=(0.0, 300.0, 390.0, 1000.0),
+                         sim=FAST_SIM)
+    rows = run_sweep(crossing).rows
+    within = run_sweep(SweepSpec(swept_parameter="snr_db", grid=(0.0, 300.0), sim=FAST_SIM)).rows
+    assert [r for r in rows if r.value <= 300.0] == list(within)
+    past = [r for r in rows if r.value > 300.0 and r.method == "monte-carlo"]
+    assert len(past) == 2 * 3 * 2
+    for row in past:
+        assert math.isnan(row.ber) and row.std_err is None
+        assert re.fullmatch(r"link (s1|sr) is out of the simulator's float32 span "
+                            r"\[1e-32, 1e\+32\] \(\+-320 dB\): P = 1e\+(39|100), .*",
+                            row.error), row.error
+    assert not [r for r in rows if r.method == "analytic" and r.error]
+
+
 @pytest.mark.parametrize("swept, grid", [
     ("snr_db", (0.0, 20.0, 40.0)),
     ("hwi_k", (0.0, 0.1, 0.2)),

@@ -19,6 +19,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -248,8 +249,9 @@ def test_relay_stream_is_spawned_so_no_batch_replays_another():
     np.testing.assert_array_equal(
         other.bits[0], np.random.default_rng(alias).integers(0, 2, n) * 2.0 - 1.0)
     # the relay rows come from the spawned child, not from the aliased key
-    def first_row(seq):  # g = sigma~^2 x of link sr, as settled
-        return np.random.default_rng(seq).standard_exponential(n) * cfg.sigma_tilde_sq("sr")
+    def first_row(seq):  # g = sigma~^2 x of link sr, settled in float64 and stored in float32
+        g = np.random.default_rng(seq).standard_exponential(n) * cfg.sigma_tilde_sq("sr")
+        return g.astype(np.float32)
 
     spawned = np.random.SeedSequence((7, 5)).spawn(1)[0]
     np.testing.assert_array_equal(relay.receivers[0, 0], first_row(spawned))
@@ -494,6 +496,7 @@ def test_settled_batch_serves_every_grid_point_and_rejects_another_geometry():
         rng = np.random.default_rng(root)
         bits = [rng.integers(0, 2, n) * 2.0 - 1.0 for _ in range(2)]
         np.testing.assert_array_equal(batch.bits, bits)
+        assert batch.bits.dtype == batch.receivers.dtype == np.float32
         streams = {"s": rng, "r": np.random.default_rng(root.spawn(1)[0])}
         links = [(hop, link) for hop in simulator._HOPS[scheme]
                  for link in simulator._HOP_LINKS[hop]]
@@ -501,7 +504,8 @@ def test_settled_batch_serves_every_grid_point_and_rejects_another_geometry():
                                          base.link_budget(link).sigma_tilde_sq)
                                   for _, link in links}
         # as drawn, ``receivers`` already shows the settled terms: g = sigma~^2 x,
-        # f sqrt(g), s = |h~ + e|^2 and z sqrt(g), with f = sqrt(g) + e_par
+        # f sqrt(g), s = |h~ + e|^2 and z sqrt(g), with f = sqrt(g) + e_par,
+        # each settled in float64 and rounded once to float32
         for (hop, link), settled in zip(links, batch.receivers, strict=True):
             rng = streams[hop]
             x = rng.standard_exponential(n)
@@ -510,7 +514,7 @@ def test_settled_batch_serves_every_grid_point_and_rejects_another_geometry():
             f = e_par * err_sd + np.sqrt(g)
             for got, want in zip(settled, (g, f * np.sqrt(g),
                                            (e_perp * err_sd) ** 2 + f * f, z * np.sqrt(g))):
-                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(got, want.astype(np.float32))
         for other, unheard in ((replace(base, sigma_eps_sq=0.01), ()),
                                (replace(base, a=3.0), ()),
                                (replace(base, d_sr=1.5), ("noma",)),
@@ -532,28 +536,78 @@ def test_settled_batch_serves_every_grid_point_and_rejects_another_geometry():
                 array.flags.writeable = True
 
 
+#: The statistics the decision tests slice: signed zeros, the smallest
+#: nonzero magnitude of each sign, finite values, both infinities and NaN,
+#: in float64 and in float32, the dtype of the chain's rows.
+_TINY32 = float(np.finfo(np.float32).smallest_subnormal)
+_SLICED = (np.array([-0.0, 0.0, 1e-300, -1e-300, 2.5, -2.5, np.inf, -np.inf, np.nan]),
+           np.array([-0.0, 0.0, _TINY32, -_TINY32, 2.5, -2.5, np.inf, -np.inf, np.nan],
+                    dtype=np.float32))
+
+
 def test_error_masks_read_decisions_as_slice_sign_does():
     """The users' decisions are counted from ``x >= 0`` against a boolean
     row of the bits; that must miss exactly where ``_slice_sign`` would,
     signed zeros and NaN included."""
-    x = np.array([-0.0, 0.0, 1e-300, -1e-300, 2.5, -2.5, np.inf, -np.inf, np.nan])
-    for bit in (1.0, -1.0):
-        m = np.full(x.shape, bit)
-        got = simulator._errors(x, m > 0, np.empty(x.shape, dtype=bool))
-        np.testing.assert_array_equal(got, simulator._slice_sign(x, np.empty(x.shape)) != m)
+    for x in _SLICED:
+        for bit in (1.0, -1.0):
+            m = np.full(x.shape, bit, dtype=x.dtype)
+            got = simulator._errors(x, m > 0, np.empty(x.shape, dtype=bool))
+            np.testing.assert_array_equal(
+                got, simulator._slice_sign(x, np.empty(x.shape, dtype=x.dtype)) != m)
 
 
 def test_slice_sign_maps_signed_zero_up_and_nan_down():
     # a silent source leaves phi = -0.0, which must slice as +1 exactly as
     # +0.0 does; a NaN statistic is never read as +1
-    x = np.array([-0.0, 0.0, 1e-300, -1e-300, 2.5, -2.5, np.inf, -np.inf, np.nan])
     want = [1.0, 1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, -1.0]
-    got = simulator._slice_sign(x, np.empty(x.shape))
-    assert got.dtype == np.float64
-    np.testing.assert_array_equal(got, want)
-    # the chain slices in place, its statistic's array becoming the decision
-    assert simulator._slice_sign(x, x) is x
-    np.testing.assert_array_equal(x, want)
+    for x in (x.copy() for x in _SLICED):
+        got = simulator._slice_sign(x, np.empty(x.shape, dtype=x.dtype))
+        assert got.dtype == x.dtype
+        np.testing.assert_array_equal(got, want)
+        # the chain slices in place, its statistic's array becoming the decision
+        assert simulator._slice_sign(x, x) is x
+        np.testing.assert_array_equal(x, want)
+
+
+#: Seeded counts of ``SimSpec(n_symbols=20_000, seed=5)`` where noise no
+#: longer counts: the error floor of the reference scenario, equal to those
+#: of a float64 tail.
+_FLOOR_COUNTS = {"noma": (928, 1_320), "cnoma": (652, 1_116), "cnoma-wdl": (159, 590)}
+
+
+def test_a_scenario_past_the_float32_span_is_refused():
+    """The rows and the tail are float32, so a heard link whose numbers
+    would overflow it, or underflow it to zero, is refused with ValueError
+    naming the span, instead of being counted from NaN or zeros.  A link
+    the scheme does not hear is no part of it, and within the span the
+    counts are a float64 tail's, no RuntimeWarning raised."""
+    spec = SimSpec(n_symbols=20_000, seed=5)
+    refused = re.escape("out of the simulator's float32 span [1e-32, 1e+32] (+-320 dB)")
+    base = SystemConfig.defaults(snr_db=0.0)
+    for cfg in (SystemConfig.defaults(snr_db=390.0), SystemConfig.defaults(snr_db=1000.0),
+                SystemConfig.defaults(snr_db=0.0, hwi_k=1e20), replace(base, N0=1e40),
+                SystemConfig.defaults(snr_db=320.0, d_s1=1e-3, d_sr=1e-3),  # P sigma_h^2 1e38
+                replace(base, d_s1=1e-20, d_sr=1e-20, P_s=1e-30, P_r=1e-30),  # sigma_h^2 1e40
+                replace(base, P_s=1e-60, P_r=1e-60, N0=1e-60)):
+        for scheme in analytic.SCHEMES:
+            with pytest.raises(ValueError, match=refused):
+                simulator.simulate(cfg, scheme, spec)
+            with pytest.raises(ValueError, match=refused):
+                simulator.simulate(cfg, scheme, spec.draw(base, scheme, 0))
+        with pytest.raises(ValueError, match=refused):
+            simulator.conditional_prop_stats(cfg, spec)
+    loud_relay = replace(base, P_r=1e39)  # the relay feeds r1 and r2, the source sr
+    assert simulator.simulate(loud_relay, "noma", spec) == simulator.simulate(base, "noma", spec)
+    with pytest.raises(ValueError, match="link r1 is out of .*P = 1e\\+39"):
+        simulator.simulate(loud_relay, "cnoma", spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for cfg in (SystemConfig.defaults(snr_db=300.0),
+                    SystemConfig.defaults(snr_db=0.0, N0=1e-60)):
+            for scheme, counts in _FLOOR_COUNTS.items():
+                mc = simulator.simulate(cfg, scheme, spec)
+                assert (mc.errors_u1, mc.errors_u2) == counts, (cfg.N0, scheme)
 
 
 def test_disjoint_seeds_agree_within_sampling_noise():
