@@ -48,8 +48,9 @@ def race(cfg, label):
     predicted = prop_error(cfg, "u1")
     stats = conditional_prop_stats(cfg, SimSpec(n_symbols=1_000_000, seed=1))
     snr_db = 10.0 * math.log10(cfg.P_s / cfg.N0)
-    sigma = (stats.rate_u1 - predicted) / stats.std_err_u1
-    print(f"  {label} at {snr_db:.0f} dB: measured {stats.rate_u1:.4f} "
+    rate = stats.rate("u1")
+    sigma = (rate - predicted) / stats.std_err("u1")
+    print(f"  {label} at {snr_db:.0f} dB: measured {rate:.4f} "
           f"over {stats.events_u1} events, predicted {predicted:.4f} ({sigma:+.1f} sigma)")
 
 

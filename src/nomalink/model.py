@@ -62,15 +62,14 @@ class LinkBudget:
     sigma_tilde_sq: float
 
 
-@lru_cache(maxsize=256, typed=True)
+@lru_cache(maxsize=256)
 def _budget(d: float, a: float, sigma_eps_sq: float) -> LinkBudget:
     """Budget of a link of length ``d``: channel variance ``d ** -a``.
 
     Budgets are immutable, so the scenarios of a sweep, which share one
-    geometry, share them instead of each building five; ``typed`` keeps a
-    numpy input's budget apart from a float's.
+    geometry, share them instead of each building five.
     """
-    var = float(d) ** -float(a)
+    var = d ** -a
     return LinkBudget(sigma_h_sq=var, sigma_tilde_sq=var - sigma_eps_sq)
 
 
@@ -82,7 +81,7 @@ class SystemConfig:
     fraction of the far user's stream, ``k_*`` the aggregate hardware-quality
     factor of each link (transmit and receive sides combined) and
     ``sigma_eps_sq`` the channel-estimation error variance, common to all
-    links.
+    links.  Every field is stored as a Python ``float``, numpy scalars too.
     """
 
     d_s1: float = 4.0
@@ -107,6 +106,8 @@ class SystemConfig:
         for name, value in zip(_FIELD_NAMES, _field_values(self)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+            if type(value) is not float:
+                object.__setattr__(self, name, float(value))
         distances, factors = _distances(self), _hwi_factors(self)
         for link, d in zip(LINKS, distances):
             if d <= 0:
@@ -234,7 +235,7 @@ def build_coefficient_tables(cfg: SystemConfig) -> CoefficientTables:
     return cfg._tables
 
 
-@lru_cache(maxsize=256, typed=True)
+@lru_cache(maxsize=256)
 def _split_tables(alpha1: float, alpha2: float) -> CoefficientTables:
     """Tables of one power split, shared by every scenario with a split that
     compares equal, as the scenarios themselves do (the tables hold tuples,

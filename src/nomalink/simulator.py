@@ -75,36 +75,12 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class McResult:
-    """Bit-error counts and rates of one simulation run."""
-
-    trials: int
-    errors_u1: int
-    errors_u2: int
-    ber_u1: float
-    ber_u2: float
-    std_err_u1: float
-    std_err_u2: float
-
-    @classmethod
-    def from_counts(cls, trials: int, errors_u1: int, errors_u2: int) -> "McResult":
-        ber1, ber2 = errors_u1 / trials, errors_u2 / trials
-        return cls(
-            trials=trials,
-            errors_u1=errors_u1,
-            errors_u2=errors_u2,
-            ber_u1=ber1,
-            ber_u2=ber2,
-            std_err_u1=math.sqrt(ber1 * (1.0 - ber1) / trials),
-            std_err_u2=math.sqrt(ber2 * (1.0 - ber2) / trials),
-        )
-
-    def ber(self, user: str) -> float:
-        return getattr(self, f"ber_{_user(user)}")
-
-    def std_err(self, user: str) -> float:
-        return getattr(self, f"std_err_{_user(user)}")
+def _binomial(errors: int, trials: int) -> tuple[float, float]:
+    """The rate ``errors / trials`` and its binomial std err, NaN at 0 trials."""
+    if not trials:
+        return math.nan, math.nan
+    p = errors / trials
+    return p, math.sqrt(p * (1.0 - p) / trials)
 
 
 def _user(user: str) -> str:
@@ -114,19 +90,48 @@ def _user(user: str) -> str:
 
 
 @dataclass(frozen=True)
+class McResult:
+    """Bit-error counts of one simulation run, from which each user's rate
+    and its standard error are read."""
+
+    trials: int
+    errors_u1: int
+    errors_u2: int
+
+    @classmethod
+    def from_counts(cls, trials: int, errors_u1: int, errors_u2: int) -> "McResult":
+        return cls(trials, errors_u1, errors_u2)
+
+    def ber(self, user: str) -> float:
+        return _binomial(getattr(self, f"errors_{_user(user)}"), self.trials)[0]
+
+    def std_err(self, user: str) -> float:
+        return _binomial(getattr(self, f"errors_{_user(user)}"), self.trials)[1]
+
+
+@dataclass(frozen=True)
 class CondPropStats:
-    """Per-user error rates conditioned on the relay mis-detecting that user's bit."""
+    """Per user, the relay's slips on that user's bit (events) and the
+    user's errors among them, from which the conditional rate, its standard
+    error and the flag of fewer than 100 events are read."""
 
     events_u1: int
     errors_u1: int
     events_u2: int
     errors_u2: int
-    rate_u1: float
-    rate_u2: float
-    std_err_u1: float
-    std_err_u2: float
-    low_confidence_u1: bool
-    low_confidence_u2: bool
+
+    def rate(self, user: str) -> float:
+        return self._estimate(user)[0]
+
+    def std_err(self, user: str) -> float:
+        return self._estimate(user)[1]
+
+    def low_confidence(self, user: str) -> bool:
+        return getattr(self, f"events_{_user(user)}") < _LOW_CONFIDENCE_EVENTS
+
+    def _estimate(self, user: str) -> tuple[float, float]:
+        user = _user(user)
+        return _binomial(getattr(self, f"errors_{user}"), getattr(self, f"events_{user}"))
 
 
 class Batch:
@@ -278,9 +283,9 @@ def _receive(cfg: SystemConfig, link: str, tx: np.ndarray, terms: np.ndarray,
     draw and stored in float32 (``Batch``): g = |h~|^2, f sqrt(g) with
     f = |h~| + e_par, s = |h~ + e|^2 and z sqrt(g), the same for every
     scenario of the batch's geometry.  Every array here is float32, and
-    numpy keeps a Python float scalar from widening it, so on a scenario
-    of Python floats, as the package builds them, the whole receive runs
-    in float32, within ``_FLOAT32_SPAN``.  What is left depends on P, k
+    numpy keeps a Python float scalar, as every field of a SystemConfig
+    is, from widening it, so the whole receive runs in float32, within
+    ``_FLOAT32_SPAN``.  What is left depends on P, k
     and N0: ``phi`` gets the projection with the maximum-ratio weight
     sqrt(P),
     P f sqrt(g) tx + sqrt(P) sqrt(s k^2 P + N0 / 2) z sqrt(g),
@@ -479,27 +484,17 @@ def simulate(cfg: SystemConfig, scheme: str, spec: SimSpec | Batch, *,
     scheme = _scheme(scheme)
     if genie_relay and scheme == "noma":
         raise ValueError("genie_relay needs a relay, and noma has none")
-    e1, e2 = _tally(cfg, scheme, spec, genie_relay=genie_relay, genie_sic=genie_sic)
-    return McResult.from_counts(spec.n_symbols, e1, e2)
+    counts = _tally(cfg, scheme, spec, genie_relay=genie_relay, genie_sic=genie_sic)
+    return McResult.from_counts(spec.n_symbols, *counts)
 
 
 def conditional_prop_stats(cfg: SystemConfig, spec: SimSpec | Batch) -> CondPropStats:
-    """Empirical per-user error rates given the relay mis-detected that user's bit.
+    """Per-user error counts given the relay mis-detected that user's bit.
 
     Runs the combined scheme on ``spec``, as :func:`simulate` does, and,
     among trials where the relay's decision on a user's own bit was wrong,
     counts how often that user's final decision is wrong too.  Fewer than
-    100 conditioning events flags the estimate as low-confidence rather
-    than failing.
+    100 conditioning events flags the rate as low-confidence rather than
+    failing.
     """
-    ev1, er1, ev2, er2 = _tally(cfg, "cnoma-wdl", spec, slips=True)
-    rate1 = er1 / ev1 if ev1 else math.nan
-    rate2 = er2 / ev2 if ev2 else math.nan
-    se1 = math.sqrt(rate1 * (1.0 - rate1) / ev1) if ev1 else math.nan
-    se2 = math.sqrt(rate2 * (1.0 - rate2) / ev2) if ev2 else math.nan
-    return CondPropStats(
-        events_u1=ev1, errors_u1=er1, events_u2=ev2, errors_u2=er2,
-        rate_u1=rate1, rate_u2=rate2, std_err_u1=se1, std_err_u2=se2,
-        low_confidence_u1=ev1 < _LOW_CONFIDENCE_EVENTS,
-        low_confidence_u2=ev2 < _LOW_CONFIDENCE_EVENTS,
-    )
+    return CondPropStats(*_tally(cfg, "cnoma-wdl", spec, slips=True))

@@ -80,7 +80,7 @@ def test_acceptance_02_classic_rayleigh_limit():
         classic = 0.5 * (1.0 - math.sqrt(gamma / (1.0 + gamma)))
         worst_gap = max(worst_gap, abs(analytic.scheme_ber(cfg, "noma", "u1") - classic))
         mc = simulator.simulate(cfg, "noma", simulator.SimSpec(n_symbols=1_000_000, seed=1))
-        worst_sigma = max(worst_sigma, abs(mc.ber_u1 - classic) / mc.std_err_u1)
+        worst_sigma = max(worst_sigma, abs(mc.ber("u1") - classic) / mc.std_err("u1"))
     ok = worst_gap <= 1e-12 and worst_sigma <= 3.0
     _verdict(2, ok, f"analytic gap {worst_gap:.1e}, simulation {worst_sigma:.2f} sigma")
     assert ok
@@ -172,19 +172,21 @@ def test_acceptance_06_relay_error_propagation_statistic():
         cfg = replace(base, P_r=ratio * base.P_s)
         predicted = _race_prediction(cfg)
         stats = simulator.conditional_prop_stats(cfg, spec)
-        sigma = (stats.rate_u1 - predicted) / stats.std_err_u1
+        rate = stats.rate("u1")
+        sigma = (rate - predicted) / stats.std_err("u1")
         if stats.events_u1 < 1_000 or abs(sigma) > 3.0:
             bad.append(ratio)
         details.append(f"P_r/P_s={ratio:g}: predicted {predicted:.4f}, measured "
-                       f"{stats.rate_u1:.4f} over {stats.events_u1} events "
+                       f"{rate:.4f} over {stats.events_u1} events "
                        f"({sigma:+.1f} sigma)")
     for snr_db in (0.0, 10.0, 20.0):
         cfg = SystemConfig.defaults(snr_db=snr_db)
         predicted = _race_prediction(cfg)
         extra = simulator.conditional_prop_stats(cfg, spec)
+        rate = extra.rate("u1")
         print(f"  context: reference impairments at {snr_db:.0f} dB, conditional rate "
-              f"{extra.rate_u1:.4f} over {extra.events_u1} events, predicted "
-              f"{predicted:.4f} ({(extra.rate_u1 - predicted) / extra.std_err_u1:+.1f} "
+              f"{rate:.4f} over {extra.events_u1} events, predicted "
+              f"{predicted:.4f} ({(rate - predicted) / extra.std_err('u1'):+.1f} "
               "sigma, unasserted)")
     ok = not bad
     _verdict(6, ok, "; ".join(details))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from nomalink.analytic import SCHEMES, USERS, scheme_ber
 from nomalink.model import (
     LINKS,
     CoefficientTables,
@@ -17,6 +18,7 @@ from nomalink.model import (
     mean_sinr,
     mean_sinr_limit,
 )
+from nomalink.simulator import SimSpec, simulate
 
 
 def test_link_variance_values():
@@ -323,3 +325,20 @@ def test_derived_records_leave_equality_hash_repr_and_pickle_alone():
         assert mean_sinr(copy, "s2", 0.2, 1.8) == mean_sinr(cfg, "s2", 0.2, 1.8)
         with pytest.raises(ValueError, match="unknown link"):
             copy.power("rx")
+
+
+def test_numpy_scalar_fields_are_stored_as_floats():
+    """A scenario built from numpy scalars stores Python floats, so it
+    computes exactly as the scenario built from floats: the closed forms
+    return floats, and the simulator's tail stays in float32."""
+    wide = SystemConfig.defaults(snr_db=np.float64(17.3), hwi_k=np.float64(0.175))
+    plain = SystemConfig.defaults(snr_db=17.3, hwi_k=0.175)
+    assert all(type(getattr(wide, f.name)) is float for f in fields(wide))
+    assert wide == plain
+    for scheme in SCHEMES:
+        for user in USERS:
+            got = scheme_ber(wide, scheme, user)
+            assert type(got) is float and repr(got) == repr(scheme_ber(plain, scheme, user))
+        spec = SimSpec(n_symbols=20_000, seed=5)
+        assert simulate(wide, scheme, spec) == simulate(plain, scheme, spec)
+    assert type(SystemConfig(d_s1=np.int64(4), k_s1=0).k_s1) is float

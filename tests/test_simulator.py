@@ -21,7 +21,7 @@ import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from scipy.special import ndtr
 
 from nomalink import analytic, simulator
 from nomalink.model import SystemConfig
-from nomalink.simulator import McResult, SimSpec
+from nomalink.simulator import CondPropStats, McResult, SimSpec
 
 
 def test_spec_validation():
@@ -77,16 +77,31 @@ def test_batches_cover_the_workload():
 
 
 def test_result_from_counts():
+    """A result is its counts: every rate is derived from them on read."""
+    assert [f.name for f in fields(McResult)] == ["trials", "errors_u1", "errors_u2"]
+    assert [f.name for f in fields(CondPropStats)] == [
+        "events_u1", "errors_u1", "events_u2", "errors_u2"]
     r = McResult.from_counts(10_000, 100, 400)
-    assert r.ber_u1 == 0.01 and r.ber("u2") == 0.04
-    assert r.std_err_u1 == pytest.approx(math.sqrt(0.01 * 0.99 / 10_000))
+    assert r == McResult(10_000, 100, 400)
+    assert r.ber("u1") == 0.01 and r.ber("u2") == 0.04
+    assert r.std_err("u1") == pytest.approx(math.sqrt(0.01 * 0.99 / 10_000))
     assert r.std_err("u2") == pytest.approx(math.sqrt(0.04 * 0.96 / 10_000))
+    none_all = McResult.from_counts(10_000, 0, 10_000)
+    assert none_all.ber("u1") == 0.0 and none_all.std_err("u1") == 0.0
+    assert none_all.ber("u2") == 1.0 and none_all.std_err("u2") == 0.0
+    stats = CondPropStats(0, 0, 5, 1)
+    assert math.isnan(stats.rate("u1")) and math.isnan(stats.std_err("u1"))
+    assert stats.low_confidence("u1") and stats.low_confidence("u2")
+    assert stats.rate("u2") == 0.2
+    assert stats.std_err("u2") == pytest.approx(math.sqrt(0.2 * 0.8 / 5))
+    assert not CondPropStats(100, 7, 99, 7).low_confidence("u1")
 
 
-@pytest.mark.parametrize("user", ["u3", "U1", None, "ber_u1"])
+@pytest.mark.parametrize("user", ["u3", "U1", None, "errors_u1"])
 def test_result_rejects_unknown_users(user):
     r = McResult.from_counts(10_000, 100, 400)
-    for read in (r.ber, r.std_err):
+    stats = CondPropStats(200, 20, 300, 30)
+    for read in (r.ber, r.std_err, stats.rate, stats.std_err, stats.low_confidence):
         with pytest.raises(ValueError, match=r"unknown user .*expected one of \('u1', 'u2'\)"):
             read(user)
 
@@ -794,7 +809,7 @@ def test_classic_rayleigh_reduction():
                        k_s1=0, k_s2=0, k_sr=0, k_r1=0, k_r2=0, sigma_eps_sq=0.0)
     mc = simulator.simulate(cfg, "noma", SimSpec(n_symbols=1_000_000, seed=1))
     classic = 0.5 * (1.0 - math.sqrt(gamma / (1.0 + gamma)))
-    assert abs(mc.ber_u1 - classic) <= 3.0 * mc.std_err_u1
+    assert abs(mc.ber("u1") - classic) <= 3.0 * mc.std_err("u1")
 
 
 def test_impairments_create_an_error_floor_and_removing_them_removes_it():
@@ -804,13 +819,13 @@ def test_impairments_create_an_error_floor_and_removing_them_removes_it():
     clean40 = simulator.simulate(
         SystemConfig.defaults(snr_db=40.0, hwi_k=0.0, sigma_eps_sq=0.0), "noma",
         SimSpec(n_symbols=2_000_000, seed=3))
-    assert clean40.ber_u1 * 5.0 < clean30.ber_u1
+    assert clean40.ber("u1") * 5.0 < clean30.ber("u1")
     # with impairments left in, another 10 dB buys almost nothing
     dirty30 = simulator.simulate(SystemConfig.defaults(snr_db=30.0), "noma",
                                  SimSpec(n_symbols=200_000, seed=3))
     dirty40 = simulator.simulate(SystemConfig.defaults(snr_db=40.0), "noma",
                                  SimSpec(n_symbols=200_000, seed=3))
-    assert dirty40.ber_u1 > 0.5 * dirty30.ber_u1
+    assert dirty40.ber("u1") > 0.5 * dirty30.ber("u1")
 
 
 def test_interference_cancellation_errors_hurt_the_near_user():
@@ -818,8 +833,8 @@ def test_interference_cancellation_errors_hurt_the_near_user():
     spec = SimSpec(n_symbols=400_000, seed=7)
     real = simulator.simulate(cfg, "noma", spec)
     genie = simulator.simulate(cfg, "noma", spec, genie_sic=True)
-    combined = math.hypot(real.std_err_u2, genie.std_err_u2)
-    assert real.ber_u2 - genie.ber_u2 > 3.0 * combined
+    combined = math.hypot(real.std_err("u2"), genie.std_err("u2"))
+    assert real.ber("u2") - genie.ber("u2") > 3.0 * combined
     # the far user never subtracts, so the switch must not touch it
     assert real.errors_u1 == genie.errors_u1
 
@@ -835,7 +850,7 @@ def test_impairment_conventions_differ_and_default_calibrates(monkeypatch):
     halved = simulator.simulate(cfg, "noma", spec)
     assert doubled != halved
     ana = analytic.scheme_ber(cfg, "noma", "u1")
-    assert abs(doubled.ber_u1 - ana) < abs(halved.ber_u1 - ana)
+    assert abs(doubled.ber("u1") - ana) < abs(halved.ber("u1") - ana)
 
 
 def test_noiseless_perfect_runs_make_no_errors():
@@ -894,8 +909,8 @@ def test_simulator_matches_conditional_gaussian_average(snr_db):
     cfg = SystemConfig.defaults(snr_db=snr_db)
     oracle, oracle_se = semi_analytic_far_bit(cfg, "s1", 400_000, seed=21)
     mc = simulator.simulate(cfg, "noma", SimSpec(n_symbols=400_000, seed=22))
-    combined = math.hypot(oracle_se, mc.std_err_u1)
-    assert abs(mc.ber_u1 - oracle) <= 4.0 * combined
+    combined = math.hypot(oracle_se, mc.std_err("u1"))
+    assert abs(mc.ber("u1") - oracle) <= 4.0 * combined
 
 
 def test_conditional_stats_without_relay_power():
@@ -907,21 +922,21 @@ def test_conditional_stats_without_relay_power():
     # probability is zero and the user's fate rests on the direct link alone
     assert analytic.prop_error(cfg, "u1") == 0.0
     assert stats.events_u1 > 10_000
-    assert not stats.low_confidence_u1
+    assert not stats.low_confidence("u1")
     # conditioning on a relay slip selects trials where the two bit streams
     # disagree more often, which also drives the direct link harder, so the
     # conditional rate sits between the unconditional rate and a coin flip
-    assert mc.ber_u1 <= stats.rate_u1 <= 0.5
+    assert mc.ber("u1") <= stats.rate("u1") <= 0.5
 
 
 def test_conditional_stats_symmetric_branches():
     cfg = SystemConfig.defaults(snr_db=10.0, d_s1=3.0)
     stats = simulator.conditional_prop_stats(cfg, SimSpec(n_symbols=400_000, seed=5))
-    assert abs(stats.rate_u1 - 0.5) <= 0.02
+    assert abs(stats.rate("u1") - 0.5) <= 0.02
 
 
 def test_conditional_stats_flags_scarce_events():
     cfg = SystemConfig.defaults(snr_db=40.0, hwi_k=0.0, sigma_eps_sq=0.0)
     stats = simulator.conditional_prop_stats(cfg, SimSpec(n_symbols=10_000, seed=1))
-    assert stats.low_confidence_u1
+    assert stats.low_confidence("u1")
     assert stats.events_u1 < 100
