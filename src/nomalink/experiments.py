@@ -4,13 +4,16 @@ A sweep varies one parameter (transmit SNR, hardware-quality factor, or the
 power split) over a grid and evaluates BER for the requested schemes and
 users by each requested method of :data:`METHODS`: closed forms, or Monte
 Carlo batches that run concurrently, each drawn once per index and shared
-by every grid point and every requested scheme.  Rows come out in a fixed
-order: grid-major, then scheme, user, method.
+by every grid point and every requested scheme.  A batch's task goes
+through the grid point by point and hears the batch once at each point,
+for every scheme (``Batch.at``).  Rows come out in a fixed order:
+grid-major, then scheme, user, method.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -71,6 +74,10 @@ class SweepSpec:
     sim: simulator.SimSpec = field(default_factory=simulator.SimSpec)
 
     def __post_init__(self):
+        for name, kind in (("base", SystemConfig), ("sim", simulator.SimSpec)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
         if self.swept_parameter not in SWEEPS:
             raise ValueError(
                 f"swept_parameter must be one of {tuple(SWEEPS)}, "
@@ -156,14 +163,20 @@ def _closed_forms(spec: SweepSpec, configs: list[SystemConfig], pool) -> dict:
 def _simulate_batch(sim: simulator.SimSpec, configs: list[SystemConfig],
                     schemes: tuple[str, ...], index: int) -> dict[str, list]:
     """One pool task: draw batch ``index`` once for all of ``schemes``, at
-    the geometry the grid points share, and simulate each scheme on it at
-    every grid point.  Each scheme's entries are, per point, its result
-    or, when the draw or the simulation raised, the message."""
+    the geometry the grid points share, and go through the grid point by
+    point: hear the batch once at each point (``Batch.at``) and simulate
+    each scheme on that one reception, which is dropped before the next
+    point is heard.  Each scheme's entries are, per point, its result or,
+    when the draw or the simulation raised, the message."""
     batch = _attempt(sim.draw, configs[0], schemes, index)
     if isinstance(batch, str):
         return dict.fromkeys(schemes, [batch] * len(configs))
-    return {scheme: [_attempt(simulator.simulate, cfg, scheme, batch) for cfg in configs]
-            for scheme in schemes}
+    outcomes = {scheme: [] for scheme in schemes}
+    for cfg in configs:
+        reception = batch.at(cfg)
+        for scheme in schemes:
+            outcomes[scheme].append(_attempt(simulator.simulate, cfg, scheme, reception))
+    return outcomes
 
 
 def _simulations(spec: SweepSpec, configs: list[SystemConfig], pool) -> dict:
@@ -195,10 +208,14 @@ METHODS = {"analytic": _closed_forms, "monte-carlo": _simulations}
 
 def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> SweepResult:
     """Evaluate the whole grid by each of ``spec.methods`` in turn, its
-    evaluator sharing a pool of ``max_workers`` threads (by default one per
-    usable core); rows come out in a fixed order."""
+    evaluator sharing a pool of ``max_workers`` threads (a positive
+    integer; by default one per usable core); rows come out in a fixed
+    order."""
+    if max_workers is not None and (isinstance(max_workers, bool) or not isinstance(
+            max_workers, numbers.Integral) or max_workers < 1):
+        raise ValueError(f"max_workers must be a positive integer, got {max_workers!r}")
     configs = [spec.config_at(value) for value in spec.grid]
-    workers = _cores() if max_workers is None else max_workers
+    workers = _cores() if max_workers is None else int(max_workers)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         outcomes = {method: METHODS[method](spec, configs, pool) for method in spec.methods}
     rows = []

@@ -9,6 +9,10 @@ cancellation is genuine: the near user (and the relay) subtracts its own
 hard decision, so detection errors propagate exactly as they would on the
 air, and the relay re-encodes whatever it decided before forwarding.
 
+A run is its batches of draws (:class:`Batch`), each settled to one
+geometry; a batch heard at one scenario is a :class:`Reception`, which
+receives each link once for every scheme simulated on it.
+
 The simulator is the independent check on :mod:`nomalink.analytic`; it
 shares nothing with the closed forms except :class:`SystemConfig`.
 """
@@ -168,13 +172,14 @@ class Batch:
     rounding of a boundary, about 2e-8 of decisions, and no seeded count
     the tests pin moved.  A simulation refuses, with ValueError, a scenario
     whose heard links the float32 rows and tail cannot hold
-    (``_FLOAT32_SPAN``).  It writes only work rows of its own (``_chain``),
-    so threads share a batch without a lock.  It runs only the tail that
-    powers, hardware factors and the split change, on any scenario whose
-    heard links share the batch's geometry; it refuses any other, and a
-    scheme whose hops the batch lacks, with ValueError.  The grid points
-    and schemes of a sweep share one geometry, so they share both the
-    draws and the settling: common random numbers.
+    (``_FLOAT32_SPAN``).  It hears the batch at its scenario through a
+    :class:`Reception` (``at``), which only reads the batch and writes rows
+    of its own, so threads share a batch without a lock.  It runs only the
+    tail that powers, hardware factors and the split change, on any
+    scenario whose heard links share the batch's geometry; it refuses any
+    other, and a scheme whose hops the batch lacks, with ValueError.  The
+    grid points and schemes of a sweep share one geometry, so they share
+    both the draws and the settling: common random numbers.
     """
 
     __slots__ = ("hops", "n_symbols", "geometry", "bits", "receivers", "_positive")
@@ -223,6 +228,13 @@ class Batch:
         self.n_symbols = n
         self.bits = draws[:2]
         self.receivers = draws[2:].reshape(len(links), 4, n)
+
+    def at(self, cfg: SystemConfig, *, genie_relay: bool = False,
+           genie_sic: bool = False) -> "Reception":
+        """This batch heard at ``cfg`` with the given genie switches, for
+        every scheme that reads it (see :class:`Reception`); nothing is
+        received until a scheme reads it."""
+        return Reception(self, cfg, genie_relay=genie_relay, genie_sic=genie_sic)
 
 
 def _geometry(cfg: SystemConfig, links) -> dict[str, tuple[float, float]]:
@@ -353,11 +365,12 @@ def _errors(x: np.ndarray, positive: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _sic(phi: np.ndarray, gain: np.ndarray, sqrt_a1: float,
-         m1_known: np.ndarray | None, far: np.ndarray) -> None:
+         m1_known: np.ndarray | None, far: np.ndarray, near: np.ndarray) -> None:
     """Successive interference cancellation on a combined statistic: write
-    the far bit into ``far`` and turn ``gain`` into the near bit's
-    statistic.  The relay and the near user read both, the far user only
-    the sign of its statistic.
+    the far bit into ``far`` and the near bit's statistic into ``near``.
+    ``near`` may be ``gain`` itself, or ``far`` when the far bit is not
+    read afterwards.  The relay reads both, the near user only its own
+    statistic, and the far user only the sign of its statistic.
 
     The four composite points lie on one line at (+-r1 +- r2) times
     ``gain`` with r1 >= r2, so the minimum-distance readout of the far bit
@@ -371,115 +384,198 @@ def _sic(phi: np.ndarray, gain: np.ndarray, sqrt_a1: float,
     is the same as scaling sqrt(alpha1) by it.
     """
     _slice_sign(phi, far)
-    gain *= far if m1_known is None else m1_known
-    gain *= sqrt_a1
-    np.subtract(phi, gain, out=gain)
+    np.multiply(gain, far if m1_known is None else m1_known, out=near)
+    near *= sqrt_a1
+    np.subtract(phi, near, out=near)
 
 
-def _chain(cfg: SystemConfig, scheme: str, batch: Batch, genie_relay: bool,
-           genie_sic: bool, slips: bool):
-    """Detect ``scheme`` on a batch that serves it at ``cfg``'s geometry
-    (``Batch``); return each user's error mask on its own bit and,
-    when ``slips`` asks for them, the relay's two error masks (else None).
-    Every row it writes, seven float32 and four boolean, is its own,
-    allocated per call; the batch is only read.  The tail runs in float32
-    on the batch's float32 rows, on a scenario ``_tally`` has checked
-    against ``_FLOAT32_SPAN``.
+def _rows(n: int, count: int) -> list[np.ndarray]:
+    """``count`` float32 work rows of ``n`` entries, each its own array."""
+    return [np.empty(n, dtype=np.float32) for _ in range(count)]
+
+
+class Reception:
+    """A batch heard at one scenario: the receiving every scheme's detection
+    shares, done once for all of them.
+
+    Built by :meth:`Batch.at` and bound to the scenario ``cfg`` and to the
+    genie switches ``genie_relay`` and ``genie_sic`` it was built with;
+    :func:`simulate` and :func:`conditional_prop_stats` refuse it, with
+    ValueError, at another scenario or other switches.  It carries the
+    batch's ``n_symbols`` and holds, each computed the first time a scheme
+    reads it and read-only from then on:
+
+    * ``_tx()``: the source's symbols, sqrt(alpha1) m1 + sqrt(alpha2) m2;
+    * ``hop("s")``: the source hop, phi on s1 and phi and gain on s2;
+    * ``relay()``: the relay's decisions (far, near), +-1, on the bits it
+      heard on sr, which it re-encodes at the relay power unless
+      ``genie_relay`` forwards the true bits;
+    * ``hop("r")``: the relay hop, phi on r1 and phi and gain on r2.
+
+    So at one grid point cnoma-wdl reads the source hop noma received and
+    the relay hop cnoma received, and each of the five links is received
+    once whatever the schemes.  A scheme reads no hop it does not hear, so
+    a simulation on a SimSpec or a Batch receives only its own.  Detection
+    (``_detect``) writes only rows of its own.  Two threads that first read
+    a hop at once each compute it, to the same values, and one is kept.
+    """
+
+    __slots__ = ("batch", "cfg", "genie_relay", "genie_sic", "n_symbols", "_held")
+
+    def __init__(self, batch: Batch, cfg: SystemConfig, *, genie_relay: bool = False,
+                 genie_sic: bool = False):
+        self.batch, self.cfg = batch, cfg
+        self.genie_relay, self.genie_sic = genie_relay, genie_sic
+        self.n_symbols = batch.n_symbols
+        self._held: dict[str, tuple[np.ndarray, ...]] = {}
+
+    def _tx(self) -> np.ndarray:
+        return self._read("tx", self._superposed)[0]
+
+    def relay(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._read("relay", self._relay_decisions)
+
+    def hop(self, hop: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._read(hop, lambda: self._received(hop))
+
+    def _read(self, name: str, compute) -> tuple[np.ndarray, ...]:
+        rows = self._held.get(name)
+        if rows is None:
+            rows = tuple(compute())
+            for row in rows:
+                row.flags.writeable = False
+            self._held[name] = rows
+        return rows
+
+    def _m1_known(self) -> np.ndarray | None:
+        return self.batch.bits[0] if self.genie_sic else None
+
+    def _hear(self, link: str, tx: np.ndarray, phi: np.ndarray, gain: np.ndarray | None,
+              scratch: np.ndarray) -> None:
+        terms = self.batch.receivers[list(self.batch.geometry).index(link)]
+        _receive(self.cfg, link, tx, terms, phi, gain, scratch)
+
+    def _superposed(self):
+        tx, scratch = _rows(self.n_symbols, 2)
+        _superpose(self.cfg, *self.batch.bits, tx, scratch)
+        return (tx,)
+
+    def _relay_decisions(self):
+        phi, gain, far = _rows(self.n_symbols, 3)
+        self._hear("sr", self._tx(), phi, gain, far)
+        _sic(phi, gain, math.sqrt(self.cfg.alpha1), self._m1_known(), far, gain)
+        return far, _slice_sign(gain, gain)
+
+    def _received(self, hop: str):
+        phi1, phi2, gain2, scratch = _rows(self.n_symbols, 4)
+        tx = self._tx()
+        if hop == "r" and not self.genie_relay:  # the relay forwards what it decided
+            tx = np.empty_like(tx)
+            _superpose(self.cfg, *self.relay(), tx, scratch)
+        self._hear(hop + "1", tx, phi1, None, scratch)
+        self._hear(hop + "2", tx, phi2, gain2, scratch)
+        return phi1, phi2, gain2
+
+
+def _detect(reception: Reception, scheme: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each user's error mask on its own bit under ``scheme``, detected on
+    the hops it hears of ``reception``, which this only reads.
 
     The relay and both users read the same law: they slice the
-    sqrt(P)-weighted sum of the hops they hear (``_sic``).  The relay hears
-    the source on link sr and re-encodes its +-1 decisions at the relay
-    power, unless ``genie_relay`` forwards the true bits.  The users'
-    decisions are only counted, so ``_errors`` compares them as booleans.
-    The far user slices only the sign of its sum, so it sums no gain.
+    sqrt(P)-weighted sum of the hops they hear (``_sic``).  A user hearing
+    both hops sums the source's then the relay's statistic into rows of
+    its own (maximum-ratio combining); the near user's SIC writes the
+    statistic it slices into a row of its own.  The users' decisions are
+    only counted, so ``_errors`` compares them as booleans; the far user
+    slices only the sign of its sum, so it sums no gain.  Everything runs
+    in float32 on the batch's float32 rows, on a scenario ``_tally`` has
+    checked against ``_FLOAT32_SPAN``.
     """
-    n = batch.n_symbols
-    tx, phi1, phi2, gain2, phi, gain, scratch = (np.empty(n, dtype=np.float32)
-                                                 for _ in range(7))
-    err1, err2, slip1, slip2 = (np.empty(n, dtype=bool) for _ in range(4))
-    m1, m2 = batch.bits
-    m1_known = m1 if genie_sic else None
-    sqrt_a1 = math.sqrt(cfg.alpha1)
-    terms = dict(zip(batch.geometry, batch.receivers))
-    _superpose(cfg, m1, m2, tx, gain)
-    relay = None
-    for heard, hop in enumerate(_HOPS[scheme]):
-        if hop == "r":
-            _receive(cfg, "sr", tx, terms["sr"], phi, gain, scratch)
-            _sic(phi, gain, sqrt_a1, m1_known, scratch)
-            far, near = scratch, _slice_sign(gain, gain)
-            if slips:
-                relay = np.not_equal(far, m1, out=slip1), np.not_equal(near, m2, out=slip2)
-            if not genie_relay:
-                _superpose(cfg, far, near, tx, phi)
-        users = ((hop + "1", phi1, None, None), (hop + "2", phi2, gain2, gain))
-        for link, user_phi, user_gain, hop_gain in users:
-            if not heard:  # a user's first hop starts its sums
-                _receive(cfg, link, tx, terms[link], user_phi, user_gain, scratch)
-            else:  # later hops fold in by maximum-ratio combining
-                _receive(cfg, link, tx, terms[link], phi, hop_gain, scratch)
-                user_phi += phi
-                if user_gain is not None:
-                    user_gain += hop_gain
-    positive1, positive2 = batch._positive
-    _sic(phi2, gain2, sqrt_a1, m1_known, scratch)
-    return _errors(phi1, positive1, err1), _errors(gain2, positive2, err2), relay
+    heard = [reception.hop(hop) for hop in _HOPS[scheme]]
+    phi1, phi2, gain2 = heard[0]
+    if len(heard) > 1:
+        phi1, phi2, gain2 = (np.add(s, r) for s, r in zip(*heard))
+    near = np.empty(reception.n_symbols, dtype=np.float32)
+    _sic(phi2, gain2, math.sqrt(reception.cfg.alpha1), reception._m1_known(), near, near)
+    err1, err2 = (np.empty(reception.n_symbols, dtype=bool) for _ in range(2))
+    positive1, positive2 = reception.batch._positive
+    return _errors(phi1, positive1, err1), _errors(near, positive2, err2)
 
 
-def _tally(cfg: SystemConfig, scheme: str, spec: SimSpec | Batch, slips: bool = False,
-           genie_relay: bool = False, genie_sic: bool = False):
-    """The counts of ``_chain``'s masks on ``spec``: each user's errors, or
-    with ``slips``, per user, the relay's slips on the user's bit and the
-    user's errors among them.  A SimSpec's are the sum, entry by entry, of
-    its batches', each drawn at ``cfg`` and freed before the next is drawn.
-    A Batch must hold every hop ``scheme`` hears, settled to ``cfg``'s
-    geometry; it is only read, so threads may tally one batch at once.
-    A scenario outside the float32 span (``_check_span``) raises ValueError
-    before anything is drawn."""
+def _tally(cfg: SystemConfig, scheme: str, spec: SimSpec | Batch | Reception,
+           slips: bool = False, genie_relay: bool = False, genie_sic: bool = False):
+    """The counts of ``_detect``'s masks on ``spec``: each user's errors,
+    or with ``slips``, per user, the relay's slips on the user's bit and
+    the user's errors among them.  A SimSpec's are the sum, entry by entry,
+    of its batches', each drawn at ``cfg`` and freed before the next is
+    drawn.  A Batch is heard at ``cfg`` through a Reception of its own; a
+    Reception must be bound to ``cfg`` and the genie switches, and its
+    batch must hold every hop ``scheme`` hears, settled to ``cfg``'s
+    geometry.  A batch is only read, so threads may tally one batch at
+    once.  A scenario outside the float32 span (``_check_span``) raises
+    ValueError before anything is drawn or received."""
     _check_span(cfg, [link for hop in _HOPS[scheme] for link in _HOP_LINKS[hop]])
     if isinstance(spec, SimSpec):
         per_batch = [_tally(cfg, scheme, spec.draw(cfg, scheme, index), slips, genie_relay,
                             genie_sic) for index in range(len(spec.batches()))]
         return [sum(counts) for counts in zip(*per_batch)]
-    if not isinstance(spec, Batch):
-        raise TypeError(f"spec must be a SimSpec or a Batch, got {type(spec).__name__}")
+    if isinstance(spec, Batch):
+        spec = spec.at(cfg, genie_relay=genie_relay, genie_sic=genie_sic)
+    elif not isinstance(spec, Reception):
+        raise TypeError(
+            f"spec must be a SimSpec, a Batch or a Reception, got {type(spec).__name__}")
+    elif spec.cfg != cfg:
+        raise ValueError("reception was built at another scenario; hear the batch at this "
+                         "one with batch.at(cfg)")
+    elif (spec.genie_relay, spec.genie_sic) != (genie_relay, genie_sic):
+        raise ValueError(
+            f"reception was built with genie_relay={spec.genie_relay}, "
+            f"genie_sic={spec.genie_sic}, not genie_relay={genie_relay}, "
+            f"genie_sic={genie_sic}; hear the batch with these switches")
+    batch = spec.batch
     for hop in _HOPS[scheme]:
-        if hop not in spec.hops:
-            raise ValueError(f"batch holds the hops {spec.hops}, not {hop!r}, which {scheme} "
+        if hop not in batch.hops:
+            raise ValueError(f"batch holds the hops {batch.hops}, not {hop!r}, which {scheme} "
                              f"hears; draw a batch for {scheme}")
         for link, wanted in _geometry(cfg, _HOP_LINKS[hop]).items():
-            if spec.geometry[link] != wanted:
+            if batch.geometry[link] != wanted:
                 raise ValueError(
                     f"batch was settled to (sigma_eps_sq, sigma~^2 of {link}) = "
-                    f"{spec.geometry[link]}, not {wanted}; draw a new batch for another geometry")
-    err1, err2, relay = _chain(cfg, scheme, spec, genie_relay, genie_sic, slips)
+                    f"{batch.geometry[link]}, not {wanted}; draw a new batch for another geometry")
+    err1, err2 = _detect(spec, scheme)
     if slips:
-        slip1, slip2 = relay
+        (far, near), (m1, m2) = spec.relay(), batch.bits
+        slip1, slip2 = np.not_equal(far, m1), np.not_equal(near, m2)
         return (int(np.count_nonzero(slip1)), int(np.count_nonzero(err1 & slip1)),
                 int(np.count_nonzero(slip2)), int(np.count_nonzero(err2 & slip2)))
     return int(np.count_nonzero(err1)), int(np.count_nonzero(err2))
 
 
-def simulate(cfg: SystemConfig, scheme: str, spec: SimSpec | Batch, *,
+def simulate(cfg: SystemConfig, scheme: str, spec: SimSpec | Batch | Reception, *,
              genie_relay: bool = False, genie_sic: bool = False) -> McResult:
     """Simulate ``scheme`` (noma, cnoma or cnoma-wdl, any case) and count bit errors.
 
-    ``spec`` is a :class:`SimSpec`, a run of its batches, or one
+    ``spec`` is a :class:`SimSpec`, a run of its batches; one
     :class:`Batch` (:meth:`SimSpec.draw`) that holds every hop ``scheme``
-    hears, whatever schemes it was drawn for; anything else raises
-    TypeError, and a batch that lacks such a hop ValueError, as does one
-    settled to another geometry on a link ``scheme`` hears.  Both take one
-    path: a SimSpec draws each batch at ``cfg`` for ``scheme`` alone, and
-    each batch is detected and counted.  So the counts of a SimSpec's
-    batches, each simulated alone, sum to the SimSpec's, and a batch
-    reused at another power, hardware factor or split, or drawn beside
-    other schemes, gets the counts of a fresh draw: a batch never changes
-    after its draw, and a simulation's work rows are its own.  ``genie_relay``
-    forwards the true bits regardless of what the relay detected (noma has
-    no relay and rejects it); ``genie_sic`` feeds the true far-user bit to
-    every subtraction, relay and near user, leaving the detections
-    themselves unchanged.  Both isolate one loss for instrumentation and
-    are deliberately not reachable from file configs.
+    hears, whatever schemes it was drawn for; or a :class:`Reception`
+    (:meth:`Batch.at`) of such a batch, built at ``cfg`` with the same
+    genie switches, which every scheme simulated on it shares.  Anything
+    else raises TypeError; a batch that lacks such a hop raises
+    ValueError, as does one settled to another geometry on a link
+    ``scheme`` hears, and a reception built at another scenario or with
+    other switches.  All three take one path: a SimSpec draws each batch
+    at ``cfg`` for ``scheme`` alone, each batch is heard at ``cfg``, and
+    ``scheme`` is detected and counted on what it hears.  So the counts of
+    a SimSpec's batches, each simulated alone, sum to the SimSpec's, and a
+    batch reused at another power, hardware factor or split, drawn beside
+    other schemes, or heard once for several schemes, gets the counts of a
+    fresh draw: a batch never changes after its draw, a reception's hops
+    never change once received, and a simulation's work rows are its own.
+    ``genie_relay`` forwards the true bits regardless of what the relay
+    detected (noma has no relay and rejects it); ``genie_sic`` feeds the
+    true far-user bit to every subtraction, relay and near user, leaving
+    the detections themselves unchanged.  Both isolate one loss for
+    instrumentation and are deliberately not reachable from file configs.
     """
     scheme = _scheme(scheme)
     if genie_relay and scheme == "noma":
@@ -488,7 +584,8 @@ def simulate(cfg: SystemConfig, scheme: str, spec: SimSpec | Batch, *,
     return McResult.from_counts(spec.n_symbols, *counts)
 
 
-def conditional_prop_stats(cfg: SystemConfig, spec: SimSpec | Batch) -> CondPropStats:
+def conditional_prop_stats(cfg: SystemConfig,
+                           spec: SimSpec | Batch | Reception) -> CondPropStats:
     """Per-user error counts given the relay mis-detected that user's bit.
 
     Runs the combined scheme on ``spec``, as :func:`simulate` does, and,

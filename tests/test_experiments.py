@@ -5,6 +5,7 @@ import io
 import math
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,16 @@ def test_spec_validation():
     # every grid point must map to a constructible scenario
     with pytest.raises(ValueError):
         SweepSpec(swept_parameter="alpha1", grid=(0.6, 1.2))
+
+
+def test_spec_refuses_a_sim_or_base_of_another_type():
+    for bad in (200_000, None, {"n_symbols": 200_000}, SystemConfig()):
+        with pytest.raises(ValueError, match=re.escape(f"sim must be a SimSpec, got {bad!r}")):
+            SweepSpec("snr_db", (0.0,), sim=bad)
+    for bad in (None, 20.0, SimSpec()):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"base must be a SystemConfig, got {bad!r}")):
+            SweepSpec("snr_db", (0.0,), base=bad)
 
 
 def test_grid_point_scenarios():
@@ -192,6 +203,17 @@ def test_method_table_is_the_one_place_that_names_a_method(monkeypatch, capsys):
     assert experiments.compare(result, 1e-4) == experiments.compare(paired, 1e-4)
 
 
+@pytest.mark.parametrize("workers", [0, -1, True, False, 2.5, 2.0, "2"])
+def test_sweep_pool_size_must_be_a_positive_integer(workers, monkeypatch):
+    def never(**kwargs):
+        raise AssertionError("the pool started")
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", never)
+    with pytest.raises(ValueError, match=re.escape(
+            f"max_workers must be a positive integer, got {workers!r}")):
+        run_sweep(analytic_spec(), max_workers=workers)
+
+
 def test_sweep_pool_defaults_to_the_usable_cores(monkeypatch):
     sizes = []
     real = experiments.ThreadPoolExecutor
@@ -259,6 +281,50 @@ def test_failed_draw_is_recorded_on_its_scheme_alone(monkeypatch):
             assert row.error == "synthetic simulation failure"
         else:
             assert row == before
+
+
+def test_a_sweep_receives_each_link_once_per_batch_and_point(monkeypatch):
+    """The schemes of a sweep share one reception per batch and grid point,
+    so its five links (s1, s2, sr, r1, r2) are each received once there,
+    not once per scheme that hears them."""
+    sim = SimSpec(n_symbols=150_000, seed=4)
+    received = []
+    real = simulator._receive
+
+    def receive(cfg, link, *rows):
+        received.append(link)
+        return real(cfg, link, *rows)
+
+    monkeypatch.setattr(simulator, "_receive", receive)
+    spec = SweepSpec("snr_db", (0.0, 10.0, 20.0), methods=("monte-carlo",), sim=sim)
+    run_sweep(spec)
+    batches_and_points = len(sim.batches()) * len(spec.grid)
+    assert len(received) == 5 * batches_and_points
+    assert sorted(received) == sorted(["s1", "s2", "sr", "r1", "r2"] * batches_and_points)
+
+
+def test_a_sweep_task_holds_one_points_reception_at_a_time():
+    """A sweep task hears its batch at one grid point at a time and drops
+    that reception before the next, so four points peak no higher than
+    one; holding every point's reception would add three receptions'
+    rows."""
+    sim = SimSpec(n_symbols=100_000, seed=2)
+    configs = [SystemConfig.defaults(snr_db=v) for v in (0.0, 10.0, 20.0, 30.0)]
+
+    def peak(points):
+        tracemalloc.start()
+        try:
+            experiments._simulate_batch(sim, configs[:points], analytic.SCHEMES, 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    reception = sim.draw(configs[0], analytic.SCHEMES, 0).at(configs[0])
+    held = [*reception.hop("s"), *reception.hop("r"), *reception.relay(), reception._tx()]
+    reception_bytes = sum(row.nbytes for row in held)
+    peak(1)  # warm up
+    one, four = peak(1), peak(4)
+    assert four <= one + 0.5 * reception_bytes, (one, four, reception_bytes)
 
 
 @pytest.mark.parametrize("schemes", [

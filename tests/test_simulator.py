@@ -309,14 +309,77 @@ def test_a_scheme_on_a_shared_batch_equals_it_on_its_own(order):
 def test_spec_must_be_a_simspec_or_a_batch():
     cfg = SystemConfig.defaults()
     batch = SimSpec(n_symbols=20_000, seed=3).draw(cfg, "cnoma-wdl", 0)
-    for spec in (20_000, None, batch.receivers, {"n_symbols": 20_000}):
-        with pytest.raises(TypeError, match="spec must be a SimSpec or a Batch"):
+    refused = "spec must be a SimSpec, a Batch or a Reception, got "
+    for spec, kind in ((20_000, "int"), (None, "NoneType"), (batch.receivers, "ndarray"),
+                       ({"n_symbols": 20_000}, "dict")):
+        with pytest.raises(TypeError, match=refused + kind):
             simulator.simulate(cfg, "noma", spec)
-        with pytest.raises(TypeError, match="spec must be a SimSpec or a Batch"):
+        with pytest.raises(TypeError, match=refused + kind):
             simulator.conditional_prop_stats(cfg, spec)
-    # a drawn batch of the combined scheme serves the conditional statistic too
+    # a drawn batch of the combined scheme serves the conditional statistic
+    # too, and so does a reception of it
     stats = simulator.conditional_prop_stats(cfg, batch)
     assert stats == simulator.conditional_prop_stats(cfg, SimSpec(n_symbols=20_000, seed=3))
+    assert stats == simulator.conditional_prop_stats(cfg, batch.at(cfg))
+    assert isinstance(batch.at(cfg), simulator.Reception)
+
+
+_GENIES = [{}, {"genie_sic": True}, {"genie_relay": True},
+           {"genie_relay": True, "genie_sic": True}]
+
+
+@pytest.mark.parametrize("genies", _GENIES, ids=lambda g: "+".join(g) or "none")
+def test_one_reception_serves_every_scheme_in_every_order(genies):
+    """A reception hears each hop the first time a scheme reads it, and
+    each scheme, in every order, gets on it the counts of ``simulate`` on
+    the batch, as does the conditional statistic; the hops it holds
+    afterwards are read-only.  noma has no relay, so a relay genie leaves
+    it out."""
+    spec = SimSpec(n_symbols=20_000, seed=7)
+    batch = spec.draw(SystemConfig.defaults(), analytic.SCHEMES, 0)
+    users = [s for s in analytic.SCHEMES if not (s == "noma" and genies.get("genie_relay"))]
+    if not genies:
+        users.append("conditional")
+    for cfg in (SystemConfig.defaults(snr_db=5.0), SystemConfig.defaults(snr_db=25.0)):
+        alone = {s: simulator.conditional_prop_stats(cfg, batch) if s == "conditional"
+                 else simulator.simulate(cfg, s, batch, **genies) for s in users}
+        for order in itertools.permutations(users):
+            reception = batch.at(cfg, **genies)
+            assert reception.n_symbols == 20_000
+            for s in order:
+                got = (simulator.conditional_prop_stats(cfg, reception) if s == "conditional"
+                       else simulator.simulate(cfg, s, reception, **genies))
+                assert got == alone[s], (order, s)
+            held = [*reception.hop("s"), *reception.hop("r"), *reception.relay(), reception._tx()]
+            assert len(held) == 9
+            for row in held:
+                assert row.dtype == np.float32 and not row.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    row[0] = 0.0
+
+
+def test_a_reception_refuses_another_scenario_or_other_switches():
+    spec = SimSpec(n_symbols=20_000, seed=7)
+    cfg = SystemConfig.defaults(snr_db=10.0)
+    batch = spec.draw(cfg, analytic.SCHEMES, 0)
+    reception = batch.at(cfg, genie_sic=True)
+    for other in (cfg.with_snr_db(20.0), cfg.with_hwi(0.1), cfg.with_alpha1(0.8)):
+        for scheme in analytic.SCHEMES:
+            with pytest.raises(ValueError, match="reception was built at another scenario"):
+                simulator.simulate(other, scheme, reception, genie_sic=True)
+        with pytest.raises(ValueError, match="reception was built at another scenario"):
+            simulator.conditional_prop_stats(other, batch.at(cfg))
+    switched = re.escape("reception was built with genie_relay=False, genie_sic=True, "
+                         "not genie_relay=")
+    for genies in ({}, {"genie_relay": True}, {"genie_relay": True, "genie_sic": True}):
+        with pytest.raises(ValueError, match=switched):
+            simulator.simulate(cfg, "cnoma", reception, **genies)
+    with pytest.raises(ValueError, match=switched):
+        simulator.conditional_prop_stats(cfg, reception)
+    # an equal scenario is the same scenario, and nothing above was received
+    assert not reception._held
+    assert simulator.simulate(replace(cfg), "noma", reception, genie_sic=True) == \
+        simulator.simulate(cfg, "noma", spec, genie_sic=True)
 
 
 def _traced_peak(run) -> int:
