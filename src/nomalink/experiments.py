@@ -241,8 +241,10 @@ def compare(result: SweepResult, threshold: float) -> list[dict]:
     each failed evaluation's message prefixed with its method).  A point is
     checked when the closed form is at least ``threshold`` and is then ok
     within three standard errors; a row whose evaluation failed (NaN) is
-    checked and not ok, never skipped.
+    checked and not ok, never skipped.  A NaN ``threshold`` raises ValueError.
     """
+    if math.isnan(threshold):
+        raise ValueError("compare needs a threshold to check points against, got nan")
     if not {"analytic", "monte-carlo"} <= set(result.spec.methods):
         raise ValueError("compare needs a sweep over both methods ('analytic', 'monte-carlo')")
     mc_rows = {(r.value, r.scheme, r.user): r for r in result.rows

@@ -172,11 +172,11 @@ class Batch:
     rounding of a boundary, about 2e-8 of decisions, and no seeded count
     the tests pin moved.  A simulation refuses, with ValueError, a scenario
     whose heard links the float32 rows and tail cannot hold
-    (``_FLOAT32_SPAN``).  It hears the batch at its scenario through a
+    (``_FLOAT32_SPAN``).  A batch is heard at a scenario through a
     :class:`Reception` (``at``), which only reads the batch and writes rows
     of its own, so threads share a batch without a lock.  It runs only the
-    tail that powers, hardware factors and the split change, on any
-    scenario whose heard links share the batch's geometry; it refuses any
+    tail that powers, hardware factors and the split change, on a scenario
+    whose heard links share the batch's geometry; a simulation refuses any
     other, and a scheme whose hops the batch lacks, with ValueError.  The
     grid points and schemes of a sweep share one geometry, so they share
     both the draws and the settling: common random numbers.
@@ -185,6 +185,8 @@ class Batch:
     __slots__ = ("hops", "n_symbols", "geometry", "bits", "receivers", "_positive")
 
     def __init__(self, cfg: SystemConfig, schemes, seq: np.random.SeedSequence, n: int):
+        if not _is_integer(n) or n < 1:
+            raise ValueError(f"a batch holds a positive integer number of symbols, got {n!r}")
         if isinstance(schemes, str) or not np.iterable(schemes):
             schemes = (schemes,)  # one name
         names = tuple(schemes)
@@ -229,12 +231,11 @@ class Batch:
         self.bits = draws[:2]
         self.receivers = draws[2:].reshape(len(links), 4, n)
 
-    def at(self, cfg: SystemConfig, *, genie_relay: bool = False,
-           genie_sic: bool = False) -> "Reception":
-        """This batch heard at ``cfg`` with the given genie switches, for
-        every scheme that reads it (see :class:`Reception`); nothing is
-        received until a scheme reads it."""
-        return Reception(self, cfg, genie_relay=genie_relay, genie_sic=genie_sic)
+    def at(self, cfg: SystemConfig) -> "Reception":
+        """This batch heard at ``cfg``, for every scheme and genie switch
+        that reads it (see :class:`Reception`); nothing is received until a
+        scheme reads it."""
+        return Reception(self, cfg)
 
 
 def _geometry(cfg: SystemConfig, links) -> dict[str, tuple[float, float]]:
@@ -398,57 +399,58 @@ class Reception:
     """A batch heard at one scenario: the receiving every scheme's detection
     shares, done once for all of them.
 
-    Built by :meth:`Batch.at` and bound to the scenario ``cfg`` and to the
-    genie switches ``genie_relay`` and ``genie_sic`` it was built with;
+    Built by :meth:`Batch.at` and bound to the scenario ``cfg``;
     :func:`simulate` and :func:`conditional_prop_stats` refuse it, with
-    ValueError, at another scenario or other switches.  It carries the
-    batch's ``n_symbols`` and holds, each computed the first time a scheme
-    reads it and read-only from then on:
+    ValueError, at another scenario.  It carries the batch's ``n_symbols``
+    and holds, each computed the first time a simulation reads it and
+    read-only from then on:
 
     * ``_tx()``: the source's symbols, sqrt(alpha1) m1 + sqrt(alpha2) m2;
-    * ``hop("s")``: the source hop, phi on s1 and phi and gain on s2;
-    * ``relay()``: the relay's decisions (far, near), +-1, on the bits it
-      heard on sr, which it re-encodes at the relay power unless
-      ``genie_relay`` forwards the true bits;
-    * ``hop("r")``: the relay hop, phi on r1 and phi and gain on r2.
+    * ``hop("s", ...)``: the source hop, phi on s1 and phi and gain on s2;
+    * ``relay(genie_sic)``: the relay's decisions (far, near), +-1, on the
+      bits it heard on sr;
+    * ``hop("r", genie_relay, genie_sic)``: the relay hop, phi on r1 and
+      phi and gain on r2, carrying the relay's decisions re-encoded at the
+      relay power, or the true bits under ``genie_relay``.
 
-    So at one grid point cnoma-wdl reads the source hop noma received and
-    the relay hop cnoma received, and each of the five links is received
-    once whatever the schemes.  A scheme reads no hop it does not hear, so
-    a simulation on a SimSpec or a Batch receives only its own.  Detection
+    Each is held once per value of the genie switches it depends on: the
+    relay's decisions on ``genie_sic``, the relay hop on ``genie_relay``
+    and, when that is off, on ``genie_sic``.  So at one grid point
+    cnoma-wdl reads the source hop noma received and the relay hop cnoma
+    received, and a scheme reads no hop it does not hear.  Detection
     (``_detect``) writes only rows of its own.  Two threads that first read
     a hop at once each compute it, to the same values, and one is kept.
     """
 
-    __slots__ = ("batch", "cfg", "genie_relay", "genie_sic", "n_symbols", "_held")
+    __slots__ = ("batch", "cfg", "n_symbols", "_held")
 
-    def __init__(self, batch: Batch, cfg: SystemConfig, *, genie_relay: bool = False,
-                 genie_sic: bool = False):
+    def __init__(self, batch: Batch, cfg: SystemConfig):
         self.batch, self.cfg = batch, cfg
-        self.genie_relay, self.genie_sic = genie_relay, genie_sic
         self.n_symbols = batch.n_symbols
-        self._held: dict[str, tuple[np.ndarray, ...]] = {}
+        self._held: dict[object, tuple[np.ndarray, ...]] = {}
 
     def _tx(self) -> np.ndarray:
         return self._read("tx", self._superposed)[0]
 
-    def relay(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._read("relay", self._relay_decisions)
+    def relay(self, genie_sic: bool) -> tuple[np.ndarray, np.ndarray]:
+        return self._read(("relay", genie_sic), lambda: self._relay_decisions(genie_sic))
 
-    def hop(self, hop: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._read(hop, lambda: self._received(hop))
+    def hop(self, hop: str, genie_relay: bool, genie_sic: bool) -> tuple[np.ndarray, ...]:
+        # the genie_sic of the relay's decisions it carries, or None for the true bits
+        relayed = genie_sic if hop == "r" and not genie_relay else None
+        return self._read((hop, relayed), lambda: self._received(hop, relayed))
 
-    def _read(self, name: str, compute) -> tuple[np.ndarray, ...]:
-        rows = self._held.get(name)
+    def _read(self, key, compute) -> tuple[np.ndarray, ...]:
+        rows = self._held.get(key)
         if rows is None:
             rows = tuple(compute())
             for row in rows:
                 row.flags.writeable = False
-            self._held[name] = rows
+            self._held[key] = rows
         return rows
 
-    def _m1_known(self) -> np.ndarray | None:
-        return self.batch.bits[0] if self.genie_sic else None
+    def _m1_known(self, genie_sic: bool) -> np.ndarray | None:
+        return self.batch.bits[0] if genie_sic else None
 
     def _hear(self, link: str, tx: np.ndarray, phi: np.ndarray, gain: np.ndarray | None,
               scratch: np.ndarray) -> None:
@@ -460,26 +462,27 @@ class Reception:
         _superpose(self.cfg, *self.batch.bits, tx, scratch)
         return (tx,)
 
-    def _relay_decisions(self):
+    def _relay_decisions(self, genie_sic: bool):
         phi, gain, far = _rows(self.n_symbols, 3)
         self._hear("sr", self._tx(), phi, gain, far)
-        _sic(phi, gain, math.sqrt(self.cfg.alpha1), self._m1_known(), far, gain)
+        _sic(phi, gain, math.sqrt(self.cfg.alpha1), self._m1_known(genie_sic), far, gain)
         return far, _slice_sign(gain, gain)
 
-    def _received(self, hop: str):
+    def _received(self, hop: str, relayed: bool | None):
         phi1, phi2, gain2, scratch = _rows(self.n_symbols, 4)
         tx = self._tx()
-        if hop == "r" and not self.genie_relay:  # the relay forwards what it decided
+        if relayed is not None:  # the relay forwards what it decided
             tx = np.empty_like(tx)
-            _superpose(self.cfg, *self.relay(), tx, scratch)
+            _superpose(self.cfg, *self.relay(relayed), tx, scratch)
         self._hear(hop + "1", tx, phi1, None, scratch)
         self._hear(hop + "2", tx, phi2, gain2, scratch)
         return phi1, phi2, gain2
 
 
-def _detect(reception: Reception, scheme: str) -> tuple[np.ndarray, np.ndarray]:
-    """Each user's error mask on its own bit under ``scheme``, detected on
-    the hops it hears of ``reception``, which this only reads.
+def _detect(reception: Reception, scheme: str, genie_relay: bool,
+            genie_sic: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Each user's error mask on its own bit under ``scheme`` and the
+    switches, on the hops it hears of ``reception``, which this only reads.
 
     The relay and both users read the same law: they slice the
     sqrt(P)-weighted sum of the hops they hear (``_sic``).  A user hearing
@@ -488,50 +491,42 @@ def _detect(reception: Reception, scheme: str) -> tuple[np.ndarray, np.ndarray]:
     statistic it slices into a row of its own.  The users' decisions are
     only counted, so ``_errors`` compares them as booleans; the far user
     slices only the sign of its sum, so it sums no gain.  Everything runs
-    in float32 on the batch's float32 rows, on a scenario ``_tally`` has
-    checked against ``_FLOAT32_SPAN``.
+    in float32 on the batch's float32 rows, on a scenario ``_receptions``
+    has checked against ``_FLOAT32_SPAN``.
     """
-    heard = [reception.hop(hop) for hop in _HOPS[scheme]]
+    heard = [reception.hop(hop, genie_relay, genie_sic) for hop in _HOPS[scheme]]
     phi1, phi2, gain2 = heard[0]
     if len(heard) > 1:
         phi1, phi2, gain2 = (np.add(s, r) for s, r in zip(*heard))
     near = np.empty(reception.n_symbols, dtype=np.float32)
-    _sic(phi2, gain2, math.sqrt(reception.cfg.alpha1), reception._m1_known(), near, near)
+    _sic(phi2, gain2, math.sqrt(reception.cfg.alpha1), reception._m1_known(genie_sic),
+         near, near)
     err1, err2 = (np.empty(reception.n_symbols, dtype=bool) for _ in range(2))
     positive1, positive2 = reception.batch._positive
     return _errors(phi1, positive1, err1), _errors(near, positive2, err2)
 
 
-def _tally(cfg: SystemConfig, scheme: str, spec: SimSpec | Batch | Reception,
-           slips: bool = False, genie_relay: bool = False, genie_sic: bool = False):
-    """The counts of ``_detect``'s masks on ``spec``: each user's errors,
-    or with ``slips``, per user, the relay's slips on the user's bit and
-    the user's errors among them.  A SimSpec's are the sum, entry by entry,
-    of its batches', each drawn at ``cfg`` and freed before the next is
-    drawn.  A Batch is heard at ``cfg`` through a Reception of its own; a
-    Reception must be bound to ``cfg`` and the genie switches, and its
-    batch must hold every hop ``scheme`` hears, settled to ``cfg``'s
-    geometry.  A batch is only read, so threads may tally one batch at
-    once.  A scenario outside the float32 span (``_check_span``) raises
-    ValueError before anything is drawn or received."""
+def _receptions(cfg: SystemConfig, scheme: str, spec: SimSpec | Reception,
+                genie_relay: bool, genie_sic: bool):
+    """The receptions a simulation of ``scheme`` on ``spec`` detects, once
+    its inputs are checked (see :func:`simulate`) and before anything is
+    drawn or received: a SimSpec's batches, each drawn and heard at ``cfg``
+    only when read, or the Reception itself."""
+    if not isinstance(cfg, SystemConfig):
+        raise TypeError(f"cfg must be a SystemConfig, got {type(cfg).__name__}")
+    if not isinstance(spec, (SimSpec, Reception)):
+        raise TypeError(f"spec must be a SimSpec or a Reception, got {type(spec).__name__}")
+    for name, value in (("genie_relay", genie_relay), ("genie_sic", genie_sic)):
+        if not isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{name} must be a bool, got {value!r}")
+    if genie_relay and scheme == "noma":
+        raise ValueError("genie_relay needs a relay, and noma has none")
     _check_span(cfg, [link for hop in _HOPS[scheme] for link in _HOP_LINKS[hop]])
     if isinstance(spec, SimSpec):
-        per_batch = [_tally(cfg, scheme, spec.draw(cfg, scheme, index), slips, genie_relay,
-                            genie_sic) for index in range(len(spec.batches()))]
-        return [sum(counts) for counts in zip(*per_batch)]
-    if isinstance(spec, Batch):
-        spec = spec.at(cfg, genie_relay=genie_relay, genie_sic=genie_sic)
-    elif not isinstance(spec, Reception):
-        raise TypeError(
-            f"spec must be a SimSpec, a Batch or a Reception, got {type(spec).__name__}")
-    elif spec.cfg != cfg:
+        return (spec.draw(cfg, scheme, index).at(cfg) for index in range(len(spec.batches())))
+    if spec.cfg != cfg:
         raise ValueError("reception was built at another scenario; hear the batch at this "
                          "one with batch.at(cfg)")
-    elif (spec.genie_relay, spec.genie_sic) != (genie_relay, genie_sic):
-        raise ValueError(
-            f"reception was built with genie_relay={spec.genie_relay}, "
-            f"genie_sic={spec.genie_sic}, not genie_relay={genie_relay}, "
-            f"genie_sic={genie_sic}; hear the batch with these switches")
     batch = spec.batch
     for hop in _HOPS[scheme]:
         if hop not in batch.hops:
@@ -542,50 +537,46 @@ def _tally(cfg: SystemConfig, scheme: str, spec: SimSpec | Batch | Reception,
                 raise ValueError(
                     f"batch was settled to (sigma_eps_sq, sigma~^2 of {link}) = "
                     f"{batch.geometry[link]}, not {wanted}; draw a new batch for another geometry")
-    err1, err2 = _detect(spec, scheme)
-    if slips:
-        (far, near), (m1, m2) = spec.relay(), batch.bits
-        slip1, slip2 = np.not_equal(far, m1), np.not_equal(near, m2)
-        return (int(np.count_nonzero(slip1)), int(np.count_nonzero(err1 & slip1)),
-                int(np.count_nonzero(slip2)), int(np.count_nonzero(err2 & slip2)))
-    return int(np.count_nonzero(err1)), int(np.count_nonzero(err2))
+    return (spec,)
 
 
-def simulate(cfg: SystemConfig, scheme: str, spec: SimSpec | Batch | Reception, *,
+def simulate(cfg: SystemConfig, scheme: str, spec: SimSpec | Reception, *,
              genie_relay: bool = False, genie_sic: bool = False) -> McResult:
     """Simulate ``scheme`` (noma, cnoma or cnoma-wdl, any case) and count bit errors.
 
-    ``spec`` is a :class:`SimSpec`, a run of its batches; one
-    :class:`Batch` (:meth:`SimSpec.draw`) that holds every hop ``scheme``
-    hears, whatever schemes it was drawn for; or a :class:`Reception`
-    (:meth:`Batch.at`) of such a batch, built at ``cfg`` with the same
-    genie switches, which every scheme simulated on it shares.  Anything
-    else raises TypeError; a batch that lacks such a hop raises
-    ValueError, as does one settled to another geometry on a link
-    ``scheme`` hears, and a reception built at another scenario or with
-    other switches.  All three take one path: a SimSpec draws each batch
-    at ``cfg`` for ``scheme`` alone, each batch is heard at ``cfg``, and
-    ``scheme`` is detected and counted on what it hears.  So the counts of
-    a SimSpec's batches, each simulated alone, sum to the SimSpec's, and a
-    batch reused at another power, hardware factor or split, drawn beside
-    other schemes, or heard once for several schemes, gets the counts of a
-    fresh draw: a batch never changes after its draw, a reception's hops
-    never change once received, and a simulation's work rows are its own.
-    ``genie_relay`` forwards the true bits regardless of what the relay
-    detected (noma has no relay and rejects it); ``genie_sic`` feeds the
-    true far-user bit to every subtraction, relay and near user, leaving
-    the detections themselves unchanged.  Both isolate one loss for
-    instrumentation and are deliberately not reachable from file configs.
+    ``spec`` is a :class:`SimSpec`, a run of its batches, each drawn at
+    ``cfg`` for ``scheme`` alone and freed before the next is drawn; or a
+    :class:`Reception` (``batch.at(cfg)``) of one batch
+    (:meth:`SimSpec.draw`) that holds every hop ``scheme`` hears, which
+    every scheme and switch simulated on it at ``cfg`` shares.  Another
+    ``spec``, or a ``cfg`` that is not a SystemConfig, raises TypeError; a
+    reception heard at another scenario raises ValueError, as does one whose
+    batch lacks such a hop or was settled to another geometry on a link
+    ``scheme`` hears.  Both take one path: ``scheme`` is detected and
+    counted on each reception.  So the counts of a SimSpec's batches, each
+    simulated alone, sum to the SimSpec's, and a batch reused at another
+    power, hardware factor or split, drawn beside other schemes, or heard
+    once for several schemes and switches, gets the counts of a fresh draw:
+    a batch never changes after its draw, a reception's rows never change
+    once received, and a simulation's work rows are its own.
+    The genie switches, each a bool or else ValueError, isolate one loss
+    for instrumentation and are deliberately not reachable from file
+    configs: ``genie_relay`` forwards the true bits regardless of what the
+    relay detected (noma has no relay and rejects it); ``genie_sic`` feeds
+    the true far-user bit to every subtraction, relay and near user,
+    leaving the detections themselves unchanged.
     """
     scheme = _scheme(scheme)
-    if genie_relay and scheme == "noma":
-        raise ValueError("genie_relay needs a relay, and noma has none")
-    counts = _tally(cfg, scheme, spec, genie_relay=genie_relay, genie_sic=genie_sic)
-    return McResult.from_counts(spec.n_symbols, *counts)
+
+    def count(reception: Reception) -> tuple[int, int, int]:
+        err1, err2 = _detect(reception, scheme, genie_relay, genie_sic)
+        return reception.n_symbols, int(np.count_nonzero(err1)), int(np.count_nonzero(err2))
+
+    receptions = _receptions(cfg, scheme, spec, genie_relay, genie_sic)
+    return McResult(*map(sum, zip(*map(count, receptions))))  # each reception freed once counted
 
 
-def conditional_prop_stats(cfg: SystemConfig,
-                           spec: SimSpec | Batch | Reception) -> CondPropStats:
+def conditional_prop_stats(cfg: SystemConfig, spec: SimSpec | Reception) -> CondPropStats:
     """Per-user error counts given the relay mis-detected that user's bit.
 
     Runs the combined scheme on ``spec``, as :func:`simulate` does, and,
@@ -594,4 +585,10 @@ def conditional_prop_stats(cfg: SystemConfig,
     100 conditioning events flags the rate as low-confidence rather than
     failing.
     """
-    return CondPropStats(*_tally(cfg, "cnoma-wdl", spec, slips=True))
+    def count(reception: Reception) -> list[int]:  # per user: slips, errors among them
+        slips = np.not_equal(reception.relay(False), reception.batch.bits)
+        errors = slips & _detect(reception, "cnoma-wdl", False, False)
+        return [int(np.count_nonzero(m)) for m in (slips[0], errors[0], slips[1], errors[1])]
+
+    receptions = _receptions(cfg, "cnoma-wdl", spec, False, False)
+    return CondPropStats(*map(sum, zip(*map(count, receptions))))

@@ -320,7 +320,8 @@ def test_a_sweep_task_holds_one_points_reception_at_a_time():
             tracemalloc.stop()
 
     reception = sim.draw(configs[0], analytic.SCHEMES, 0).at(configs[0])
-    held = [*reception.hop("s"), *reception.hop("r"), *reception.relay(), reception._tx()]
+    held = [*reception.hop("s", False, False), *reception.hop("r", False, False),
+            *reception.relay(False), reception._tx()]
     reception_bytes = sum(row.nbytes for row in held)
     peak(1)  # warm up
     one, four = peak(1), peak(4)
@@ -772,6 +773,9 @@ def test_compare_pairs_rows_and_flags_failures():
                           "sigmas", "checked", "ok", "error"}
     with pytest.raises(ValueError):
         experiments.compare(run_sweep(analytic_spec()), 1e-4)
+    # a NaN threshold would check no point and report every one ok
+    with pytest.raises(ValueError, match="threshold .*got nan"):
+        experiments.compare(experiments.SweepResult(spec=spec, rows=rows), math.nan)
 
 
 def test_validate_command_exit_code_tracks_failures(capsys):

@@ -140,7 +140,7 @@ def test_drawn_batches_sum_to_the_run():
                    for index in range(len(spec.batches()))]
         assert [b.n_symbols for b in batches] == spec.batches()
         for cfg in configs:
-            parts = [simulator.simulate(cfg, scheme, b, **genies) for b in batches]
+            parts = [simulator.simulate(cfg, scheme, b.at(cfg), **genies) for b in batches]
             whole = simulator.simulate(cfg, scheme, spec, **genies)
             assert McResult.from_counts(sum(p.trials for p in parts),
                                         sum(p.errors_u1 for p in parts),
@@ -164,9 +164,10 @@ def test_drawn_batch_is_read_only_and_bound_to_its_scheme():
     assert {"bits", "receivers", "_positive"} <= held.keys()
     assert not [name for name, array in held.items() if array.flags.writeable]
     # a batch serves the schemes whose hops it holds, and no other
-    assert simulator.simulate(cfg, "NOMA", batch) == simulator.simulate(cfg, "noma", spec)
+    assert simulator.simulate(cfg, "NOMA", batch.at(cfg)) == \
+        simulator.simulate(cfg, "noma", spec)
     with pytest.raises(ValueError, match="batch holds the hops .*'s',.*not 'r', which cnoma-wdl"):
-        simulator.simulate(cfg, "cnoma-wdl", spec.draw(cfg, "noma", 0))
+        simulator.simulate(cfg, "cnoma-wdl", spec.draw(cfg, "noma", 0).at(cfg))
     for index in (1, -1):
         with pytest.raises(ValueError, match="batch index must be in"):
             spec.draw(cfg, "noma", index)
@@ -202,6 +203,17 @@ def test_a_draw_needs_at_least_one_known_scheme():
         np.testing.assert_array_equal(one.receivers, listed.receivers)
 
 
+def test_a_batch_holds_a_positive_integer_number_of_symbols():
+    """An empty batch would count nothing and read NaN rates, so a batch
+    refuses any size but a positive integer, bools included."""
+    seq = np.random.SeedSequence(0)
+    for n in (0, -3, True, 2.5, np.float64(10.0), "10", None):
+        with pytest.raises(ValueError, match=re.escape(
+                f"a batch holds a positive integer number of symbols, got {n!r}")):
+            simulator.Batch(SystemConfig.defaults(), "noma", seq, n)
+    assert simulator.Batch(SystemConfig.defaults(), "noma", seq, np.int64(10)).n_symbols == 10
+
+
 @pytest.mark.parametrize("schemes", [
     schemes for size in (1, 2, 3) for schemes in itertools.combinations(analytic.SCHEMES, size)
 ], ids="+".join)
@@ -216,11 +228,11 @@ def test_a_batch_refuses_a_scheme_whose_hop_it_lacks(schemes):
     assert batch.hops == tuple(hop for hop in ("s", "r") if hop in held)
     for scheme in analytic.SCHEMES:
         if set(simulator._HOPS[scheme]) <= held:
-            assert simulator.simulate(cfg, scheme, batch) == \
+            assert simulator.simulate(cfg, scheme, batch.at(cfg)) == \
                 simulator.simulate(cfg, scheme, spec), scheme
             continue
         with pytest.raises(ValueError, match=f"batch holds the hops .*which {scheme} hears"):
-            simulator.simulate(cfg, scheme, batch)
+            simulator.simulate(cfg, scheme, batch.at(cfg))
 
 
 #: Every link at the same distance, so every link settles with the same
@@ -284,44 +296,85 @@ def test_a_scheme_on_a_shared_batch_equals_it_on_its_own(order):
     shared = spec.draw(base, order, 0)
     own = {scheme: spec.draw(base, scheme, 0) for scheme in order}
     for cfg in _grid_configs(base):
+        heard = shared.at(cfg)
         for scheme in order:
             for genies in ({}, {"genie_sic": True}):
-                assert simulator.simulate(cfg, scheme, shared, **genies) == \
-                    simulator.simulate(cfg, scheme, own[scheme], **genies), (scheme, cfg)
+                assert simulator.simulate(cfg, scheme, heard, **genies) == \
+                    simulator.simulate(cfg, scheme, own[scheme].at(cfg), **genies), (scheme, cfg)
     # a geometry that moves only the relay's links is no part of noma
     far_relay = replace(base, d_sr=1.5)
-    assert simulator.simulate(far_relay, "noma", shared) == \
+    assert simulator.simulate(far_relay, "noma", shared.at(far_relay)) == \
         simulator.simulate(far_relay, "noma", spec)
     for scheme in ("cnoma", "cnoma-wdl"):
         with pytest.raises(ValueError, match="batch was settled to .*draw a new batch"):
-            simulator.simulate(far_relay, scheme, shared)
+            simulator.simulate(far_relay, scheme, shared.at(far_relay))
+    other = replace(base, sigma_eps_sq=0.01)
     with pytest.raises(ValueError, match="batch was settled to .*draw a new batch"):
-        simulator.simulate(replace(base, sigma_eps_sq=0.01), "noma", shared)
+        simulator.simulate(other, "noma", shared.at(other))
     # a batch drawn with the relay moved serves noma at the base geometry,
     # with noma's own counts, and refuses the relayed schemes there
     moved = spec.draw(far_relay, order, 0)
-    assert simulator.simulate(base, "noma", moved) == simulator.simulate(base, "noma", own["noma"])
+    assert simulator.simulate(base, "noma", moved.at(base)) == \
+        simulator.simulate(base, "noma", own["noma"].at(base))
     for scheme in ("cnoma", "cnoma-wdl"):
         with pytest.raises(ValueError, match="batch was settled to .*draw a new batch"):
-            simulator.simulate(base, scheme, moved)
+            simulator.simulate(base, scheme, moved.at(base))
 
 
 def test_spec_must_be_a_simspec_or_a_batch():
+    """A simulation takes a SimSpec or a Reception; a drawn batch is heard
+    first (``batch.at(cfg)``), so a bare Batch is refused like any other
+    type."""
     cfg = SystemConfig.defaults()
     batch = SimSpec(n_symbols=20_000, seed=3).draw(cfg, "cnoma-wdl", 0)
-    refused = "spec must be a SimSpec, a Batch or a Reception, got "
+    refused = "spec must be a SimSpec or a Reception, got "
     for spec, kind in ((20_000, "int"), (None, "NoneType"), (batch.receivers, "ndarray"),
-                       ({"n_symbols": 20_000}, "dict")):
+                       ({"n_symbols": 20_000}, "dict"), (batch, "Batch")):
         with pytest.raises(TypeError, match=refused + kind):
             simulator.simulate(cfg, "noma", spec)
         with pytest.raises(TypeError, match=refused + kind):
             simulator.conditional_prop_stats(cfg, spec)
-    # a drawn batch of the combined scheme serves the conditional statistic
-    # too, and so does a reception of it
-    stats = simulator.conditional_prop_stats(cfg, batch)
+    # a reception of a drawn batch of the combined scheme serves the
+    # conditional statistic too
+    stats = simulator.conditional_prop_stats(cfg, batch.at(cfg))
     assert stats == simulator.conditional_prop_stats(cfg, SimSpec(n_symbols=20_000, seed=3))
-    assert stats == simulator.conditional_prop_stats(cfg, batch.at(cfg))
     assert isinstance(batch.at(cfg), simulator.Reception)
+
+
+def test_a_simulation_refuses_a_switch_that_is_not_a_bool_or_a_cfg_that_is_not_a_config():
+    """Any truthy value would run as a genie, so a switch must be a bool,
+    numpy's included; a cfg of another type is named, not read."""
+    cfg = SystemConfig.defaults(snr_db=10.0)
+    spec = SimSpec(n_symbols=20_000, seed=3)
+    for name in ("genie_relay", "genie_sic"):
+        for value in ("no", "", 1, 0, None, np.float64(1.0), np.array([True])):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{name} must be a bool, got {value!r}")):
+                simulator.simulate(cfg, "cnoma", spec, **{name: value})
+        assert simulator.simulate(cfg, "cnoma", spec, **{name: np.True_}) == \
+            simulator.simulate(cfg, "cnoma", spec, **{name: True})
+    for other, kind in ((None, "NoneType"), ("x", "str"), ({"snr_db": 10.0}, "dict")):
+        with pytest.raises(TypeError, match=f"cfg must be a SystemConfig, got {kind}"):
+            simulator.simulate(other, "noma", spec)
+        with pytest.raises(TypeError, match=f"cfg must be a SystemConfig, got {kind}"):
+            simulator.conditional_prop_stats(other, spec)
+
+
+def test_a_run_looks_up_each_heard_link_once(monkeypatch):
+    """A SimSpec run checks its scenario once, not again on each batch it
+    draws for itself: three 1M-symbol runs of ten batches each look up the
+    2, 3 and 5 links their schemes hear once, 10 lookups in all."""
+    cfg = SystemConfig.defaults(snr_db=20.0)
+    looked_up, real = [], SystemConfig.link_budget
+
+    def link_budget(self, link):
+        looked_up.append(link)
+        return real(self, link)
+
+    monkeypatch.setattr(SystemConfig, "link_budget", link_budget)
+    for scheme in analytic.SCHEMES:
+        simulator.simulate(cfg, scheme, SimSpec(n_symbols=1_000_000, seed=1))
+    assert looked_up == ["s1", "s2", "sr", "r1", "r2", "s1", "s2", "sr", "r1", "r2"]
 
 
 _GENIES = [{}, {"genie_sic": True}, {"genie_relay": True},
@@ -330,52 +383,57 @@ _GENIES = [{}, {"genie_sic": True}, {"genie_relay": True},
 
 @pytest.mark.parametrize("genies", _GENIES, ids=lambda g: "+".join(g) or "none")
 def test_one_reception_serves_every_scheme_in_every_order(genies):
-    """A reception hears each hop the first time a scheme reads it, and
-    each scheme, in every order, gets on it the counts of ``simulate`` on
-    the batch, as does the conditional statistic; the hops it holds
-    afterwards are read-only.  noma has no relay, so a relay genie leaves
-    it out."""
+    """One reception per scenario serves every scheme under every switch
+    setting, ``genies`` first and the other settings in every order, and
+    the schemes of ``genies`` in every order, each with the counts of the
+    SimSpec run, as does the conditional statistic.  The rows it holds
+    afterwards are read-only: the symbols and the source hop once, the
+    relay's decisions once per ``genie_sic``, and the relay hop once per
+    setting it depends on.  noma has no relay, so a relay genie leaves it
+    out."""
     spec = SimSpec(n_symbols=20_000, seed=7)
     batch = spec.draw(SystemConfig.defaults(), analytic.SCHEMES, 0)
-    users = [s for s in analytic.SCHEMES if not (s == "noma" and genies.get("genie_relay"))]
-    if not genies:
-        users.append("conditional")
+    settings = [genies, *(other for other in _GENIES if other != genies)]
+
+    def users(switches):
+        names = [s for s in analytic.SCHEMES if not (s == "noma" and switches.get("genie_relay"))]
+        return names + ["conditional"] if not switches else names
+
+    def run(cfg, s, switches, heard):
+        if s == "conditional":
+            return simulator.conditional_prop_stats(cfg, heard)
+        return simulator.simulate(cfg, s, heard, **switches)
+
     for cfg in (SystemConfig.defaults(snr_db=5.0), SystemConfig.defaults(snr_db=25.0)):
-        alone = {s: simulator.conditional_prop_stats(cfg, batch) if s == "conditional"
-                 else simulator.simulate(cfg, s, batch, **genies) for s in users}
-        for order in itertools.permutations(users):
-            reception = batch.at(cfg, **genies)
-            assert reception.n_symbols == 20_000
-            for s in order:
-                got = (simulator.conditional_prop_stats(cfg, reception) if s == "conditional"
-                       else simulator.simulate(cfg, s, reception, **genies))
-                assert got == alone[s], (order, s)
-            held = [*reception.hop("s"), *reception.hop("r"), *reception.relay(), reception._tx()]
-            assert len(held) == 9
-            for row in held:
-                assert row.dtype == np.float32 and not row.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    row[0] = 0.0
+        alone = {(i, s): run(cfg, s, switches, spec)
+                 for i, switches in enumerate(settings) for s in users(switches)}
+        for rest in itertools.permutations(range(1, len(settings))):
+            for first in itertools.permutations(users(genies)):
+                reception = batch.at(cfg)
+                assert reception.n_symbols == 20_000
+                for i in (0, *rest):
+                    for s in first if i == 0 else users(settings[i]):
+                        got = run(cfg, s, settings[i], reception)
+                        assert got == alone[i, s], (rest, first, i, s)
+                held = [row for rows in reception._held.values() for row in rows]
+                assert len(held) == 17
+                for row in held:
+                    assert row.dtype == np.float32 and not row.flags.writeable
+                    with pytest.raises(ValueError, match="read-only"):
+                        row[0] = 0.0
 
 
-def test_a_reception_refuses_another_scenario_or_other_switches():
+def test_a_reception_refuses_another_scenario():
     spec = SimSpec(n_symbols=20_000, seed=7)
     cfg = SystemConfig.defaults(snr_db=10.0)
     batch = spec.draw(cfg, analytic.SCHEMES, 0)
-    reception = batch.at(cfg, genie_sic=True)
+    reception = batch.at(cfg)
     for other in (cfg.with_snr_db(20.0), cfg.with_hwi(0.1), cfg.with_alpha1(0.8)):
         for scheme in analytic.SCHEMES:
             with pytest.raises(ValueError, match="reception was built at another scenario"):
                 simulator.simulate(other, scheme, reception, genie_sic=True)
         with pytest.raises(ValueError, match="reception was built at another scenario"):
-            simulator.conditional_prop_stats(other, batch.at(cfg))
-    switched = re.escape("reception was built with genie_relay=False, genie_sic=True, "
-                         "not genie_relay=")
-    for genies in ({}, {"genie_relay": True}, {"genie_relay": True, "genie_sic": True}):
-        with pytest.raises(ValueError, match=switched):
-            simulator.simulate(cfg, "cnoma", reception, **genies)
-    with pytest.raises(ValueError, match=switched):
-        simulator.conditional_prop_stats(cfg, reception)
+            simulator.conditional_prop_stats(other, reception)
     # an equal scenario is the same scenario, and nothing above was received
     assert not reception._held
     assert simulator.simulate(replace(cfg), "noma", reception, genie_sic=True) == \
@@ -423,7 +481,7 @@ def test_batch_shared_by_threads_of_every_scheme_gives_serial_counts():
     def run(job):
         start.wait(timeout=60)
         cfg, scheme = job
-        return simulator.simulate(cfg, scheme, batch)
+        return simulator.simulate(cfg, scheme, batch.at(cfg))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -443,7 +501,7 @@ def _shared_counts(spec, jobs):
 
     def run(cfg):
         start.wait(timeout=60)
-        return simulator.simulate(cfg, "cnoma-wdl", batch)
+        return simulator.simulate(cfg, "cnoma-wdl", batch.at(cfg))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -598,14 +656,14 @@ def test_settled_batch_serves_every_grid_point_and_rejects_another_geometry():
                                (replace(base, d_sr=1.5), ("noma",)),
                                (replace(base, d_s1=3.0), ("cnoma",))):
             if scheme in unheard:  # a link the scheme never hears is no part of it
-                assert simulator.simulate(other, scheme, batch) == \
+                assert simulator.simulate(other, scheme, batch.at(other)) == \
                     simulator.simulate(other, scheme, spec)
                 continue
             with pytest.raises(ValueError, match="batch was settled to .*draw a new batch"):
-                simulator.simulate(other, scheme, batch)
+                simulator.simulate(other, scheme, batch.at(other))
         for cfg in _grid_configs(base):
             for genies in ({}, {"genie_sic": True}):
-                assert simulator.simulate(cfg, scheme, batch, **genies) == \
+                assert simulator.simulate(cfg, scheme, batch.at(cfg), **genies) == \
                     simulator.simulate(cfg, scheme, spec, **genies), (scheme, cfg, genies)
         for array in (batch.bits, batch.bits[1], batch.receivers, batch.receivers[-1, 0]):
             with pytest.raises(ValueError, match="read-only"):
@@ -672,7 +730,7 @@ def test_a_scenario_past_the_float32_span_is_refused():
             with pytest.raises(ValueError, match=refused):
                 simulator.simulate(cfg, scheme, spec)
             with pytest.raises(ValueError, match=refused):
-                simulator.simulate(cfg, scheme, spec.draw(base, scheme, 0))
+                simulator.simulate(cfg, scheme, spec.draw(base, scheme, 0).at(cfg))
         with pytest.raises(ValueError, match=refused):
             simulator.conditional_prop_stats(cfg, spec)
     loud_relay = replace(base, P_r=1e39)  # the relay feeds r1 and r2, the source sr
