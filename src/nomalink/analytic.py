@@ -52,7 +52,7 @@ def aber_mrc_pair(delta_bar_a: float, delta_bar_b: float) -> float:
     if a == math.inf or b == math.inf:
         return 0.0
     if abs(a - b) < 1e-9 * max(a, b, 1.0):
-        mid = 0.5 * (a + b)
+        mid = 0.5 * a + 0.5 * b  # a + b may overflow
         a, b = mid * (1.0 + 1e-6), mid * (1.0 - 1e-6)
         if a == b:  # both zero
             return 0.5

@@ -17,7 +17,10 @@ built, and the same step derives its link records (budget, power and
 hardware factor of each link) and the coefficient tables of its power
 split.  The accessors and :func:`build_coefficient_tables` return those
 stored values, so a closed form that reads a link many times computes it
-once; the SINRs only check the branch amplitudes their callers pass.
+once.  One routine gives both SINRs: the floor is the mean SINR at zero
+noise and unit power.  It checks only the branch amplitudes its callers
+pass, and refuses a branch whose SINR terms leave the float range (past
+about 3076 dB) instead of returning a wrong number.
 Tables and SINRs are scalar float math over 2- to 6-entry tuples, where
 numpy's bookkeeping cost more than the arithmetic; IEEE ``+ - * / sqrt``
 round alike in both.
@@ -67,9 +70,13 @@ def _budget(d: float, a: float, sigma_eps_sq: float) -> LinkBudget:
     """Budget of a link of length ``d``: channel variance ``d ** -a``.
 
     Budgets are immutable, so the scenarios of a sweep, which share one
-    geometry, share them instead of each building five.
+    geometry, share them instead of each building five.  A path loss past
+    the float range gives an infinite variance, which SystemConfig refuses.
     """
-    var = d ** -a
+    try:
+        var = d ** -a
+    except OverflowError:
+        var = math.inf
     return LinkBudget(sigma_h_sq=var, sigma_tilde_sq=var - sigma_eps_sq)
 
 
@@ -135,6 +142,9 @@ class SystemConfig:
         links = {}
         for link, d, k in zip(LINKS, distances, factors):
             budget = _budget(d, self.a, self.sigma_eps_sq)
+            if budget.sigma_h_sq == math.inf:
+                raise ValueError(f"d_{link} = {d} with a = {self.a} gives a channel "
+                                 f"variance d ** -a past the float range")
             if budget.sigma_h_sq <= self.sigma_eps_sq:
                 raise ValueError(
                     f"sigma_eps_sq {self.sigma_eps_sq} must stay below the "
@@ -253,17 +263,6 @@ def _split_tables(alpha1: float, alpha2: float) -> CoefficientTables:
     )
 
 
-def _branches(amp_sq, air_sq) -> tuple[bool, tuple]:
-    """Whether a call passed one branch as two numbers, and the ``(amp,
-    air)`` pairs of its branches, each checked nonnegative."""
-    one = not hasattr(amp_sq, "__iter__")
-    pairs = ((amp_sq, air_sq),) if one else tuple(zip(amp_sq, air_sq, strict=True))
-    for amp, air in pairs:
-        if not (amp >= 0 and air >= 0):
-            raise ValueError(f"squared amplitudes must be nonnegative, got {amp} and {air}")
-    return one, pairs
-
-
 def mean_sinr(cfg: SystemConfig, link: str, amp_sq, air_sq) -> float | tuple[float, ...]:
     """Mean effective SINR of one detection branch on one link of ``cfg``.
 
@@ -275,25 +274,40 @@ def mean_sinr(cfg: SystemConfig, link: str, amp_sq, air_sq) -> float | tuple[flo
     The denominator collects thermal noise, hardware distortion riding the
     estimated channel, and the estimation error's self-interference.
     """
-    st = cfg.link_budget(link).sigma_tilde_sq
-    _, P, k = cfg._links[link]
-    one, pairs = _branches(amp_sq, air_sq)
-    # Noise and distortion are the same on every branch; the sums keep the
-    # order of N0 + 2 P k^2 st + 2 (k^2 + air) P eps.
-    base, eps = cfg.N0 + 2.0 * P * k * k * st, cfg.sigma_eps_sq
-    out = tuple([P * amp * st / (base + 2.0 * (k * k + air) * P * eps) for amp, air in pairs])
-    return out[0] if one else out
+    return _sinr(cfg, link, amp_sq, air_sq, cfg.N0, cfg.power(link))
 
 
 def mean_sinr_limit(cfg: SystemConfig, link: str, amp_sq, air_sq) -> float | tuple[float, ...]:
-    """Power-to-infinity limit of :func:`mean_sinr` (the error-floor SINR)."""
+    """Power-to-infinity limit of :func:`mean_sinr` (the error-floor SINR):
+    the same SINR at zero noise and unit power, so a refusal names P=1.0."""
+    return _sinr(cfg, link, amp_sq, air_sq, 0.0, 1.0)
+
+
+def _sinr(cfg: SystemConfig, link: str, amp_sq, air_sq, N0: float,
+          P: float) -> float | tuple[float, ...]:
+    """``P amp st / (N0 + 2 P k^2 st + 2 (k^2 + air) P eps)`` per branch.
+
+    At ``N0 = 0`` and ``P = 1`` every extra product and sum is exact, so the
+    floor SINR is the finite-power expression with the power divided out.
+    A squared amplitude that is negative or not finite, and a branch whose
+    numerator or denominator leaves the float range, are refused.
+    """
     st = cfg.link_budget(link).sigma_tilde_sq
-    _, _, k = cfg._links[link]
-    one, pairs = _branches(amp_sq, air_sq)
-    base, eps = 2.0 * k * k * st, cfg.sigma_eps_sq
+    k, eps = cfg._links[link][2], cfg.sigma_eps_sq
+    one = not hasattr(amp_sq, "__iter__")
+    pairs = ((amp_sq, air_sq),) if one else zip(amp_sq, air_sq, strict=True)
+    # Noise and distortion are the same on every branch; the sums keep the
+    # order of N0 + 2 P k^2 st + 2 (k^2 + air) P eps.
+    base = N0 + 2.0 * P * k * k * st
     out = []
     for amp, air in pairs:
-        num, den = amp * st, base + 2.0 * (k * k + air) * eps
-        # 0/0 (zero amplitude and no impairments) is taken as zero signal.
+        if not (0 <= amp < math.inf and 0 <= air < math.inf):
+            raise ValueError(
+                f"squared amplitudes must be finite and nonnegative, got {amp} and {air}")
+        num, den = P * amp * st, base + 2.0 * (k * k + air) * P * eps
+        if not (num < math.inf and den < math.inf):
+            raise ValueError(f"the mean SINR of link {link} leaves the float range "
+                             f"at P={P} and k={k}")
+        # 0/0 (zero amplitude at zero noise, no impairments) is taken as zero signal.
         out.append(num / den if den > 0 else (0.0 if num == 0 else math.inf))
     return out[0] if one else tuple(out)

@@ -28,7 +28,7 @@ from nomalink.analytic import (
     scheme_ber,
     scheme_ber_floor,
 )
-from nomalink.model import SystemConfig, build_coefficient_tables, mean_sinr
+from nomalink.model import LINKS, SystemConfig, build_coefficient_tables, mean_sinr
 
 
 def fade_quadrature(delta_bar: float) -> float:
@@ -114,6 +114,17 @@ def test_mrc_pair_degenerate_branches():
         aber_mrc_pair(math.nan, 1.0)
     with pytest.raises(ValueError):
         aber_mrc_pair(1.0, math.nan)
+
+
+def test_mrc_pair_equal_means_near_the_float_limit():
+    """Two equal SINRs whose sum overflows still combine to a vanishing BER,
+    on the bare combiner and through a scenario whose clean direct and relay
+    links both reach about 1.2e308."""
+    assert aber_mrc_pair(9e307, 9e307) == 0.0
+    clean = {"sigma_eps_sq": 0.0, **{f"k_{link}": 0.0 for link in LINKS}}
+    for n0 in (3e-308, 1e-300):
+        cfg = SystemConfig(P_s=2.0, P_r=2.0, N0=n0, d_s1=1.0, d_r1=1.0, **clean)
+        assert scheme_ber(cfg, "cnoma-wdl", "u1") == 0.0
 
 
 def test_prop_error_values():

@@ -153,6 +153,19 @@ def test_points_past_the_float32_span_record_the_refusal_and_spare_the_rest():
     assert not [r for r in rows if r.method == "analytic" and r.error]
 
 
+def test_points_past_the_double_range_record_the_sinr_refusal():
+    """At 3080 dB (P = 1e308) every closed form's SINR leaves the float
+    range; those points record the refusal and the rest are unchanged."""
+    analytic_only = {"swept_parameter": "snr_db", "methods": ("analytic",)}
+    rows = run_sweep(SweepSpec(grid=(0.0, 3080.0), **analytic_only)).rows
+    assert rows[:6] == run_sweep(SweepSpec(grid=(0.0,), **analytic_only)).rows
+    assert len(rows) == 12
+    for row in rows[6:]:
+        link = "sr" if row.scheme == "cnoma" else "s" + row.user[1]
+        assert math.isnan(row.ber) and row.error == (
+            f"the mean SINR of link {link} leaves the float range at P=1e+308 and k=0.175")
+
+
 @pytest.mark.parametrize("swept, grid", [
     ("snr_db", (0.0, 20.0, 40.0)),
     ("hwi_k", (0.0, 0.1, 0.2)),
@@ -658,6 +671,9 @@ def test_cli_bad_numbers_exit_2_with_one_error_line(command, flags, capsys):
     ("sweep-snr", "grid = -inf, 0\n", "snr_db must give a positive power, got -inf"),
     ("sweep-hwi", "sweep = hwi_k\nsnr_db = -inf\n",
      "snr_db must give a positive power, got -inf"),
+    # a path loss past the float range is refused by the link, not a traceback
+    ("sweep-snr", "d_s1 = 1e-200\n",
+     "d_s1 = 1e-200 with a = 2.0 gives a channel variance d ** -a past the float range"),
 ])
 def test_cli_rejects_non_finite_scenario_with_one_error_line(command, text, message,
                                                              tmp_path, capsys):

@@ -2,13 +2,14 @@
 
 import math
 import pickle
+import re
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from nomalink.analytic import SCHEMES, USERS, scheme_ber
+from nomalink.analytic import SCHEMES, USERS, scheme_ber, scheme_ber_floor
 from nomalink.model import (
     LINKS,
     CoefficientTables,
@@ -73,6 +74,8 @@ def test_config_allows_zero_power():
     {"sigma_eps_sq": math.nan},
     {"N0": -math.inf},
     {"alpha1": math.nan, "alpha2": math.nan},
+    {"d_s1": 1e-200},                    # d ** -a past the float range
+    {"d_s1": 0.01, "a": 400.0},
 ])
 def test_config_rejects_invalid(kw):
     with pytest.raises(ValueError, match=next(iter(kw))):
@@ -248,8 +251,90 @@ def test_mean_sinr_rejects_bad_inputs():
             sinr(cfg, "s1", math.nan, 1.8)
         with pytest.raises(ValueError, match="nonnegative"):
             sinr(cfg, "s1", (1.8, 0.2), (1.8, math.nan))
+        with pytest.raises(ValueError, match="finite and nonnegative, got inf and 1.8"):
+            sinr(cfg, "s1", math.inf, 1.8)
+        with pytest.raises(ValueError, match="finite and nonnegative, got 0.2 and inf"):
+            sinr(cfg, "s1", (1.8, 0.2), (1.8, math.inf))
         with pytest.raises(ValueError, match="unknown link"):
             sinr(cfg, "rx", 1.8, 1.8)
+
+
+_CLEAN = {"sigma_eps_sq": 0.0, **{f"k_{link}": 0.0 for link in LINKS}}
+
+
+@pytest.mark.parametrize("kw,k", [({}, 0.175), (_CLEAN, 0.0)])
+def test_sinr_refuses_a_branch_past_the_float_range(kw, k):
+    """Past about 3076 dB, 2 (k^2 + air) P overflows: with impairments the
+    SINR would read 0 (noma u1 0.296, above its floor), without them
+    inf * 0 = NaN.  Each scheme refuses, naming the link, P and k."""
+    cfg = SystemConfig(P_s=5e307, P_r=5e307, **kw)
+    for scheme in SCHEMES:
+        for user in USERS:
+            link = "sr" if scheme == "cnoma" else "s" + user[1]
+            with pytest.raises(ValueError, match=re.escape(
+                    f"the mean SINR of link {link} leaves the float range "
+                    f"at P=5e+307 and k={k}")):
+                scheme_ber(cfg, scheme, user)
+    # a little below, every branch is in range and the BER sits on its floor
+    below = SystemConfig(P_s=1e307, P_r=1e307, **kw)
+    for scheme in SCHEMES:
+        for user in USERS:
+            assert scheme_ber(below, scheme, user) == pytest.approx(
+                scheme_ber_floor(below, scheme, user), rel=1e-9)
+    # the floor computes at unit power, where a huge channel variance
+    # (d = 1e-154, variance 1e308) overflows the numerator instead
+    near = SystemConfig(d_s1=1e-154, **kw)
+    with pytest.raises(ValueError, match=re.escape("at P=1.0 and k=")):
+        mean_sinr_limit(near, "s1", 1.8, 1.8)
+
+
+_DISTANCE = st.floats(min_value=0.1, max_value=10.0)
+_AMPLITUDE = st.floats(min_value=0.0, max_value=1e3)
+
+
+@st.composite
+def _scenarios(draw):
+    """A valid scenario with powers up to 1e6 (60 dB) and noise 1e-3 to 1e3."""
+    kw = {f"d_{link}": draw(_DISTANCE) for link in LINKS}
+    kw.update({f"k_{link}": draw(st.sampled_from([0.0, 0.175]) | st.floats(0.0, 0.4))
+               for link in LINKS})
+    try:
+        return SystemConfig(
+            a=draw(st.floats(min_value=1.0, max_value=4.0)),
+            P_s=draw(st.just(0.0) | st.floats(min_value=1e-2, max_value=1e6)),
+            P_r=draw(st.floats(min_value=0.0, max_value=1e6)),
+            N0=draw(st.floats(min_value=1e-3, max_value=1e3)),
+            sigma_eps_sq=draw(st.just(0.0) | st.floats(min_value=0.0, max_value=1e-3)),
+            **kw).with_alpha1(draw(st.floats(min_value=0.5, max_value=1.0)))
+    except ValueError:
+        assume(False)
+
+
+@given(_scenarios(), st.sampled_from(LINKS),
+       _AMPLITUDE | st.lists(_AMPLITUDE, min_size=1, max_size=6).map(tuple),
+       st.data())
+def test_sinrs_equal_the_written_formulas_bit_for_bit(cfg, link, amps, data):
+    """Both SINRs equal their formulas as written out, in the same order of
+    operations, down to the last bit: the finite-power one, and the floor
+    with 0/0 taken as zero signal."""
+    one = isinstance(amps, float)
+    air = (data.draw(_AMPLITUDE) if one
+           else data.draw(st.lists(_AMPLITUDE, min_size=len(amps), max_size=len(amps))))
+    st_, P, k = cfg.sigma_tilde_sq(link), cfg.power(link), cfg.hwi(link)
+    N0, eps = cfg.N0, cfg.sigma_eps_sq
+
+    def floor(amp, air):
+        num, den = amp * st_, 2.0 * k * k * st_ + 2.0 * (k * k + air) * eps
+        return num / den if den > 0 else (0.0 if num == 0 else math.inf)
+
+    def finite(amp, air):
+        base = N0 + 2.0 * P * k * k * st_
+        return P * amp * st_ / (base + 2.0 * (k * k + air) * P * eps)
+
+    for sinr, formula in ((mean_sinr, finite), (mean_sinr_limit, floor)):
+        got = sinr(cfg, link, amps, air)
+        want = formula(amps, air) if one else tuple(map(formula, amps, air))
+        assert repr(got) == repr(want)
 
 
 def test_config_is_immutable():

@@ -70,6 +70,12 @@ def test_simulator_shares_only_the_scenario_with_the_package():
     assert package_imports(simulator.__file__) == {("nomalink.model", "SystemConfig")}
 
 
+def test_closed_forms_import_only_the_model():
+    """The closed forms build on the scenario and its SINRs alone, so they
+    cannot reach into the simulator that checks them."""
+    assert {module for module, _ in package_imports(analytic.__file__)} == {"nomalink.model"}
+
+
 def test_batches_cover_the_workload():
     assert SimSpec(n_symbols=250_000).batches() == [100_000, 100_000, 50_000]
     assert SimSpec(n_symbols=37_123).batches() == [37_123]
