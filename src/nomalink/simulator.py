@@ -165,8 +165,11 @@ class Batch:
     two parts of e, and then f sqrt(g) and z sqrt(g) replace f and z.  Each
     operation and its order are fixed, as in ``_receive``.  From then on
     every array the batch holds is read-only, so it never changes: ``bits``
-    (+-1 in float32), ``receivers`` (g, f sqrt(g), s, z sqrt(g) per row, in
-    float32) and ``_positive`` (true where a bit is +1).  The float32 rows
+    (m1 and m2, one boolean row each, True where the bit is +1) and
+    ``receivers`` (g, f sqrt(g), s, z sqrt(g) per row, in float32), whose
+    row of each link ``_terms`` holds.  Every decision a simulation takes
+    is a boolean row of the same kind, one comparison, counted against
+    ``bits`` (``_detect``).  The float32 rows
     halve the bytes every pass of the tail moves; a decision differs from
     that of a float64 tail only where its statistic lies within float32
     rounding of a boundary, about 2e-8 of decisions, and no seeded count
@@ -182,7 +185,7 @@ class Batch:
     both the draws and the settling: common random numbers.
     """
 
-    __slots__ = ("hops", "n_symbols", "geometry", "bits", "receivers", "_positive")
+    __slots__ = ("hops", "n_symbols", "geometry", "bits", "receivers", "_terms")
 
     def __init__(self, cfg: SystemConfig, schemes, seq: np.random.SeedSequence, n: int):
         if not _is_integer(n) or n < 1:
@@ -195,20 +198,16 @@ class Batch:
         held = {hop for name in names for hop in _HOPS[_scheme(name)]}
         hops = tuple(hop for hop in _HOP_LINKS if hop in held)
         links = [link for hop in hops for link in _HOP_LINKS[hop]]
-        draws = np.empty((2 + 4 * len(links), n), dtype=np.float32)
+        bits = np.empty((2, n), dtype=bool)
+        receivers = np.empty((len(links), 4, n), dtype=np.float32)
         rng = np.random.default_rng(seq)
-        for bits in draws[:2]:
-            bits[:] = rng.integers(0, 2, n)
-            bits *= 2.0
-            bits -= 1.0
-        self._positive = np.greater(draws[:2], 0.0)
-        self._positive.flags.writeable = False
+        for row in bits:
+            row[:] = rng.integers(0, 2, n)  # True where the bit is +1
         self.geometry = _geometry(cfg, links)
         err_sd = math.sqrt(cfg.sigma_eps_sq)  # each of the two parts of e
         variates, root, square = np.empty((4, n)), np.empty(n), np.empty(n)
         g, f, s, z = variates
-        stored = draws[2:].reshape(len(links), 4, n)
-        for link, row, (_, sigma_tilde_sq) in zip(links, stored, self.geometry.values()):
+        for link, row, (_, sigma_tilde_sq) in zip(links, receivers, self.geometry.values()):
             if link == _HOP_LINKS["r"][0]:  # the relay hop: seq's first child
                 rng = np.random.default_rng(np.random.SeedSequence(
                     seq.entropy, spawn_key=(*seq.spawn_key, 0), pool_size=seq.pool_size))
@@ -225,11 +224,13 @@ class Batch:
             f *= root
             z *= root
             row[:] = variates  # rounded once, to float32
-        draws.flags.writeable = False  # every view taken from here on inherits it
+        for array in (bits, receivers):
+            array.flags.writeable = False
         self.hops = hops
         self.n_symbols = n
-        self.bits = draws[:2]
-        self.receivers = draws[2:].reshape(len(links), 4, n)
+        # views of read-only arrays, which nothing can make writeable again
+        self.bits, self.receivers = bits[:], receivers[:]
+        self._terms = dict(zip(links, self.receivers))
 
     def at(self, cfg: SystemConfig) -> "Reception":
         """This batch heard at ``cfg``, for every scheme and genie switch
@@ -336,58 +337,47 @@ _HOPS = {"noma": ("s",), "cnoma": ("r",), "cnoma-wdl": ("s", "r")}
 _HOP_LINKS = {"s": ("s1", "s2"), "r": ("sr", "r1", "r2")}
 
 
-def _superpose(cfg: SystemConfig, m1: np.ndarray, m2: np.ndarray, out: np.ndarray,
-               tmp: np.ndarray) -> None:
-    np.multiply(m1, math.sqrt(cfg.alpha1), out=out)
-    np.multiply(m2, math.sqrt(cfg.alpha2), out=tmp)
-    out += tmp
-
-
-def _slice_sign(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write +1 where ``x >= 0`` (-0.0 included), else -1 (NaN included),
-    into ``out``, which may be ``x`` itself.
-
-    The comparison writes straight into the float array, which is then
-    mapped {0, 1} -> {-1, +1} in place: about a fifth of the time of
-    ``np.where`` on a 100,000-entry batch.
-    """
-    np.greater_equal(x, 0.0, out=out)
-    out *= 2.0
-    out -= 1.0
+def _symbol(m: np.ndarray, root: float, out: np.ndarray) -> np.ndarray:
+    """Write the BPSK symbol of the boolean row ``m`` at amplitude ``root``
+    into the float32 row ``out``: +-fl32(root), the sign of the bit,
+    exactly, since 2 fl32(root) - fl32(root) and 0 - fl32(root) are exact
+    for a root of 0 or a normal float32 (any alpha of 0 or at least
+    1.4e-76).  Two arithmetic passes; ``np.where`` with scalar arms takes
+    about 25 times one."""
+    np.multiply(m, 2.0 * root, out=out, dtype=np.float32)
+    out -= root
     return out
 
 
-def _errors(x: np.ndarray, positive: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Mark in ``out`` where the decision of ``_slice_sign`` on ``x`` misses
-    its bit, whose row ``positive`` is true where the bit is +1: the
-    comparison ``x >= 0`` is that decision, without mapping it to +-1."""
-    np.greater_equal(x, 0.0, out=out)
-    return np.not_equal(out, positive, out=out)
+def _superpose(cfg: SystemConfig, m1: np.ndarray, m2: np.ndarray, out: np.ndarray,
+               tmp: np.ndarray) -> None:
+    """Map the boolean rows (m1, m2), the source's bits or the relay's
+    decisions, to the symbols sqrt(alpha1) m1 + sqrt(alpha2) m2 in ``out``."""
+    _symbol(m1, math.sqrt(cfg.alpha1), out)
+    out += _symbol(m2, math.sqrt(cfg.alpha2), tmp)
 
 
-def _sic(phi: np.ndarray, gain: np.ndarray, sqrt_a1: float,
-         m1_known: np.ndarray | None, far: np.ndarray, near: np.ndarray) -> None:
-    """Successive interference cancellation on a combined statistic: write
-    the far bit into ``far`` and the near bit's statistic into ``near``.
-    ``near`` may be ``gain`` itself, or ``far`` when the far bit is not
-    read afterwards.  The relay reads both, the near user only its own
-    statistic, and the far user only the sign of its statistic.
+def _near(phi: np.ndarray, gain: np.ndarray, sqrt_a1: float, far: np.ndarray) -> np.ndarray:
+    """The near bit after successive interference cancellation on the
+    combined statistic ``phi``, as a boolean row, True for +1: ``phi >= c``
+    where the boolean row ``far`` is true and ``phi >= -c`` elsewhere, with
+    c = ``gain`` sqrt(alpha1) in float32.
 
     The four composite points lie on one line at (+-r1 +- r2) times
     ``gain`` with r1 >= r2, so the minimum-distance readout of the far bit
-    is the sign of ``phi``: the nearest-point boundaries sit at -r1, 0 and
-    +r1 and both positive points carry m1 = +1.  The sign form also settles
+    is ``phi >= 0``: the nearest-point boundaries sit at -r1, 0 and +r1
+    and both positive points carry m1 = +1.  The sign form also settles
     the r1 = r2 case, where two candidates coincide at zero and plain
-    nearest-point search has no defined answer.  The near bit is the sign
-    of ``phi`` after subtracting the far bit at sqrt(alpha1) ``gain``: the
-    far decision, or ``m1_known`` when a genie supplies the true bit.  That
-    bit is +-1, so scaling ``gain`` by it first is exact, and the product
-    is the same as scaling sqrt(alpha1) by it.
+    nearest-point search has no defined answer.  ``far`` is that decision,
+    or the true bit row when a genie supplies it.  The comparison is the
+    slice of ``phi`` minus the far bit's symbol at sqrt(alpha1) ``gain``:
+    IEEE subtraction keeps the sign, even under gradual underflow, and
+    rounding is symmetric in sign, so it decides as that difference would,
+    -0.0 as +1 and NaN as -1 included.
     """
-    _slice_sign(phi, far)
-    np.multiply(gain, far if m1_known is None else m1_known, out=near)
-    near *= sqrt_a1
-    np.subtract(phi, near, out=near)
+    c = _symbol(far, sqrt_a1, np.empty(phi.shape, dtype=np.float32))
+    c *= gain
+    return phi >= c
 
 
 def _rows(n: int, count: int) -> list[np.ndarray]:
@@ -407,8 +397,9 @@ class Reception:
 
     * ``_tx()``: the source's symbols, sqrt(alpha1) m1 + sqrt(alpha2) m2;
     * ``hop("s", ...)``: the source hop, phi on s1 and phi and gain on s2;
-    * ``relay(genie_sic)``: the relay's decisions (far, near), +-1, on the
-      bits it heard on sr;
+    * ``relay(genie_sic)``: the relay's decisions (far, near) on the bits
+      it heard on sr, boolean rows, True for +1, like the batch's ``bits``:
+      the far bit ``phi >= 0`` and the near bit ``_near`` of it;
     * ``hop("r", genie_relay, genie_sic)``: the relay hop, phi on r1 and
       phi and gain on r2, carrying the relay's decisions re-encoded at the
       relay power, or the true bits under ``genie_relay``.
@@ -418,8 +409,7 @@ class Reception:
     and, when that is off, on ``genie_sic``.  So at one grid point
     cnoma-wdl reads the source hop noma received and the relay hop cnoma
     received, and a scheme reads no hop it does not hear.  Detection
-    (``_detect``) writes only rows of its own.  Two threads that first read
-    a hop at once each compute it, to the same values, and one is kept.
+    (``_detect``) writes only rows of its own.
     """
 
     __slots__ = ("batch", "cfg", "n_symbols", "_held")
@@ -449,13 +439,9 @@ class Reception:
             self._held[key] = rows
         return rows
 
-    def _m1_known(self, genie_sic: bool) -> np.ndarray | None:
-        return self.batch.bits[0] if genie_sic else None
-
     def _hear(self, link: str, tx: np.ndarray, phi: np.ndarray, gain: np.ndarray | None,
               scratch: np.ndarray) -> None:
-        terms = self.batch.receivers[list(self.batch.geometry).index(link)]
-        _receive(self.cfg, link, tx, terms, phi, gain, scratch)
+        _receive(self.cfg, link, tx, self.batch._terms[link], phi, gain, scratch)
 
     def _superposed(self):
         tx, scratch = _rows(self.n_symbols, 2)
@@ -463,10 +449,11 @@ class Reception:
         return (tx,)
 
     def _relay_decisions(self, genie_sic: bool):
-        phi, gain, far = _rows(self.n_symbols, 3)
-        self._hear("sr", self._tx(), phi, gain, far)
-        _sic(phi, gain, math.sqrt(self.cfg.alpha1), self._m1_known(genie_sic), far, gain)
-        return far, _slice_sign(gain, gain)
+        phi, gain, scratch = _rows(self.n_symbols, 3)
+        self._hear("sr", self._tx(), phi, gain, scratch)
+        far = phi >= 0.0
+        m1 = self.batch.bits[0] if genie_sic else far
+        return far, _near(phi, gain, math.sqrt(self.cfg.alpha1), m1)
 
     def _received(self, hop: str, relayed: bool | None):
         phi1, phi2, gain2, scratch = _rows(self.n_symbols, 4)
@@ -484,26 +471,24 @@ def _detect(reception: Reception, scheme: str, genie_relay: bool,
     """Each user's error mask on its own bit under ``scheme`` and the
     switches, on the hops it hears of ``reception``, which this only reads.
 
-    The relay and both users read the same law: they slice the
-    sqrt(P)-weighted sum of the hops they hear (``_sic``).  A user hearing
-    both hops sums the source's then the relay's statistic into rows of
-    its own (maximum-ratio combining); the near user's SIC writes the
-    statistic it slices into a row of its own.  The users' decisions are
-    only counted, so ``_errors`` compares them as booleans; the far user
-    slices only the sign of its sum, so it sums no gain.  Everything runs
-    in float32 on the batch's float32 rows, on a scenario ``_receptions``
-    has checked against ``_FLOAT32_SPAN``.
+    The relay and both users read the same law on the sqrt(P)-weighted
+    sum of the hops they hear, and every decision is a boolean row, True
+    for +1, compared with the batch's ``bits``: the far bit is ``phi >=
+    0``, and the near bit ``_near`` of it, or of the true far bit under
+    ``genie_sic``.  A user hearing both hops sums the source's then the
+    relay's statistic into rows of its own (maximum-ratio combining); the
+    far user reads only the sign of its sum, so it sums no gain.
+    Everything runs in float32 on the batch's float32 rows, on a scenario
+    ``_receptions`` has checked against ``_FLOAT32_SPAN``.
     """
     heard = [reception.hop(hop, genie_relay, genie_sic) for hop in _HOPS[scheme]]
     phi1, phi2, gain2 = heard[0]
     if len(heard) > 1:
         phi1, phi2, gain2 = (np.add(s, r) for s, r in zip(*heard))
-    near = np.empty(reception.n_symbols, dtype=np.float32)
-    _sic(phi2, gain2, math.sqrt(reception.cfg.alpha1), reception._m1_known(genie_sic),
-         near, near)
-    err1, err2 = (np.empty(reception.n_symbols, dtype=bool) for _ in range(2))
-    positive1, positive2 = reception.batch._positive
-    return _errors(phi1, positive1, err1), _errors(near, positive2, err2)
+    m1, m2 = reception.batch.bits
+    far = m1 if genie_sic else phi2 >= 0.0
+    near = _near(phi2, gain2, math.sqrt(reception.cfg.alpha1), far)
+    return (phi1 >= 0.0) != m1, near != m2
 
 
 def _receptions(cfg: SystemConfig, scheme: str, spec: SimSpec | Reception,

@@ -26,6 +26,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import ndtr
 
 from nomalink import analytic, simulator
@@ -167,7 +169,7 @@ def test_drawn_batch_is_read_only_and_bound_to_its_scheme():
     # every array the batch holds, private ones included, is read-only
     held = {name: getattr(batch, name) for name in simulator.Batch.__slots__
             if isinstance(getattr(batch, name), np.ndarray)}
-    assert {"bits", "receivers", "_positive"} <= held.keys()
+    assert {"bits", "receivers"} <= held.keys()
     assert not [name for name, array in held.items() if array.flags.writeable]
     # a batch serves the schemes whose hops it holds, and no other
     assert simulator.simulate(cfg, "NOMA", batch.at(cfg)) == \
@@ -280,7 +282,7 @@ def test_relay_stream_is_spawned_so_no_batch_replays_another():
     other = SimSpec(n_symbols=2 * n, seed=(5 << 32) + 7).draw(cfg, "noma", 1)
     # the aliased key is the stream of the other batch's bits and source rows
     np.testing.assert_array_equal(
-        other.bits[0], np.random.default_rng(alias).integers(0, 2, n) * 2.0 - 1.0)
+        other.bits[0], np.random.default_rng(alias).integers(0, 2, n) == 1)
     # the relay rows come from the spawned child, not from the aliased key
     def first_row(seq):  # g = sigma~^2 x of link sr, settled in float64 and stored in float32
         g = np.random.default_rng(seq).standard_exponential(n) * cfg.sigma_tilde_sq("sr")
@@ -421,10 +423,11 @@ def test_one_reception_serves_every_scheme_in_every_order(genies):
                     for s in first if i == 0 else users(settings[i]):
                         got = run(cfg, s, settings[i], reception)
                         assert got == alone[i, s], (rest, first, i, s)
-                held = [row for rows in reception._held.values() for row in rows]
+                held = [(key, row) for key, rows in reception._held.items() for row in rows]
                 assert len(held) == 17
-                for row in held:
-                    assert row.dtype == np.float32 and not row.flags.writeable
+                for key, row in held:  # the relay's decisions are boolean, True for +1
+                    assert row.dtype == (bool if key[:1] == ("relay",) else np.float32)
+                    assert not row.flags.writeable
                     with pytest.raises(ValueError, match="read-only"):
                         row[0] = 0.0
 
@@ -636,9 +639,9 @@ def test_settled_batch_serves_every_grid_point_and_rejects_another_geometry():
         # hop's from the same stream and the relay hop's from its spawned child
         root = np.random.SeedSequence((seed, 0))
         rng = np.random.default_rng(root)
-        bits = [rng.integers(0, 2, n) * 2.0 - 1.0 for _ in range(2)]
+        bits = [rng.integers(0, 2, n) == 1 for _ in range(2)]  # True where the bit is +1
         np.testing.assert_array_equal(batch.bits, bits)
-        assert batch.bits.dtype == batch.receivers.dtype == np.float32
+        assert batch.bits.dtype == bool and batch.receivers.dtype == np.float32
         streams = {"s": rng, "r": np.random.default_rng(root.spawn(1)[0])}
         links = [(hop, link) for hop in simulator._HOPS[scheme]
                  for link in simulator._HOP_LINKS[hop]]
@@ -678,38 +681,44 @@ def test_settled_batch_serves_every_grid_point_and_rejects_another_geometry():
                 array.flags.writeable = True
 
 
-#: The statistics the decision tests slice: signed zeros, the smallest
-#: nonzero magnitude of each sign, finite values, both infinities and NaN,
-#: in float64 and in float32, the dtype of the chain's rows.
 _TINY32 = float(np.finfo(np.float32).smallest_subnormal)
-_SLICED = (np.array([-0.0, 0.0, 1e-300, -1e-300, 2.5, -2.5, np.inf, -np.inf, np.nan]),
-           np.array([-0.0, 0.0, _TINY32, -_TINY32, 2.5, -2.5, np.inf, -np.inf, np.nan],
-                    dtype=np.float32))
+_ROW = 16
 
 
-def test_error_masks_read_decisions_as_slice_sign_does():
-    """The users' decisions are counted from ``x >= 0`` against a boolean
-    row of the bits; that must miss exactly where ``_slice_sign`` would,
-    signed zeros and NaN included."""
-    for x in _SLICED:
-        for bit in (1.0, -1.0):
-            m = np.full(x.shape, bit, dtype=x.dtype)
-            got = simulator._errors(x, m > 0, np.empty(x.shape, dtype=bool))
-            np.testing.assert_array_equal(
-                got, simulator._slice_sign(x, np.empty(x.shape, dtype=x.dtype)) != m)
+@st.composite
+def _sic_inputs(draw):
+    """A combined statistic phi, its gain, sqrt(alpha1) and a given row of
+    far bits: finite float32 gains, zero included, and phi finite, a
+    signed zero, subnormal, NaN, or a tie at +-c with c = gain sqrt(alpha1)."""
+    finite = st.floats(width=32, allow_nan=False, allow_infinity=False)
+    gain = draw(arrays(np.float32, _ROW, elements=st.just(0.0) | finite))
+    sqrt_a1 = draw(st.floats(0.0, 1.0))
+    free = draw(arrays(np.float32, _ROW, elements=st.floats(width=32, allow_infinity=False)))
+    tie = draw(arrays(np.int8, _ROW, elements=st.integers(-1, 1)))
+    phi = np.where(tie == 0, free, tie * np.multiply(gain, sqrt_a1))
+    return phi, gain, sqrt_a1, draw(arrays(np.bool_, _ROW))
 
 
-def test_slice_sign_maps_signed_zero_up_and_nan_down():
-    # a silent source leaves phi = -0.0, which must slice as +1 exactly as
-    # +0.0 does; a NaN statistic is never read as +1
-    want = [1.0, 1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, -1.0]
-    for x in (x.copy() for x in _SLICED):
-        got = simulator._slice_sign(x, np.empty(x.shape, dtype=x.dtype))
-        assert got.dtype == x.dtype
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_sic_inputs())
+@example((np.array([-0.0, 0.0, _TINY32, -_TINY32, np.nan, 2.5, -2.5, -0.0] * 2, dtype=np.float32),
+          np.zeros(_ROW, dtype=np.float32), math.sqrt(0.8), np.arange(_ROW) % 2 == 0))
+def test_near_decides_as_the_subtraction_it_replaces(inputs):
+    """``_near`` compares phi with +-c; it must decide exactly as slicing
+    phi minus the far bit's +-1 times gain times sqrt(alpha1), all in
+    float32, for the decided far bit ``phi >= 0`` and for a genie's row.
+    A silent receiver's phi = -0.0 decides +1, as +0.0 does, and a NaN
+    statistic never decides +1."""
+    phi, gain, sqrt_a1, genie = inputs
+    for far in (np.greater_equal(phi, 0.0), genie):
+        sign = np.where(far, np.float32(1.0), np.float32(-1.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.subtract(phi, sign * gain * sqrt_a1) >= 0.0
+        got = simulator._near(phi, gain, sqrt_a1, far)
+        assert got.dtype == bool
         np.testing.assert_array_equal(got, want)
-        # the chain slices in place, its statistic's array becoming the decision
-        assert simulator._slice_sign(x, x) is x
-        np.testing.assert_array_equal(x, want)
+        assert not got[np.isnan(phi)].any()
+        assert got[(phi == 0.0) & (gain == 0.0)].all()
 
 
 #: Seeded counts of ``SimSpec(n_symbols=20_000, seed=5)`` where noise no
