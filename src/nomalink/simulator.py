@@ -233,9 +233,8 @@ class Batch:
         self._terms = dict(zip(links, self.receivers))
 
     def at(self, cfg: SystemConfig) -> "Reception":
-        """This batch heard at ``cfg``, for every scheme and genie switch
-        that reads it (see :class:`Reception`); nothing is received until a
-        scheme reads it."""
+        """This batch heard at ``cfg``, for every scheme that reads it (see
+        :class:`Reception`); nothing is received until a scheme reads it."""
         return Reception(self, cfg)
 
 
@@ -357,27 +356,28 @@ def _superpose(cfg: SystemConfig, m1: np.ndarray, m2: np.ndarray, out: np.ndarra
     out += _symbol(m2, math.sqrt(cfg.alpha2), tmp)
 
 
-def _near(phi: np.ndarray, gain: np.ndarray, sqrt_a1: float, far: np.ndarray) -> np.ndarray:
-    """The near bit after successive interference cancellation on the
-    combined statistic ``phi``, as a boolean row, True for +1: ``phi >= c``
-    where the boolean row ``far`` is true and ``phi >= -c`` elsewhere, with
-    c = ``gain`` sqrt(alpha1) in float32.
+def _decide(phi: np.ndarray, gain: np.ndarray, sqrt_a1: float) -> tuple[np.ndarray, np.ndarray]:
+    """The far bit and then the near bit, after successive interference
+    cancellation, that the combined statistic ``phi`` decides, as boolean
+    rows, True for +1: far = ``phi >= 0``, and near = ``phi >= c`` where
+    far is true and ``phi >= -c`` elsewhere, with c = ``gain`` sqrt(alpha1)
+    in float32.
 
     The four composite points lie on one line at (+-r1 +- r2) times
     ``gain`` with r1 >= r2, so the minimum-distance readout of the far bit
     is ``phi >= 0``: the nearest-point boundaries sit at -r1, 0 and +r1
     and both positive points carry m1 = +1.  The sign form also settles
     the r1 = r2 case, where two candidates coincide at zero and plain
-    nearest-point search has no defined answer.  ``far`` is that decision,
-    or the true bit row when a genie supplies it.  The comparison is the
-    slice of ``phi`` minus the far bit's symbol at sqrt(alpha1) ``gain``:
-    IEEE subtraction keeps the sign, even under gradual underflow, and
-    rounding is symmetric in sign, so it decides as that difference would,
-    -0.0 as +1 and NaN as -1 included.
+    nearest-point search has no defined answer.  The near comparison is
+    the slice of ``phi`` minus the far bit's symbol at sqrt(alpha1)
+    ``gain``: IEEE subtraction keeps the sign, even under gradual
+    underflow, and rounding is symmetric in sign, so it decides as that
+    difference would, -0.0 as +1 and NaN as -1 included.
     """
+    far = phi >= 0.0
     c = _symbol(far, sqrt_a1, np.empty(phi.shape, dtype=np.float32))
     c *= gain
-    return phi >= c
+    return far, phi >= c
 
 
 def _rows(n: int, count: int) -> list[np.ndarray]:
@@ -392,24 +392,20 @@ class Reception:
     Built by :meth:`Batch.at` and bound to the scenario ``cfg``;
     :func:`simulate` and :func:`conditional_prop_stats` refuse it, with
     ValueError, at another scenario.  It carries the batch's ``n_symbols``
-    and holds, each computed the first time a simulation reads it and
-    read-only from then on:
+    and holds four parts, each received the first time a simulation reads
+    it and read-only from then on:
 
     * ``_tx()``: the source's symbols, sqrt(alpha1) m1 + sqrt(alpha2) m2;
-    * ``hop("s", ...)``: the source hop, phi on s1 and phi and gain on s2;
-    * ``relay(genie_sic)``: the relay's decisions (far, near) on the bits
-      it heard on sr, boolean rows, True for +1, like the batch's ``bits``:
-      the far bit ``phi >= 0`` and the near bit ``_near`` of it;
-    * ``hop("r", genie_relay, genie_sic)``: the relay hop, phi on r1 and
-      phi and gain on r2, carrying the relay's decisions re-encoded at the
-      relay power, or the true bits under ``genie_relay``.
+    * ``hop("s")``: the source hop, phi on s1 and phi and gain on s2;
+    * ``relay()``: the relay's decisions (far, near) on the bits it heard
+      on sr, boolean rows, True for +1, like the batch's ``bits``, taken
+      by ``_decide``;
+    * ``hop("r")``: the relay hop, phi on r1 and phi and gain on r2,
+      carrying the relay's decisions re-encoded at the relay power.
 
-    Each is held once per value of the genie switches it depends on: the
-    relay's decisions on ``genie_sic``, the relay hop on ``genie_relay``
-    and, when that is off, on ``genie_sic``.  So at one grid point
-    cnoma-wdl reads the source hop noma received and the relay hop cnoma
-    received, and a scheme reads no hop it does not hear.  Detection
-    (``_detect``) writes only rows of its own.
+    So at one grid point cnoma-wdl reads the source hop noma received and
+    the relay hop cnoma received, and a scheme reads no hop it does not
+    hear.  Detection (``_detect``) writes only rows of its own.
     """
 
     __slots__ = ("batch", "cfg", "n_symbols", "_held")
@@ -417,20 +413,18 @@ class Reception:
     def __init__(self, batch: Batch, cfg: SystemConfig):
         self.batch, self.cfg = batch, cfg
         self.n_symbols = batch.n_symbols
-        self._held: dict[object, tuple[np.ndarray, ...]] = {}
+        self._held: dict[str, tuple[np.ndarray, ...]] = {}
 
     def _tx(self) -> np.ndarray:
         return self._read("tx", self._superposed)[0]
 
-    def relay(self, genie_sic: bool) -> tuple[np.ndarray, np.ndarray]:
-        return self._read(("relay", genie_sic), lambda: self._relay_decisions(genie_sic))
+    def relay(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._read("relay", self._relay_decisions)
 
-    def hop(self, hop: str, genie_relay: bool, genie_sic: bool) -> tuple[np.ndarray, ...]:
-        # the genie_sic of the relay's decisions it carries, or None for the true bits
-        relayed = genie_sic if hop == "r" and not genie_relay else None
-        return self._read((hop, relayed), lambda: self._received(hop, relayed))
+    def hop(self, hop: str) -> tuple[np.ndarray, ...]:
+        return self._read(hop, lambda: self._received(hop))
 
-    def _read(self, key, compute) -> tuple[np.ndarray, ...]:
+    def _read(self, key: str, compute) -> tuple[np.ndarray, ...]:
         rows = self._held.get(key)
         if rows is None:
             rows = tuple(compute())
@@ -448,51 +442,46 @@ class Reception:
         _superpose(self.cfg, *self.batch.bits, tx, scratch)
         return (tx,)
 
-    def _relay_decisions(self, genie_sic: bool):
+    def _relay_decisions(self):
         phi, gain, scratch = _rows(self.n_symbols, 3)
         self._hear("sr", self._tx(), phi, gain, scratch)
-        far = phi >= 0.0
-        m1 = self.batch.bits[0] if genie_sic else far
-        return far, _near(phi, gain, math.sqrt(self.cfg.alpha1), m1)
+        return _decide(phi, gain, math.sqrt(self.cfg.alpha1))
 
-    def _received(self, hop: str, relayed: bool | None):
+    def _received(self, hop: str):
         phi1, phi2, gain2, scratch = _rows(self.n_symbols, 4)
         tx = self._tx()
-        if relayed is not None:  # the relay forwards what it decided
+        if hop == "r":  # the relay forwards what it decided
             tx = np.empty_like(tx)
-            _superpose(self.cfg, *self.relay(relayed), tx, scratch)
+            _superpose(self.cfg, *self.relay(), tx, scratch)
         self._hear(hop + "1", tx, phi1, None, scratch)
         self._hear(hop + "2", tx, phi2, gain2, scratch)
         return phi1, phi2, gain2
 
 
-def _detect(reception: Reception, scheme: str, genie_relay: bool,
-            genie_sic: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Each user's error mask on its own bit under ``scheme`` and the
-    switches, on the hops it hears of ``reception``, which this only reads.
+def _detect(reception: Reception, scheme: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each user's error mask on its own bit under ``scheme``, on the hops
+    it hears of ``reception``, which this only reads.
 
     The relay and both users read the same law on the sqrt(P)-weighted
     sum of the hops they hear, and every decision is a boolean row, True
-    for +1, compared with the batch's ``bits``: the far bit is ``phi >=
-    0``, and the near bit ``_near`` of it, or of the true far bit under
-    ``genie_sic``.  A user hearing both hops sums the source's then the
+    for +1, compared with the batch's ``bits``: the far user reads the far
+    bit ``phi >= 0`` and the near user the near row of ``_decide``, as the
+    relay reads both.  A user hearing both hops sums the source's then the
     relay's statistic into rows of its own (maximum-ratio combining); the
     far user reads only the sign of its sum, so it sums no gain.
     Everything runs in float32 on the batch's float32 rows, on a scenario
     ``_receptions`` has checked against ``_FLOAT32_SPAN``.
     """
-    heard = [reception.hop(hop, genie_relay, genie_sic) for hop in _HOPS[scheme]]
+    heard = [reception.hop(hop) for hop in _HOPS[scheme]]
     phi1, phi2, gain2 = heard[0]
     if len(heard) > 1:
         phi1, phi2, gain2 = (np.add(s, r) for s, r in zip(*heard))
     m1, m2 = reception.batch.bits
-    far = m1 if genie_sic else phi2 >= 0.0
-    near = _near(phi2, gain2, math.sqrt(reception.cfg.alpha1), far)
+    near = _decide(phi2, gain2, math.sqrt(reception.cfg.alpha1))[1]
     return (phi1 >= 0.0) != m1, near != m2
 
 
-def _receptions(cfg: SystemConfig, scheme: str, spec: SimSpec | Reception,
-                genie_relay: bool, genie_sic: bool):
+def _receptions(cfg: SystemConfig, scheme: str, spec: SimSpec | Reception):
     """The receptions a simulation of ``scheme`` on ``spec`` detects, once
     its inputs are checked (see :func:`simulate`) and before anything is
     drawn or received: a SimSpec's batches, each drawn and heard at ``cfg``
@@ -501,11 +490,6 @@ def _receptions(cfg: SystemConfig, scheme: str, spec: SimSpec | Reception,
         raise TypeError(f"cfg must be a SystemConfig, got {type(cfg).__name__}")
     if not isinstance(spec, (SimSpec, Reception)):
         raise TypeError(f"spec must be a SimSpec or a Reception, got {type(spec).__name__}")
-    for name, value in (("genie_relay", genie_relay), ("genie_sic", genie_sic)):
-        if not isinstance(value, (bool, np.bool_)):
-            raise ValueError(f"{name} must be a bool, got {value!r}")
-    if genie_relay and scheme == "noma":
-        raise ValueError("genie_relay needs a relay, and noma has none")
     _check_span(cfg, [link for hop in _HOPS[scheme] for link in _HOP_LINKS[hop]])
     if isinstance(spec, SimSpec):
         return (spec.draw(cfg, scheme, index).at(cfg) for index in range(len(spec.batches())))
@@ -525,15 +509,14 @@ def _receptions(cfg: SystemConfig, scheme: str, spec: SimSpec | Reception,
     return (spec,)
 
 
-def simulate(cfg: SystemConfig, scheme: str, spec: SimSpec | Reception, *,
-             genie_relay: bool = False, genie_sic: bool = False) -> McResult:
+def simulate(cfg: SystemConfig, scheme: str, spec: SimSpec | Reception) -> McResult:
     """Simulate ``scheme`` (noma, cnoma or cnoma-wdl, any case) and count bit errors.
 
     ``spec`` is a :class:`SimSpec`, a run of its batches, each drawn at
     ``cfg`` for ``scheme`` alone and freed before the next is drawn; or a
     :class:`Reception` (``batch.at(cfg)``) of one batch
     (:meth:`SimSpec.draw`) that holds every hop ``scheme`` hears, which
-    every scheme and switch simulated on it at ``cfg`` shares.  Another
+    every scheme simulated on it at ``cfg`` shares.  Another
     ``spec``, or a ``cfg`` that is not a SystemConfig, raises TypeError; a
     reception heard at another scenario raises ValueError, as does one whose
     batch lacks such a hop or was settled to another geometry on a link
@@ -541,23 +524,17 @@ def simulate(cfg: SystemConfig, scheme: str, spec: SimSpec | Reception, *,
     counted on each reception.  So the counts of a SimSpec's batches, each
     simulated alone, sum to the SimSpec's, and a batch reused at another
     power, hardware factor or split, drawn beside other schemes, or heard
-    once for several schemes and switches, gets the counts of a fresh draw:
-    a batch never changes after its draw, a reception's rows never change
-    once received, and a simulation's work rows are its own.
-    The genie switches, each a bool or else ValueError, isolate one loss
-    for instrumentation and are deliberately not reachable from file
-    configs: ``genie_relay`` forwards the true bits regardless of what the
-    relay detected (noma has no relay and rejects it); ``genie_sic`` feeds
-    the true far-user bit to every subtraction, relay and near user,
-    leaving the detections themselves unchanged.
+    once for several schemes, gets the counts of a fresh draw: a batch
+    never changes after its draw, a reception's rows never change once
+    received, and a simulation's work rows are its own.
     """
     scheme = _scheme(scheme)
 
     def count(reception: Reception) -> tuple[int, int, int]:
-        err1, err2 = _detect(reception, scheme, genie_relay, genie_sic)
+        err1, err2 = _detect(reception, scheme)
         return reception.n_symbols, int(np.count_nonzero(err1)), int(np.count_nonzero(err2))
 
-    receptions = _receptions(cfg, scheme, spec, genie_relay, genie_sic)
+    receptions = _receptions(cfg, scheme, spec)
     return McResult(*map(sum, zip(*map(count, receptions))))  # each reception freed once counted
 
 
@@ -571,9 +548,9 @@ def conditional_prop_stats(cfg: SystemConfig, spec: SimSpec | Reception) -> Cond
     failing.
     """
     def count(reception: Reception) -> list[int]:  # per user: slips, errors among them
-        slips = np.not_equal(reception.relay(False), reception.batch.bits)
-        errors = slips & _detect(reception, "cnoma-wdl", False, False)
+        slips = np.not_equal(reception.relay(), reception.batch.bits)
+        errors = slips & _detect(reception, "cnoma-wdl")
         return [int(np.count_nonzero(m)) for m in (slips[0], errors[0], slips[1], errors[1])]
 
-    receptions = _receptions(cfg, "cnoma-wdl", spec, False, False)
+    receptions = _receptions(cfg, "cnoma-wdl", spec)
     return CondPropStats(*map(sum, zip(*map(count, receptions))))

@@ -333,8 +333,7 @@ def test_a_sweep_task_holds_one_points_reception_at_a_time():
             tracemalloc.stop()
 
     reception = sim.draw(configs[0], analytic.SCHEMES, 0).at(configs[0])
-    held = [*reception.hop("s", False, False), *reception.hop("r", False, False),
-            *reception.relay(False), reception._tx()]
+    held = [*reception.hop("s"), *reception.hop("r"), *reception.relay(), reception._tx()]
     reception_bytes = sum(row.nbytes for row in held)
     peak(1)  # warm up
     one, four = peak(1), peak(4)

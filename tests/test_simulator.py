@@ -131,25 +131,18 @@ def test_scheme_names_ignore_case_and_unknown_ones_are_rejected():
             simulator.simulate(cfg, unknown, spec)
 
 
-def test_relay_genie_without_a_relay_is_rejected():
-    with pytest.raises(ValueError, match="relay"):
-        simulator.simulate(SystemConfig.defaults(), "noma", SimSpec(n_symbols=10_000),
-                           genie_relay=True)
-
-
 def test_drawn_batches_sum_to_the_run():
     """Simulating a SimSpec's batches one by one, each drawn once, gives the
     SimSpec's counts; a batch can be simulated again at another scenario."""
     spec = SimSpec(n_symbols=150_000, seed=1)
     configs = [SystemConfig.defaults(snr_db=snr_db) for snr_db in (20.0, 5.0)]
-    for scheme, genies in (("noma", {}), ("cnoma", {"genie_relay": True}),
-                           ("cnoma-wdl", {"genie_sic": True})):
+    for scheme in analytic.SCHEMES:
         batches = [spec.draw(configs[0], scheme, index)
                    for index in range(len(spec.batches()))]
         assert [b.n_symbols for b in batches] == spec.batches()
         for cfg in configs:
-            parts = [simulator.simulate(cfg, scheme, b.at(cfg), **genies) for b in batches]
-            whole = simulator.simulate(cfg, scheme, spec, **genies)
+            parts = [simulator.simulate(cfg, scheme, b.at(cfg)) for b in batches]
+            whole = simulator.simulate(cfg, scheme, spec)
             assert McResult.from_counts(sum(p.trials for p in parts),
                                         sum(p.errors_u1 for p in parts),
                                         sum(p.errors_u2 for p in parts)) == whole
@@ -306,9 +299,8 @@ def test_a_scheme_on_a_shared_batch_equals_it_on_its_own(order):
     for cfg in _grid_configs(base):
         heard = shared.at(cfg)
         for scheme in order:
-            for genies in ({}, {"genie_sic": True}):
-                assert simulator.simulate(cfg, scheme, heard, **genies) == \
-                    simulator.simulate(cfg, scheme, own[scheme].at(cfg), **genies), (scheme, cfg)
+            assert simulator.simulate(cfg, scheme, heard) == \
+                simulator.simulate(cfg, scheme, own[scheme].at(cfg)), (scheme, cfg)
     # a geometry that moves only the relay's links is no part of noma
     far_relay = replace(base, d_sr=1.5)
     assert simulator.simulate(far_relay, "noma", shared.at(far_relay)) == \
@@ -350,17 +342,13 @@ def test_spec_must_be_a_simspec_or_a_batch():
 
 
 def test_a_simulation_refuses_a_switch_that_is_not_a_bool_or_a_cfg_that_is_not_a_config():
-    """Any truthy value would run as a genie, so a switch must be a bool,
-    numpy's included; a cfg of another type is named, not read."""
+    """A simulation takes no switch at all, so a call that passes one fails
+    instead of running without it; a cfg of another type is named, not
+    read."""
     cfg = SystemConfig.defaults(snr_db=10.0)
     spec = SimSpec(n_symbols=20_000, seed=3)
-    for name in ("genie_relay", "genie_sic"):
-        for value in ("no", "", 1, 0, None, np.float64(1.0), np.array([True])):
-            with pytest.raises(ValueError, match=re.escape(
-                    f"{name} must be a bool, got {value!r}")):
-                simulator.simulate(cfg, "cnoma", spec, **{name: value})
-        assert simulator.simulate(cfg, "cnoma", spec, **{name: np.True_}) == \
-            simulator.simulate(cfg, "cnoma", spec, **{name: True})
+    with pytest.raises(TypeError, match="genie_sic"):
+        simulator.simulate(cfg, "cnoma", spec, genie_sic=True)
     for other, kind in ((None, "NoneType"), ("x", "str"), ({"snr_db": 10.0}, "dict")):
         with pytest.raises(TypeError, match=f"cfg must be a SystemConfig, got {kind}"):
             simulator.simulate(other, "noma", spec)
@@ -385,51 +373,36 @@ def test_a_run_looks_up_each_heard_link_once(monkeypatch):
     assert looked_up == ["s1", "s2", "sr", "r1", "r2", "s1", "s2", "sr", "r1", "r2"]
 
 
-_GENIES = [{}, {"genie_sic": True}, {"genie_relay": True},
-           {"genie_relay": True, "genie_sic": True}]
-
-
-@pytest.mark.parametrize("genies", _GENIES, ids=lambda g: "+".join(g) or "none")
-def test_one_reception_serves_every_scheme_in_every_order(genies):
-    """One reception per scenario serves every scheme under every switch
-    setting, ``genies`` first and the other settings in every order, and
-    the schemes of ``genies`` in every order, each with the counts of the
-    SimSpec run, as does the conditional statistic.  The rows it holds
-    afterwards are read-only: the symbols and the source hop once, the
-    relay's decisions once per ``genie_sic``, and the relay hop once per
-    setting it depends on.  noma has no relay, so a relay genie leaves it
-    out."""
+def test_one_reception_serves_every_scheme_in_every_order():
+    """One reception per scenario serves the three schemes and the
+    conditional statistic in every order, each with the counts of the
+    SimSpec run.  It then holds its four parts, each received once and
+    read-only: the symbols, the source hop, the relay's decisions and the
+    relay hop."""
     spec = SimSpec(n_symbols=20_000, seed=7)
     batch = spec.draw(SystemConfig.defaults(), analytic.SCHEMES, 0)
-    settings = [genies, *(other for other in _GENIES if other != genies)]
+    users = [*analytic.SCHEMES, "conditional"]
 
-    def users(switches):
-        names = [s for s in analytic.SCHEMES if not (s == "noma" and switches.get("genie_relay"))]
-        return names + ["conditional"] if not switches else names
-
-    def run(cfg, s, switches, heard):
+    def run(cfg, s, heard):
         if s == "conditional":
             return simulator.conditional_prop_stats(cfg, heard)
-        return simulator.simulate(cfg, s, heard, **switches)
+        return simulator.simulate(cfg, s, heard)
 
     for cfg in (SystemConfig.defaults(snr_db=5.0), SystemConfig.defaults(snr_db=25.0)):
-        alone = {(i, s): run(cfg, s, switches, spec)
-                 for i, switches in enumerate(settings) for s in users(switches)}
-        for rest in itertools.permutations(range(1, len(settings))):
-            for first in itertools.permutations(users(genies)):
-                reception = batch.at(cfg)
-                assert reception.n_symbols == 20_000
-                for i in (0, *rest):
-                    for s in first if i == 0 else users(settings[i]):
-                        got = run(cfg, s, settings[i], reception)
-                        assert got == alone[i, s], (rest, first, i, s)
-                held = [(key, row) for key, rows in reception._held.items() for row in rows]
-                assert len(held) == 17
-                for key, row in held:  # the relay's decisions are boolean, True for +1
-                    assert row.dtype == (bool if key[:1] == ("relay",) else np.float32)
-                    assert not row.flags.writeable
-                    with pytest.raises(ValueError, match="read-only"):
-                        row[0] = 0.0
+        alone = {s: run(cfg, s, spec) for s in users}
+        for order in itertools.permutations(users):
+            reception = batch.at(cfg)
+            assert reception.n_symbols == 20_000
+            for s in order:
+                assert run(cfg, s, reception) == alone[s], (order, s)
+            assert sorted(reception._held) == ["r", "relay", "s", "tx"]
+            held = [(key, row) for key, rows in reception._held.items() for row in rows]
+            assert len(held) == 9
+            for key, row in held:  # the relay's decisions are boolean, True for +1
+                assert row.dtype == (bool if key == "relay" else np.float32)
+                assert not row.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    row[0] = 0.0
 
 
 def test_a_reception_refuses_another_scenario():
@@ -440,13 +413,13 @@ def test_a_reception_refuses_another_scenario():
     for other in (cfg.with_snr_db(20.0), cfg.with_hwi(0.1), cfg.with_alpha1(0.8)):
         for scheme in analytic.SCHEMES:
             with pytest.raises(ValueError, match="reception was built at another scenario"):
-                simulator.simulate(other, scheme, reception, genie_sic=True)
+                simulator.simulate(other, scheme, reception)
         with pytest.raises(ValueError, match="reception was built at another scenario"):
             simulator.conditional_prop_stats(other, reception)
     # an equal scenario is the same scenario, and nothing above was received
     assert not reception._held
-    assert simulator.simulate(replace(cfg), "noma", reception, genie_sic=True) == \
-        simulator.simulate(cfg, "noma", spec, genie_sic=True)
+    assert simulator.simulate(replace(cfg), "noma", reception) == \
+        simulator.simulate(cfg, "noma", spec)
 
 
 def _traced_peak(run) -> int:
@@ -543,18 +516,12 @@ def test_unsettled_batch_shared_by_16_threads_gives_serial_counts():
 
 
 #: Error counts of the reference scenario at 20 dB, seed 1, 150000 symbols
-#: (one full batch and one half batch), keyed by scheme and the genie
-#: switches set.  Any change to the random stream or to the detection chain
-#: moves them.
+#: (one full batch and one half batch), keyed by scheme.  Any change to
+#: the random stream or to the detection chain moves them.
 _GOLDEN_COUNTS = {
-    ("noma",): (17_320, 19_407),
-    ("noma", "genie_sic"): (17_320, 15_086),
-    ("cnoma",): (13_876, 15_327),
-    ("cnoma", "genie_relay"): (11_878, 8_165),
-    ("cnoma", "genie_sic"): (14_103, 11_881),
-    ("cnoma-wdl",): (6_204, 8_880),
-    ("cnoma-wdl", "genie_relay"): (4_904, 2_800),
-    ("cnoma-wdl", "genie_sic"): (6_715, 6_803),
+    "noma": (17_320, 19_407),
+    "cnoma": (13_876, 15_327),
+    "cnoma-wdl": (6_204, 8_880),
 }
 
 #: ``conditional_prop_stats`` on the same run: events and errors per user.
@@ -564,9 +531,9 @@ _GOLDEN_CONDITIONAL = (2_507, 1_483, 8_023, 6_121)
 def test_seeded_counts_are_pinned():
     cfg = SystemConfig.defaults(snr_db=20.0)
     spec = SimSpec(n_symbols=150_000, seed=1)
-    for (scheme, *genies), counts in _GOLDEN_COUNTS.items():
-        mc = simulator.simulate(cfg, scheme, spec, **dict.fromkeys(genies, True))
-        assert (mc.errors_u1, mc.errors_u2) == counts, (scheme, *genies)
+    for scheme, counts in _GOLDEN_COUNTS.items():
+        mc = simulator.simulate(cfg, scheme, spec)
+        assert (mc.errors_u1, mc.errors_u2) == counts, scheme
     stats = simulator.conditional_prop_stats(cfg, spec)
     assert (stats.events_u1, stats.errors_u1, stats.events_u2,
             stats.errors_u2) == _GOLDEN_CONDITIONAL
@@ -582,24 +549,14 @@ def test_seeded_counts_are_pinned():
 #: hardware factor.
 _GOLDEN_AT_GEOMETRY = {
     "no-estimation-error": (dict(sigma_eps_sq=0.0), {
-        ("noma",): (12_851, 13_732),
-        ("noma", "genie_sic"): (12_851, 9_559),
-        ("cnoma",): (10_783, 11_074),
-        ("cnoma", "genie_relay"): (9_161, 5_793),
-        ("cnoma", "genie_sic"): (11_000, 7_630),
-        ("cnoma-wdl",): (4_673, 6_032),
-        ("cnoma-wdl", "genie_relay"): (3_554, 1_642),
-        ("cnoma-wdl", "genie_sic"): (5_124, 4_051),
+        "noma": (12_851, 13_732),
+        "cnoma": (10_783, 11_074),
+        "cnoma-wdl": (4_673, 6_032),
     }, (2_105, 1_273, 5_731, 4_391)),
     "far-relay": (dict(d_sr=1.5, sigma_eps_sq=0.02, hwi_k=0.1), {
-        ("noma",): (28_460, 25_297),
-        ("noma", "genie_sic"): (28_460, 21_856),
-        ("cnoma",): (22_755, 25_123),
-        ("cnoma", "genie_relay"): (18_279, 9_674),
-        ("cnoma", "genie_sic"): (23_066, 22_175),
-        ("cnoma-wdl",): (12_780, 17_975),
-        ("cnoma-wdl", "genie_relay"): (9_616, 4_439),
-        ("cnoma-wdl", "genie_sic"): (13_581, 15_807),
+        "noma": (28_460, 25_297),
+        "cnoma": (22_755, 25_123),
+        "cnoma-wdl": (12_780, 17_975),
     }, (5_696, 3_470, 17_624, 13_580)),
 }
 
@@ -609,9 +566,9 @@ def test_seeded_counts_are_pinned_at_other_geometries(geometry):
     overrides, golden, conditional = _GOLDEN_AT_GEOMETRY[geometry]
     cfg = SystemConfig.defaults(snr_db=20.0, **overrides)
     spec = SimSpec(n_symbols=150_000, seed=1)
-    for (scheme, *genies), counts in golden.items():
-        mc = simulator.simulate(cfg, scheme, spec, **dict.fromkeys(genies, True))
-        assert (mc.errors_u1, mc.errors_u2) == counts, (scheme, *genies)
+    for scheme, counts in golden.items():
+        mc = simulator.simulate(cfg, scheme, spec)
+        assert (mc.errors_u1, mc.errors_u2) == counts, scheme
     stats = simulator.conditional_prop_stats(cfg, spec)
     assert (stats.events_u1, stats.errors_u1, stats.events_u2,
             stats.errors_u2) == conditional
@@ -671,9 +628,8 @@ def test_settled_batch_serves_every_grid_point_and_rejects_another_geometry():
             with pytest.raises(ValueError, match="batch was settled to .*draw a new batch"):
                 simulator.simulate(other, scheme, batch.at(other))
         for cfg in _grid_configs(base):
-            for genies in ({}, {"genie_sic": True}):
-                assert simulator.simulate(cfg, scheme, batch.at(cfg), **genies) == \
-                    simulator.simulate(cfg, scheme, spec, **genies), (scheme, cfg, genies)
+            assert simulator.simulate(cfg, scheme, batch.at(cfg)) == \
+                simulator.simulate(cfg, scheme, spec), (scheme, cfg)
         for array in (batch.bits, batch.bits[1], batch.receivers, batch.receivers[-1, 0]):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
@@ -687,38 +643,38 @@ _ROW = 16
 
 @st.composite
 def _sic_inputs(draw):
-    """A combined statistic phi, its gain, sqrt(alpha1) and a given row of
-    far bits: finite float32 gains, zero included, and phi finite, a
-    signed zero, subnormal, NaN, or a tie at +-c with c = gain sqrt(alpha1)."""
+    """A combined statistic phi, its gain and sqrt(alpha1): finite float32
+    gains, zero included, and phi finite, a signed zero, subnormal, NaN, or
+    a tie at +-c with c = gain sqrt(alpha1)."""
     finite = st.floats(width=32, allow_nan=False, allow_infinity=False)
     gain = draw(arrays(np.float32, _ROW, elements=st.just(0.0) | finite))
     sqrt_a1 = draw(st.floats(0.0, 1.0))
     free = draw(arrays(np.float32, _ROW, elements=st.floats(width=32, allow_infinity=False)))
     tie = draw(arrays(np.int8, _ROW, elements=st.integers(-1, 1)))
     phi = np.where(tie == 0, free, tie * np.multiply(gain, sqrt_a1))
-    return phi, gain, sqrt_a1, draw(arrays(np.bool_, _ROW))
+    return phi, gain, sqrt_a1
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_sic_inputs())
 @example((np.array([-0.0, 0.0, _TINY32, -_TINY32, np.nan, 2.5, -2.5, -0.0] * 2, dtype=np.float32),
-          np.zeros(_ROW, dtype=np.float32), math.sqrt(0.8), np.arange(_ROW) % 2 == 0))
+          np.zeros(_ROW, dtype=np.float32), math.sqrt(0.8)))
 def test_near_decides_as_the_subtraction_it_replaces(inputs):
-    """``_near`` compares phi with +-c; it must decide exactly as slicing
-    phi minus the far bit's +-1 times gain times sqrt(alpha1), all in
-    float32, for the decided far bit ``phi >= 0`` and for a genie's row.
+    """``_decide`` takes the far bit ``phi >= 0`` and compares phi with +-c
+    for the near bit; it must decide exactly as slicing phi minus the
+    decided far bit's +-1 times gain times sqrt(alpha1), all in float32.
     A silent receiver's phi = -0.0 decides +1, as +0.0 does, and a NaN
     statistic never decides +1."""
-    phi, gain, sqrt_a1, genie = inputs
-    for far in (np.greater_equal(phi, 0.0), genie):
-        sign = np.where(far, np.float32(1.0), np.float32(-1.0))
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = np.subtract(phi, sign * gain * sqrt_a1) >= 0.0
-        got = simulator._near(phi, gain, sqrt_a1, far)
-        assert got.dtype == bool
-        np.testing.assert_array_equal(got, want)
-        assert not got[np.isnan(phi)].any()
-        assert got[(phi == 0.0) & (gain == 0.0)].all()
+    phi, gain, sqrt_a1 = inputs
+    far, near = simulator._decide(phi, gain, sqrt_a1)
+    np.testing.assert_array_equal(far, phi >= 0.0)
+    sign = np.where(far, np.float32(1.0), np.float32(-1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.subtract(phi, sign * gain * sqrt_a1) >= 0.0
+    assert far.dtype == near.dtype == bool
+    np.testing.assert_array_equal(near, want)
+    assert not near[np.isnan(phi)].any()
+    assert near[(phi == 0.0) & (gain == 0.0)].all()
 
 
 #: Seeded counts of ``SimSpec(n_symbols=20_000, seed=5)`` where noise no
@@ -965,14 +921,25 @@ def test_impairments_create_an_error_floor_and_removing_them_removes_it():
 
 
 def test_interference_cancellation_errors_hurt_the_near_user():
+    """SIC is imperfect: where the near user's own decision on the far bit
+    slipped, it subtracts the wrong symbol, and its own bit is wrong far
+    more often than where that decision held."""
     cfg = SystemConfig.defaults(snr_db=5.0)
     spec = SimSpec(n_symbols=400_000, seed=7)
-    real = simulator.simulate(cfg, "noma", spec)
-    genie = simulator.simulate(cfg, "noma", spec, genie_sic=True)
-    combined = math.hypot(real.std_err("u2"), genie.std_err("u2"))
-    assert real.ber("u2") - genie.ber("u2") > 3.0 * combined
-    # the far user never subtracts, so the switch must not touch it
-    assert real.errors_u1 == genie.errors_u1
+    slips = slip_errors = errors = 0
+    for index in range(len(spec.batches())):
+        reception = spec.draw(cfg, "noma", index).at(cfg)
+        _, phi2, gain2 = reception.hop("s")
+        far, near = simulator._decide(phi2, gain2, math.sqrt(cfg.alpha1))
+        m1, m2 = reception.batch.bits
+        slipped, wrong = far != m1, near != m2
+        slips += int(np.count_nonzero(slipped))
+        slip_errors += int(np.count_nonzero(slipped & wrong))
+        errors += int(np.count_nonzero(wrong))
+    assert errors == simulator.simulate(cfg, "noma", spec).errors_u2
+    slip_rate, slip_se = simulator._binomial(slip_errors, slips)
+    held_rate, held_se = simulator._binomial(errors - slip_errors, spec.n_symbols - slips)
+    assert slip_rate - held_rate > 10.0 * math.hypot(held_se, slip_se), (slip_rate, held_rate)
 
 
 def test_impairment_conventions_differ_and_default_calibrates(monkeypatch):
@@ -994,9 +961,9 @@ def test_noiseless_perfect_runs_make_no_errors():
     spec = SimSpec(n_symbols=100_000, seed=2)
     mc = simulator.simulate(clean, "noma", spec)
     assert (mc.errors_u1, mc.errors_u2) == (0, 0)
-    mc = simulator.simulate(clean, "cnoma", spec, genie_relay=True)
+    mc = simulator.simulate(clean, "cnoma", spec)
     assert (mc.errors_u1, mc.errors_u2) == (0, 0)
-    mc = simulator.simulate(clean, "cnoma-wdl", spec, genie_relay=True)
+    mc = simulator.simulate(clean, "cnoma-wdl", spec)
     assert (mc.errors_u1, mc.errors_u2) == (0, 0)
 
 
