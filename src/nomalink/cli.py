@@ -98,19 +98,14 @@ def _status(record: dict) -> str:
     return "FAIL" if not record["ok"] else ("pass" if record["checked"] else "skip")
 
 
-def run_validation(spec: experiments.SweepSpec, out=None):
-    """Closed forms versus Monte Carlo on an SNR sweep ``spec``.
-
-    Runs both methods over the sweep on the sweep pool and returns the
-    records of :func:`nomalink.experiments.compare`, one line each to
-    ``out`` (stdout by default); a point is compared only when the closed
-    form predicts at least ten expected error events.  A failed
-    evaluation's reason goes to stderr as a ``warning:`` line.
-    """
-    if spec.swept_parameter != "snr_db":
-        raise ValueError(f"validation sweeps snr_db, not {spec.swept_parameter}")
-    if out is None:
-        out = sys.stdout
+def _validate_command(args) -> int:
+    """Closed forms versus Monte Carlo over ``VALIDATE_SNR_GRID`` on the
+    sweep pool: one line per record of :func:`nomalink.experiments.compare`
+    and a summary; a point is compared only when the closed form predicts
+    at least ten expected error events.  A failed evaluation's reason goes
+    to stderr as a ``warning:`` line."""
+    # the flags are checked as a sweep config's keys, so a bad one is a ConfigError
+    spec = dataclasses.replace(_load_spec(args), grid=VALIDATE_SNR_GRID)
     records = experiments.compare(experiments.run_sweep(spec), 10.0 / spec.sim.n_symbols)
     for r in records:
         if r["error"] is not None:
@@ -119,13 +114,7 @@ def run_validation(spec: experiments.SweepSpec, out=None):
         print(f"{_status(r)}  snr={r['snr_db']:5.1f}  {r['scheme']:9s} {r['user']}  "
               f"analytic={r['analytic']:.6e}  mc={r['mc']:.6e}  "
               f"|diff|={abs(r['mc'] - r['analytic']):.2e}  "
-              f"({abs(r['sigmas']):.2f} sigma)", file=out)
-    return records
-
-
-def _validate_command(args) -> int:
-    # the flags are checked as a sweep config's keys, so a bad one is a ConfigError
-    records = run_validation(dataclasses.replace(_load_spec(args), grid=VALIDATE_SNR_GRID))
+              f"({abs(r['sigmas']):.2f} sigma)")
     counts = Counter(_status(r) for r in records)
     print(f"{counts['pass']} pass (within 3 standard errors), {counts['skip']} skip "
           f"(closed form below 10/N), {counts['FAIL']} FAIL, of {len(records)} points")

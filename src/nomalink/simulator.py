@@ -274,8 +274,8 @@ def _scheme(name: str) -> str:
     return name.lower()
 
 
-def _receive(cfg: SystemConfig, link: str, tx: np.ndarray, terms: np.ndarray,
-             phi: np.ndarray, gain: np.ndarray | None, scratch: np.ndarray) -> None:
+def _receive(cfg: SystemConfig, link: str, tx: np.ndarray,
+             terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One link's receive chain for a batch, reduced to what detection reads.
 
     Detection uses only the estimate power |h~|^2 and the projection
@@ -298,31 +298,28 @@ def _receive(cfg: SystemConfig, link: str, tx: np.ndarray, terms: np.ndarray,
     scenario of the batch's geometry.  Every array here is float32, and
     numpy keeps a Python float scalar, as every field of a SystemConfig
     is, from widening it, so the whole receive runs in float32, within
-    ``_FLOAT32_SPAN``.  What is left depends on P, k
-    and N0: ``phi`` gets the projection with the maximum-ratio weight
-    sqrt(P),
+    ``_FLOAT32_SPAN``.  What is left depends on P, k and N0.  Returns
+    (phi, g): phi, a new row, is the projection with the maximum-ratio
+    weight sqrt(P),
     P f sqrt(g) tx + sqrt(P) sqrt(s k^2 P + N0 / 2) z sqrt(g),
-    in eight passes with one square root, and a hop enters a user's
-    statistic with energy P g, which goes to ``gain`` unless ``gain`` is
-    None: the far user slices only the sign of ``phi`` and reads none.
-    ``scratch`` is one more work array, for the spread.  Each operation and
-    its order are fixed, here and in settling: the seeded counts of the
-    tests pin them.
+    in eight passes with one square root; g is the batch's own read-only
+    row, from which a reader that needs a hop's energy P g forms it (the
+    far user slices only the sign of phi and reads none).  Each operation
+    and its order are fixed, here and in settling: the seeded counts of
+    the tests pin them.
     """
     g, fg, s, zg = terms
-    spread = scratch
     P = cfg.power(link)
     k = cfg.hwi(link)
-    np.multiply(s, k * k * P, out=spread)
+    spread = s * (k * k * P)
     spread += 0.5 * cfg.N0
     np.sqrt(spread, out=spread)
     spread *= zg
     spread *= math.sqrt(P)
-    np.multiply(fg, P, out=phi)
+    phi = fg * P
     phi *= tx
     phi += spread
-    if gain is not None:
-        np.multiply(g, P, out=gain)
+    return phi, g
 
 
 #: The hops each scheme's users hear, in transmission order: "s" is the
@@ -336,24 +333,25 @@ _HOPS = {"noma": ("s",), "cnoma": ("r",), "cnoma-wdl": ("s", "r")}
 _HOP_LINKS = {"s": ("s1", "s2"), "r": ("sr", "r1", "r2")}
 
 
-def _symbol(m: np.ndarray, root: float, out: np.ndarray) -> np.ndarray:
-    """Write the BPSK symbol of the boolean row ``m`` at amplitude ``root``
-    into the float32 row ``out``: +-fl32(root), the sign of the bit,
-    exactly, since 2 fl32(root) - fl32(root) and 0 - fl32(root) are exact
-    for a root of 0 or a normal float32 (any alpha of 0 or at least
-    1.4e-76).  Two arithmetic passes; ``np.where`` with scalar arms takes
-    about 25 times one."""
-    np.multiply(m, 2.0 * root, out=out, dtype=np.float32)
+def _symbol(m: np.ndarray, root: float) -> np.ndarray:
+    """The BPSK symbol of the boolean row ``m`` at amplitude ``root``, as a
+    new float32 row: +-fl32(root), the sign of the bit, exactly, since
+    2 fl32(root) - fl32(root) and 0 - fl32(root) are exact for a root of 0
+    or a normal float32 (any alpha of 0 or at least 1.4e-76).  Two
+    arithmetic passes; ``np.where`` with scalar arms takes about 25 times
+    one."""
+    out = np.multiply(m, 2.0 * root, dtype=np.float32)
     out -= root
     return out
 
 
-def _superpose(cfg: SystemConfig, m1: np.ndarray, m2: np.ndarray, out: np.ndarray,
-               tmp: np.ndarray) -> None:
-    """Map the boolean rows (m1, m2), the source's bits or the relay's
-    decisions, to the symbols sqrt(alpha1) m1 + sqrt(alpha2) m2 in ``out``."""
-    _symbol(m1, math.sqrt(cfg.alpha1), out)
-    out += _symbol(m2, math.sqrt(cfg.alpha2), tmp)
+def _superpose(cfg: SystemConfig, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """The boolean rows (m1, m2), the source's bits or the relay's
+    decisions, mapped to the symbols sqrt(alpha1) m1 + sqrt(alpha2) m2, as
+    a new float32 row."""
+    tx = _symbol(m1, math.sqrt(cfg.alpha1))
+    tx += _symbol(m2, math.sqrt(cfg.alpha2))
+    return tx
 
 
 def _decide(phi: np.ndarray, gain: np.ndarray, sqrt_a1: float) -> tuple[np.ndarray, np.ndarray]:
@@ -375,14 +373,9 @@ def _decide(phi: np.ndarray, gain: np.ndarray, sqrt_a1: float) -> tuple[np.ndarr
     difference would, -0.0 as +1 and NaN as -1 included.
     """
     far = phi >= 0.0
-    c = _symbol(far, sqrt_a1, np.empty(phi.shape, dtype=np.float32))
+    c = _symbol(far, sqrt_a1)
     c *= gain
     return far, phi >= c
-
-
-def _rows(n: int, count: int) -> list[np.ndarray]:
-    """``count`` float32 work rows of ``n`` entries, each its own array."""
-    return [np.empty(n, dtype=np.float32) for _ in range(count)]
 
 
 class Reception:
@@ -393,19 +386,20 @@ class Reception:
     :func:`simulate` and :func:`conditional_prop_stats` refuse it, with
     ValueError, at another scenario.  It carries the batch's ``n_symbols``
     and holds four parts, each received the first time a simulation reads
-    it and read-only from then on:
+    it, as the rows the kernels return, and read-only from then on:
 
     * ``_tx()``: the source's symbols, sqrt(alpha1) m1 + sqrt(alpha2) m2;
-    * ``hop("s")``: the source hop, phi on s1 and phi and gain on s2;
+    * ``hop("s")``: the source hop, phi on s1 and phi and gain P g on s2;
     * ``relay()``: the relay's decisions (far, near) on the bits it heard
       on sr, boolean rows, True for +1, like the batch's ``bits``, taken
-      by ``_decide``;
-    * ``hop("r")``: the relay hop, phi on r1 and phi and gain on r2,
+      by ``_decide`` on phi and P g;
+    * ``hop("r")``: the relay hop, phi on r1 and phi and gain P g on r2,
       carrying the relay's decisions re-encoded at the relay power.
 
-    So at one grid point cnoma-wdl reads the source hop noma received and
-    the relay hop cnoma received, and a scheme reads no hop it does not
-    hear.  Detection (``_detect``) writes only rows of its own.
+    Every row it holds is its own, none a row of the batch.  So at one
+    grid point cnoma-wdl reads the source hop noma received and the relay
+    hop cnoma received, and a scheme reads no hop it does not hear.
+    Detection (``_detect``) writes only rows of its own.
     """
 
     __slots__ = ("batch", "cfg", "n_symbols", "_held")
@@ -416,7 +410,7 @@ class Reception:
         self._held: dict[str, tuple[np.ndarray, ...]] = {}
 
     def _tx(self) -> np.ndarray:
-        return self._read("tx", self._superposed)[0]
+        return self._read("tx", lambda: (_superpose(self.cfg, *self.batch.bits),))[0]
 
     def relay(self) -> tuple[np.ndarray, np.ndarray]:
         return self._read("relay", self._relay_decisions)
@@ -433,29 +427,18 @@ class Reception:
             self._held[key] = rows
         return rows
 
-    def _hear(self, link: str, tx: np.ndarray, phi: np.ndarray, gain: np.ndarray | None,
-              scratch: np.ndarray) -> None:
-        _receive(self.cfg, link, tx, self.batch._terms[link], phi, gain, scratch)
-
-    def _superposed(self):
-        tx, scratch = _rows(self.n_symbols, 2)
-        _superpose(self.cfg, *self.batch.bits, tx, scratch)
-        return (tx,)
+    def _hear(self, link: str, tx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _receive(self.cfg, link, tx, self.batch._terms[link])
 
     def _relay_decisions(self):
-        phi, gain, scratch = _rows(self.n_symbols, 3)
-        self._hear("sr", self._tx(), phi, gain, scratch)
-        return _decide(phi, gain, math.sqrt(self.cfg.alpha1))
+        phi, g = self._hear("sr", self._tx())
+        return _decide(phi, g * self.cfg.power("sr"), math.sqrt(self.cfg.alpha1))
 
     def _received(self, hop: str):
-        phi1, phi2, gain2, scratch = _rows(self.n_symbols, 4)
-        tx = self._tx()
-        if hop == "r":  # the relay forwards what it decided
-            tx = np.empty_like(tx)
-            _superpose(self.cfg, *self.relay(), tx, scratch)
-        self._hear(hop + "1", tx, phi1, None, scratch)
-        self._hear(hop + "2", tx, phi2, gain2, scratch)
-        return phi1, phi2, gain2
+        tx = self._tx() if hop == "s" else _superpose(self.cfg, *self.relay())
+        phi1 = self._hear(hop + "1", tx)[0]
+        phi2, g2 = self._hear(hop + "2", tx)
+        return phi1, phi2, g2 * self.cfg.power(hop + "2")
 
 
 def _detect(reception: Reception, scheme: str) -> tuple[np.ndarray, np.ndarray]:

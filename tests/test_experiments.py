@@ -1,11 +1,11 @@
 """Sweep plumbing: grid evaluation, CSV rendering, config parsing, CLI."""
 
 import hashlib
-import io
 import math
 import os
 import re
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -723,31 +723,6 @@ def test_cli_rejects_swept_key_and_repeated_entries(command, text, flags, messag
     assert captured.err.splitlines() == [f"error: {message}"]
 
 
-def test_validation_report_grammar():
-    buf = io.StringIO()
-    spec = SweepSpec("snr_db", (0.0, 10.0), SystemConfig.defaults(), ("noma",),
-                     sim=SimSpec(n_symbols=10_000, seed=1))
-    records = cli.run_validation(spec, out=buf)
-    assert len(records) == 4
-    lines = buf.getvalue().splitlines()
-    assert len(lines) == 4
-    pattern = re.compile(
-        r"^(pass|FAIL|skip)  snr= *[\d.]+  [\w-]+ +u[12]  "
-        r"analytic=\d\.\d{6}e[+-]\d{2}  mc=\d\.\d{6}e[+-]\d{2}  "
-        r"\|diff\|=\d\.\d{2}e[+-]\d{2}  \(-?[\d.]+ sigma\)$")
-    for line in lines:
-        assert pattern.match(line), line
-    for record, line in zip(records, lines):
-        status = "FAIL" if not record["ok"] else ("pass" if record["checked"] else "skip")
-        assert line.startswith(status + "  ")
-
-
-def test_validation_needs_an_snr_sweep():
-    spec = SweepSpec("hwi_k", (0.0, 0.1), SystemConfig.defaults(), ("noma",), sim=FAST_SIM)
-    with pytest.raises(ValueError, match="validation sweeps snr_db, not hwi_k"):
-        cli.run_validation(spec, out=io.StringIO())
-
-
 def _row(value, method, ber, std_err=None, error=None, scheme="noma", user="u1"):
     return experiments.SweepRow("snr_db", value, scheme, user, method, ber, std_err, error)
 
@@ -794,13 +769,23 @@ def test_compare_pairs_rows_and_flags_failures():
 
 
 def test_validate_command_exit_code_tracks_failures(capsys):
+    """One line per point in a fixed grammar, a summary whose counts are
+    those of the lines, and a nonzero exit exactly when a point fails."""
     code = cli.main(["validate", "--symbols", "10000", "--schemes", "noma"])
     out = capsys.readouterr().out
     lines = [line for line in out.splitlines() if re.match(r"^(pass|FAIL|skip) ", line)]
     assert len(lines) == 14
-    has_fail = any(line.startswith("FAIL") for line in lines)
-    assert code == (1 if has_fail else 0)
-    assert "within 3 standard errors" in out
+    pattern = re.compile(
+        r"^(pass|FAIL|skip)  snr= *[\d.]+  [\w-]+ +u[12]  "
+        r"analytic=\d\.\d{6}e[+-]\d{2}  mc=\d\.\d{6}e[+-]\d{2}  "
+        r"\|diff\|=\d\.\d{2}e[+-]\d{2}  \(-?[\d.]+ sigma\)$")
+    for line in lines:
+        assert pattern.match(line), line
+    counts = Counter(line.split()[0] for line in lines)
+    assert out.splitlines()[-1] == (
+        f"{counts['pass']} pass (within 3 standard errors), {counts['skip']} skip "
+        f"(closed form below 10/N), {counts['FAIL']} FAIL, of 14 points")
+    assert code == (1 if counts["FAIL"] else 0)
 
 
 def test_validate_summary_counts_pass_skip_and_fail_apart(monkeypatch, capsys):

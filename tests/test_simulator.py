@@ -376,9 +376,9 @@ def test_a_run_looks_up_each_heard_link_once(monkeypatch):
 def test_one_reception_serves_every_scheme_in_every_order():
     """One reception per scenario serves the three schemes and the
     conditional statistic in every order, each with the counts of the
-    SimSpec run.  It then holds its four parts, each received once and
-    read-only: the symbols, the source hop, the relay's decisions and the
-    relay hop."""
+    SimSpec run.  It then holds its four parts, each received once,
+    read-only and in rows of its own, none sharing memory with the batch:
+    the symbols, the source hop, the relay's decisions and the relay hop."""
     spec = SimSpec(n_symbols=20_000, seed=7)
     batch = spec.draw(SystemConfig.defaults(), analytic.SCHEMES, 0)
     users = [*analytic.SCHEMES, "conditional"]
@@ -398,6 +398,8 @@ def test_one_reception_serves_every_scheme_in_every_order():
             assert sorted(reception._held) == ["r", "relay", "s", "tx"]
             held = [(key, row) for key, rows in reception._held.items() for row in rows]
             assert len(held) == 9
+            assert not any(np.shares_memory(row, rows) for _, row in held
+                           for rows in (batch.receivers, batch.bits))
             for key, row in held:  # the relay's decisions are boolean, True for +1
                 assert row.dtype == (bool if key == "relay" else np.float32)
                 assert not row.flags.writeable
@@ -677,6 +679,38 @@ def test_near_decides_as_the_subtraction_it_replaces(inputs):
     assert near[(phi == 0.0) & (gain == 0.0)].all()
 
 
+@st.composite
+def _symbol_inputs(draw):
+    """Two boolean rows, an alpha in {0, 1.4e-76, 0.2, 0.5, 1} or in
+    [1.4e-76, 1], and an alpha1 in [0.5, 1]."""
+    m1, m2 = (draw(arrays(bool, _ROW)) for _ in range(2))
+    alpha = draw(st.sampled_from([0.0, 1.4e-76, 0.2, 0.5, 1.0]) | st.floats(1.4e-76, 1.0))
+    return m1, m2, alpha, draw(st.floats(0.5, 1.0))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_symbol_inputs())
+def test_symbol_and_superpose_return_exact_symbols_in_new_rows(inputs):
+    """``_symbol(m, sqrt(a))`` is +-fl32(sqrt(a)) by the sign of each bit
+    (+-0 at a = 0), and ``_superpose`` the sum of the two users' float32
+    symbols, rounded once in float32; each returns a new writeable float32
+    row that shares no memory with the bits it maps."""
+    m1, m2, alpha, alpha1 = inputs
+
+    def signed(m, root):
+        return np.where(m, np.float32(root), -np.float32(root))
+
+    cfg = SystemConfig.defaults().with_alpha1(alpha1)
+    symbol = simulator._symbol(m1, math.sqrt(alpha))
+    tx = simulator._superpose(cfg, m1, m2)
+    np.testing.assert_array_equal(symbol, signed(m1, math.sqrt(alpha)))
+    np.testing.assert_array_equal(
+        tx, signed(m1, math.sqrt(cfg.alpha1)) + signed(m2, math.sqrt(cfg.alpha2)))
+    for row in (symbol, tx):
+        assert row.dtype == np.float32 and row.flags.writeable
+        assert not np.shares_memory(row, m1) and not np.shares_memory(row, m2)
+
+
 #: Seeded counts of ``SimSpec(n_symbols=20_000, seed=5)`` where noise no
 #: longer counts: the error floor of the reference scenario, equal to those
 #: of a float64 tail.
@@ -833,17 +867,17 @@ class _FullFieldReceiver:
     Gaussians from the test's own generator, form
     y = (h~ + e)(sqrt(P) x + d) + n and project it on conj(h~).  Called
     like ``simulator._receive``, whose settled batch terms it ignores, and
-    writes the same two outputs: the projection weighted by sqrt(P) and,
-    unless ``gain`` is None, the energy P |h~|^2.  ``scale`` multiplies the
-    distortion variance k^2 P and the estimation-error variance
-    sigma_eps_sq; the simulator doubles both."""
+    returns the same two float32 rows: the projection weighted by sqrt(P)
+    and the estimate power |h~|^2.  ``scale`` multiplies the distortion
+    variance k^2 P and the estimation-error variance sigma_eps_sq; the
+    simulator doubles both."""
 
     scale = 2.0
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
 
-    def __call__(self, cfg, link, tx, variates, phi, gain, scratch):
+    def __call__(self, cfg, link, tx, variates):
         n = len(tx)
         P, k = cfg.power(link), cfg.hwi(link)
 
@@ -856,9 +890,8 @@ class _FullFieldReceiver:
         distortion = cn(self.scale * k * k * P)
         noise = cn(cfg.N0)
         y = (h_tilde + est_err) * (math.sqrt(P) * tx + distortion) + noise
-        if gain is not None:
-            gain[:] = P * np.abs(h_tilde) ** 2
-        phi[:] = math.sqrt(P) * (np.conj(h_tilde) * y).real
+        phi = math.sqrt(P) * (np.conj(h_tilde) * y).real
+        return phi.astype(np.float32), (np.abs(h_tilde) ** 2).astype(np.float32)
 
 
 class _HalvedFullFieldReceiver(_FullFieldReceiver):
