@@ -1,5 +1,6 @@
 """Sweep plumbing: grid evaluation, CSV rendering, config parsing, CLI."""
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -768,19 +769,36 @@ def test_compare_pairs_rows_and_flags_failures():
         experiments.compare(experiments.SweepResult(spec=spec, rows=rows), math.nan)
 
 
-def test_validate_command_exit_code_tracks_failures(capsys):
-    """One line per point in a fixed grammar, a summary whose counts are
-    those of the lines, and a nonzero exit exactly when a point fails."""
-    code = cli.main(["validate", "--symbols", "10000", "--schemes", "noma"])
-    out = capsys.readouterr().out
-    lines = [line for line in out.splitlines() if re.match(r"^(pass|FAIL|skip) ", line)]
-    assert len(lines) == 14
+def test_validation_report_grammar(monkeypatch, capsys):
+    """The validate command prints one line per compared record, in a fixed
+    grammar, whose status word is that of its record."""
+    run_sweep, compare = experiments.run_sweep, experiments.compare
+    records = []
+    monkeypatch.setattr(experiments, "run_sweep", lambda spec: run_sweep(
+        dataclasses.replace(spec, grid=(0.0, 10.0), sim=SimSpec(n_symbols=10_000, seed=1))))
+    monkeypatch.setattr(experiments, "compare",
+                        lambda *a: records.extend(compare(*a)) or records)
+    cli.main(["validate", "--symbols", "10000", "--schemes", "noma"])
+    lines = capsys.readouterr().out.splitlines()[:-1]
+    assert len(records) == 4 and len(lines) == 4
     pattern = re.compile(
         r"^(pass|FAIL|skip)  snr= *[\d.]+  [\w-]+ +u[12]  "
         r"analytic=\d\.\d{6}e[+-]\d{2}  mc=\d\.\d{6}e[+-]\d{2}  "
         r"\|diff\|=\d\.\d{2}e[+-]\d{2}  \(-?[\d.]+ sigma\)$")
     for line in lines:
         assert pattern.match(line), line
+    for record, line in zip(records, lines):
+        status = "FAIL" if not record["ok"] else ("pass" if record["checked"] else "skip")
+        assert line.startswith(status + "  ")
+
+
+def test_validate_command_exit_code_tracks_failures(capsys):
+    """One line per point, a summary whose counts are those of the lines,
+    and a nonzero exit exactly when a point fails."""
+    code = cli.main(["validate", "--symbols", "10000", "--schemes", "noma"])
+    out = capsys.readouterr().out
+    lines = [line for line in out.splitlines() if re.match(r"^(pass|FAIL|skip) ", line)]
+    assert len(lines) == 14
     counts = Counter(line.split()[0] for line in lines)
     assert out.splitlines()[-1] == (
         f"{counts['pass']} pass (within 3 standard errors), {counts['skip']} skip "
