@@ -9,7 +9,7 @@ value.
 Run:  python3 demos/01_closed_form_curves.py
 """
 
-from nomalink import SCHEMES, USERS, scheme_ber, scheme_ber_floor
+from nomalink.analytic import SCHEMES, USERS, scheme_ber, scheme_ber_floor
 from nomalink.model import SystemConfig
 
 snrs = range(0, 45, 5)

@@ -18,7 +18,7 @@ Run:  python3 demos/03_hwi_and_power_split.py
 
 import numpy as np
 
-from nomalink import scheme_ber
+from nomalink.analytic import scheme_ber
 from nomalink.model import SystemConfig
 
 print("Far-user BER vs hardware quality factor at 40 dB")

@@ -193,9 +193,9 @@ def _simulations(spec: SweepSpec, configs: list[SystemConfig], pool) -> dict:
         for point, results in enumerate(zip(*(batch[scheme] for batch in per_batch))):
             error = next((r for r in results if isinstance(r, str)), None)
             if error is None:
-                total = simulator.McResult.from_counts(sum(r.trials for r in results),
-                                                       sum(r.errors_u1 for r in results),
-                                                       sum(r.errors_u2 for r in results))
+                total = simulator.McResult(sum(r.trials for r in results),
+                                           sum(r.errors_u1 for r in results),
+                                           sum(r.errors_u2 for r in results))
             for user in analytic.USERS:
                 outcomes[point, scheme, user] = error or (total.ber(user), total.std_err(user))
     return outcomes

@@ -29,6 +29,7 @@ from .model import SystemConfig
 
 _BATCH_SYMBOLS = 100_000
 _MIN_SYMBOLS = 10_000
+_MAX_SYMBOLS = 10**10  # 100,000 batches, about half an hour per scheme
 _LOW_CONFIDENCE_EVENTS = 100
 _USERS = ("u1", "u2")
 
@@ -37,12 +38,13 @@ _USERS = ("u1", "u2")
 class SimSpec:
     """How much to simulate.
 
-    ``n_symbols`` counts transmitted symbol pairs, split into batches of
-    100000 and one shorter final batch for the remainder.  Each batch owns
-    private random streams derived from ``(seed, batch index)``, one per
-    hop it holds (see ``Batch``), so results are bit-identical for
-    identical inputs regardless of evaluation order, and a batch's variates
-    depend neither on the scenario nor on the schemes it was drawn for.
+    ``n_symbols`` counts transmitted symbol pairs, 10**4 to 10**10, split
+    into batches of 100000 and one shorter final batch for the remainder.
+    Each batch owns private random streams derived from ``(seed, batch
+    index)``, one per hop it holds (see ``Batch``), so results are
+    bit-identical for identical inputs regardless of evaluation order, and
+    a batch's variates depend neither on the scenario nor on the schemes it
+    was drawn for.
     """
 
     n_symbols: int = 1_000_000
@@ -55,6 +57,8 @@ class SimSpec:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_symbols < _MIN_SYMBOLS:
             raise ValueError(f"n_symbols must be at least {_MIN_SYMBOLS}")
+        if self.n_symbols > _MAX_SYMBOLS:
+            raise ValueError(f"n_symbols must be at most {_MAX_SYMBOLS}, got {self.n_symbols}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
@@ -66,12 +70,7 @@ class SimSpec:
         """Draw batch ``index`` of this run for ``schemes`` (one name or
         several) from the batch's own streams, settled to the geometry of
         ``cfg`` (see :class:`Batch`)."""
-        if not _is_integer(index):
-            raise ValueError(f"batch index must be an integer, got {index!r}")
-        sizes = self.batches()
-        if not 0 <= index < len(sizes):
-            raise ValueError(f"batch index must be in [0, {len(sizes)}), got {index}")
-        return Batch(cfg, schemes, np.random.SeedSequence((self.seed, index)), sizes[index])
+        return Batch(cfg, schemes, self, index)
 
 
 def _is_integer(value) -> bool:
@@ -142,12 +141,12 @@ class Batch:
     """One batch of a run's random draws, drawn for a set of schemes,
     settled to one geometry, and serving every scheme whose hops it holds.
 
-    Built by :meth:`SimSpec.draw`; a :class:`SimSpec` run is its batches,
-    drawn and simulated one at a time.  A batch holds the hops (``_HOPS``)
-    of the schemes it was drawn for, in the order "s", "r", in ``hops``.
-    Each hop draws from its own stream: the bits and the source hop from
-    ``seq``, the relay hop from seq's first spawned child (spawn key 0,
-    rebuilt, so drawing never changes ``seq``).  The first stream holds the
+    Built by :meth:`SimSpec.draw` as batch ``index`` of the run ``spec``,
+    which is its batches, drawn and simulated one at a time.  A batch holds
+    the hops (``_HOPS``) of the schemes it was drawn for, in the order "s",
+    "r", in ``hops``.  Each hop draws from its own stream: the bits and the
+    source hop from ``SeedSequence((seed, index))``, the relay hop from
+    that sequence's first spawned child.  The first stream holds the
     BPSK bits m1 and m2, then the source hop's receivers; each receiver,
     in the order of ``_HOP_LINKS``, takes the four standard variates of
     ``_receive``: an exponential x and three normals e_par, e_perp and z.
@@ -179,17 +178,21 @@ class Batch:
     :class:`Reception` (``at``), which only reads the batch and writes rows
     of its own, so threads share a batch without a lock.  It runs only the
     tail that powers, hardware factors and the split change, on a scenario
-    whose heard links share the batch's geometry; a simulation refuses any
-    other, and a scheme whose hops the batch lacks, with ValueError.  The
-    grid points and schemes of a sweep share one geometry, so they share
-    both the draws and the settling: common random numbers.
+    that shares the batch's geometry on the links it holds; a simulation
+    refuses any other, and a scheme whose hops the batch lacks, with
+    ValueError.  The grid points and schemes of a sweep share one geometry,
+    so they share both the draws and the settling: common random numbers.
     """
 
     __slots__ = ("hops", "n_symbols", "geometry", "bits", "receivers", "_terms")
 
-    def __init__(self, cfg: SystemConfig, schemes, seq: np.random.SeedSequence, n: int):
-        if not _is_integer(n) or n < 1:
-            raise ValueError(f"a batch holds a positive integer number of symbols, got {n!r}")
+    def __init__(self, cfg: SystemConfig, schemes, spec: SimSpec, index: int):
+        if not _is_integer(index):
+            raise ValueError(f"batch index must be an integer, got {index!r}")
+        sizes = spec.batches()
+        if not 0 <= index < len(sizes):
+            raise ValueError(f"batch index must be in [0, {len(sizes)}), got {index}")
+        n = sizes[index]
         if isinstance(schemes, str) or not np.iterable(schemes):
             schemes = (schemes,)  # one name
         names = tuple(schemes)
@@ -200,6 +203,7 @@ class Batch:
         links = [link for hop in hops for link in _HOP_LINKS[hop]]
         bits = np.empty((2, n), dtype=bool)
         receivers = np.empty((len(links), 4, n), dtype=np.float32)
+        seq = np.random.SeedSequence((spec.seed, index))
         rng = np.random.default_rng(seq)
         for row in bits:
             row[:] = rng.integers(0, 2, n)  # True where the bit is +1
@@ -209,8 +213,7 @@ class Batch:
         g, f, s, z = variates
         for link, row, (_, sigma_tilde_sq) in zip(links, receivers, self.geometry.values()):
             if link == _HOP_LINKS["r"][0]:  # the relay hop: seq's first child
-                rng = np.random.default_rng(np.random.SeedSequence(
-                    seq.entropy, spawn_key=(*seq.spawn_key, 0), pool_size=seq.pool_size))
+                rng = np.random.default_rng(seq.spawn(1)[0])
             rng.standard_exponential(out=g)
             rng.standard_normal(out=variates[1:])
             g *= sigma_tilde_sq
@@ -484,11 +487,10 @@ def _receptions(cfg: SystemConfig, scheme: str, spec: SimSpec | Reception):
         if hop not in batch.hops:
             raise ValueError(f"batch holds the hops {batch.hops}, not {hop!r}, which {scheme} "
                              f"hears; draw a batch for {scheme}")
-        for link, wanted in _geometry(cfg, _HOP_LINKS[hop]).items():
-            if batch.geometry[link] != wanted:
-                raise ValueError(
-                    f"batch was settled to (sigma_eps_sq, sigma~^2 of {link}) = "
-                    f"{batch.geometry[link]}, not {wanted}; draw a new batch for another geometry")
+    wanted = _geometry(cfg, batch.geometry)  # on the links the batch holds
+    if wanted != batch.geometry:
+        raise ValueError(f"batch was settled to (sigma_eps_sq, sigma~^2) per link "
+                         f"{batch.geometry}, not {wanted}; draw a new batch for another geometry")
     return (spec,)
 
 
@@ -503,7 +505,7 @@ def simulate(cfg: SystemConfig, scheme: str, spec: SimSpec | Reception) -> McRes
     ``spec``, or a ``cfg`` that is not a SystemConfig, raises TypeError; a
     reception heard at another scenario raises ValueError, as does one whose
     batch lacks such a hop or was settled to another geometry on a link
-    ``scheme`` hears.  Both take one path: ``scheme`` is detected and
+    it holds.  Both take one path: ``scheme`` is detected and
     counted on each reception.  So the counts of a SimSpec's batches, each
     simulated alone, sum to the SimSpec's, and a batch reused at another
     power, hardware factor or split, drawn beside other schemes, or heard

@@ -652,6 +652,25 @@ def test_cli_unwritable_out_fails_before_the_sweep(tmp_path, capsys, monkeypatch
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
+@pytest.mark.parametrize("command", [["sweep-snr", "--methods", "mc"],
+                                     ["sweep-snr", "--methods", "analytic"], ["validate"]],
+                         ids=" ".join)
+@pytest.mark.parametrize("symbols", ["99999999999999999999999", "10000000000000000000000000"])
+def test_cli_refuses_a_symbol_count_past_the_bound(command, symbols, capsys, monkeypatch):
+    """A symbol count too large to lay out as batches exits 2 with one
+    ``error:`` line naming the bound, whatever the methods, before any
+    sweep starts."""
+    def never(spec, *args, **kwargs):
+        raise AssertionError("run_sweep ran on a refused symbol count")
+
+    monkeypatch.setattr(experiments, "run_sweep", never)
+    assert cli.main([*command, "--symbols", symbols]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: n_symbols must be at most {simulator._MAX_SYMBOLS}, "
+                            f"got {symbols}\n")
+
+
 @pytest.mark.parametrize("command", ["sweep-snr", "validate"])
 @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--symbols", "100"],
                                    ["--symbols", "0"]])
