@@ -180,13 +180,13 @@ def _simulate_batch(sim: simulator.SimSpec, configs: list[SystemConfig],
 
 
 def _simulations(spec: SweepSpec, configs: list[SystemConfig], pool) -> dict:
-    """The ``monte-carlo`` method: one pool task per batch index, so the
-    grid points and the requested schemes share each batch's draws, yet
-    each point's counts, summed over its batches, equal those of
-    ``simulate`` with the sweep's SimSpec.  A point keeps the first error
-    among its batches."""
+    """The ``monte-carlo`` method: one pool task per batch index below
+    ``spec.sim.n_batches``, so the grid points and the requested schemes share
+    each batch's draws, yet each point's counts, summed over its batches,
+    equal those of ``simulate`` with the sweep's SimSpec.  A point keeps the
+    first error among its batches."""
     tasks = [pool.submit(_simulate_batch, spec.sim, configs, spec.schemes, index)
-             for index in range(len(spec.sim.batches()))]
+             for index in range(spec.sim.n_batches)]
     per_batch = [task.result() for task in tasks]
     outcomes = {}
     for scheme in spec.schemes:

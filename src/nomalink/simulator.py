@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,13 +39,13 @@ _USERS = ("u1", "u2")
 class SimSpec:
     """How much to simulate.
 
-    ``n_symbols`` counts transmitted symbol pairs, 10**4 to 10**10, split
-    into batches of 100000 and one shorter final batch for the remainder.
-    Each batch owns private random streams derived from ``(seed, batch
-    index)``, one per hop it holds (see ``Batch``), so results are
-    bit-identical for identical inputs regardless of evaluation order, and
-    a batch's variates depend neither on the scenario nor on the schemes it
-    was drawn for.
+    ``n_symbols`` counts transmitted symbol pairs, 10**4 to 10**10, laid out
+    as ``n_batches`` batches, full ones of 100000 and a shorter last one for
+    any remainder.  Each batch owns private random streams derived from
+    ``(seed, batch index)``, one per hop it holds (see ``Batch``), so results
+    are bit-identical for identical inputs regardless of evaluation order,
+    and a batch's variates depend neither on the scenario nor on the schemes
+    it was drawn for.
     """
 
     n_symbols: int = 1_000_000
@@ -62,9 +63,9 @@ class SimSpec:
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
-    def batches(self) -> list[int]:
-        full, rem = divmod(self.n_symbols, _BATCH_SYMBOLS)
-        return [_BATCH_SYMBOLS] * full + ([rem] if rem else [])
+    @property
+    def n_batches(self) -> int:
+        return -(-int(self.n_symbols) // _BATCH_SYMBOLS)
 
     def draw(self, cfg: SystemConfig, schemes, index: int) -> "Batch":
         """Draw batch ``index`` of this run for ``schemes`` (one name or
@@ -142,17 +143,18 @@ class Batch:
     settled to one geometry, and serving every scheme whose hops it holds.
 
     Built by :meth:`SimSpec.draw` as batch ``index`` of the run ``spec``,
-    which is its batches, drawn and simulated one at a time.  A batch holds
-    the hops (``_HOPS``) of the schemes it was drawn for, in the order "s",
-    "r", in ``hops``.  Each hop draws from its own stream: the bits and the
-    source hop from ``SeedSequence((seed, index))``, the relay hop from
-    that sequence's first spawned child.  The first stream holds the
-    BPSK bits m1 and m2, then the source hop's receivers; each receiver,
-    in the order of ``_HOP_LINKS``, takes the four standard variates of
-    ``_receive``: an exponential x and three normals e_par, e_perp and z.
-    So a hop's rows do not depend on whether the other hop was drawn: noma
-    reads the same bits and rows on its own batch as on one drawn for every
-    scheme, and cnoma the same relay rows as cnoma-wdl.
+    which is its ``n_batches`` batches, drawn and simulated one at a time; the
+    batch checks ``index`` and sizes itself in O(1), full or the remainder.  A
+    batch holds the hops (``_HOPS``) of the schemes it was drawn for, in the
+    order "s", "r", in ``hops``.  Each hop draws from its own stream: the bits
+    and the source hop from ``SeedSequence((seed, index))``, the relay hop
+    from that sequence's first spawned child.  The first stream holds the BPSK
+    bits m1 and m2, then the source hop's receivers; each receiver, in the
+    order of ``_HOP_LINKS``, takes the four standard variates of ``_receive``:
+    an exponential x and three normals e_par, e_perp and z.  So a hop's rows
+    do not depend on whether the other hop was drawn: noma reads the same bits
+    and rows on its own batch as on one drawn for every scheme, and cnoma the
+    same relay rows as cnoma-wdl.
 
     At its draw the batch settles every receiver row to its link's
     geometry, the estimation-error variance sigma_eps_sq and the estimate
@@ -189,10 +191,10 @@ class Batch:
     def __init__(self, cfg: SystemConfig, schemes, spec: SimSpec, index: int):
         if not _is_integer(index):
             raise ValueError(f"batch index must be an integer, got {index!r}")
-        sizes = spec.batches()
-        if not 0 <= index < len(sizes):
-            raise ValueError(f"batch index must be in [0, {len(sizes)}), got {index}")
-        n = sizes[index]
+        index = operator.index(index)
+        if not 0 <= index < spec.n_batches:
+            raise ValueError(f"batch index must be in [0, {spec.n_batches}), got {index}")
+        n = min(_BATCH_SYMBOLS, spec.n_symbols - index * _BATCH_SYMBOLS)
         if isinstance(schemes, str) or not np.iterable(schemes):
             schemes = (schemes,)  # one name
         names = tuple(schemes)
@@ -229,8 +231,7 @@ class Batch:
             row[:] = variates  # rounded once, to float32
         for array in (bits, receivers):
             array.flags.writeable = False
-        self.hops = hops
-        self.n_symbols = n
+        self.hops, self.n_symbols = hops, n
         # views of read-only arrays, which nothing can make writeable again
         self.bits, self.receivers = bits[:], receivers[:]
         self._terms = dict(zip(links, self.receivers))
@@ -468,17 +469,17 @@ def _detect(reception: Reception, scheme: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _receptions(cfg: SystemConfig, scheme: str, spec: SimSpec | Reception):
-    """The receptions a simulation of ``scheme`` on ``spec`` detects, once
-    its inputs are checked (see :func:`simulate`) and before anything is
-    drawn or received: a SimSpec's batches, each drawn and heard at ``cfg``
-    only when read, or the Reception itself."""
+    """The receptions a simulation of ``scheme`` on ``spec`` detects, once its
+    inputs are checked (see :func:`simulate`) and before anything is drawn or
+    received: a SimSpec's ``n_batches`` batches, each drawn and heard at
+    ``cfg`` only when read, or the Reception itself."""
     if not isinstance(cfg, SystemConfig):
         raise TypeError(f"cfg must be a SystemConfig, got {type(cfg).__name__}")
     if not isinstance(spec, (SimSpec, Reception)):
         raise TypeError(f"spec must be a SimSpec or a Reception, got {type(spec).__name__}")
     _check_span(cfg, [link for hop in _HOPS[scheme] for link in _HOP_LINKS[hop]])
     if isinstance(spec, SimSpec):
-        return (spec.draw(cfg, scheme, index).at(cfg) for index in range(len(spec.batches())))
+        return (spec.draw(cfg, scheme, index).at(cfg) for index in range(spec.n_batches))
     if spec.cfg != cfg:
         raise ValueError("reception was built at another scenario; hear the batch at this "
                          "one with batch.at(cfg)")
@@ -497,21 +498,20 @@ def _receptions(cfg: SystemConfig, scheme: str, spec: SimSpec | Reception):
 def simulate(cfg: SystemConfig, scheme: str, spec: SimSpec | Reception) -> McResult:
     """Simulate ``scheme`` (noma, cnoma or cnoma-wdl, any case) and count bit errors.
 
-    ``spec`` is a :class:`SimSpec`, a run of its batches, each drawn at
-    ``cfg`` for ``scheme`` alone and freed before the next is drawn; or a
-    :class:`Reception` (``batch.at(cfg)``) of one batch
-    (:meth:`SimSpec.draw`) that holds every hop ``scheme`` hears, which
-    every scheme simulated on it at ``cfg`` shares.  Another
-    ``spec``, or a ``cfg`` that is not a SystemConfig, raises TypeError; a
-    reception heard at another scenario raises ValueError, as does one whose
-    batch lacks such a hop or was settled to another geometry on a link
-    it holds.  Both take one path: ``scheme`` is detected and
-    counted on each reception.  So the counts of a SimSpec's batches, each
-    simulated alone, sum to the SimSpec's, and a batch reused at another
-    power, hardware factor or split, drawn beside other schemes, or heard
-    once for several schemes, gets the counts of a fresh draw: a batch
-    never changes after its draw, a reception's rows never change once
-    received, and a simulation's work rows are its own.
+    ``spec`` is a :class:`SimSpec`, a run of its ``n_batches`` batches, each
+    drawn at ``cfg`` for ``scheme`` alone and freed before the next is drawn;
+    or a :class:`Reception` (``batch.at(cfg)``) of one batch
+    (:meth:`SimSpec.draw`) that holds every hop ``scheme`` hears, which every
+    scheme simulated on it at ``cfg`` shares.  Another ``spec``, or a ``cfg``
+    that is not a SystemConfig, raises TypeError; a reception heard at another
+    scenario raises ValueError, as does one whose batch lacks such a hop or
+    was settled to another geometry on a link it holds.  Both take one path:
+    ``scheme`` is detected and counted on each reception.  So the counts of a
+    SimSpec's batches, each simulated alone, sum to the SimSpec's, and a batch
+    reused at another power, hardware factor or split, drawn beside other
+    schemes, or heard once for several schemes, gets the counts of a fresh
+    draw: a batch never changes after its draw, a reception's rows never
+    change once received, and a simulation's work rows are its own.
     """
     scheme = _scheme(scheme)
 

@@ -177,7 +177,7 @@ def test_sweep_shares_each_batch_yet_every_point_equals_simulate(swept, grid):
     point's counts must still be those of its own ``simulate`` call, over
     two full batches and a remainder, whatever the pool size."""
     sim = SimSpec(n_symbols=250_000, seed=5)
-    assert sim.batches() == [100_000, 100_000, 50_000]
+    assert sim.n_batches == 3
     spec = SweepSpec(swept_parameter=swept, grid=grid, sim=sim)
     rows = run_sweep(spec).rows
     for row in rows:
@@ -277,7 +277,7 @@ def test_failed_draw_is_recorded_on_its_scheme_alone(monkeypatch):
     on that scheme's monte-carlo rows and no other row moves."""
     spec = SweepSpec(swept_parameter="snr_db", grid=(0.0, 10.0),
                      sim=SimSpec(n_symbols=150_000, seed=4))
-    assert spec.sim.batches() == [100_000, 50_000]
+    assert spec.sim.n_batches == 2
     clean = run_sweep(spec).rows
     real = simulator.simulate
 
@@ -312,7 +312,7 @@ def test_a_sweep_receives_each_link_once_per_batch_and_point(monkeypatch):
     monkeypatch.setattr(simulator, "_receive", receive)
     spec = SweepSpec("snr_db", (0.0, 10.0, 20.0), methods=("monte-carlo",), sim=sim)
     run_sweep(spec)
-    batches_and_points = len(sim.batches()) * len(spec.grid)
+    batches_and_points = sim.n_batches * len(spec.grid)
     assert len(received) == 5 * batches_and_points
     assert sorted(received) == sorted(["s1", "s2", "sr", "r1", "r2"] * batches_and_points)
 
@@ -356,7 +356,7 @@ def test_sweep_draws_each_batch_index_once(schemes, monkeypatch):
     monkeypatch.setattr(SimSpec, "draw", draw)
     run_sweep(SweepSpec("snr_db", (0.0, 10.0), schemes=schemes, methods=("monte-carlo",),
                         sim=sim))
-    assert sorted(drawn) == [(schemes, index) for index in range(len(sim.batches()))]
+    assert sorted(drawn) == [(schemes, index) for index in range(sim.n_batches)]
 
 
 @pytest.mark.parametrize("scheme", analytic.SCHEMES)

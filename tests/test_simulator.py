@@ -45,12 +45,13 @@ def test_spec_validation():
                          ("seed", True)):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SimSpec(**{field: value})
+    cfg = SystemConfig.defaults()
     spec = SimSpec(n_symbols=np.int64(20_000), seed=np.uint32(3))
-    assert spec.batches() == [20_000]
-    # a run is a list of batch sizes, so one too large to lay out is refused
-    # by its bound when built; the bound itself builds
+    assert spec.n_batches == 1 and spec.draw(cfg, "noma", 0).n_symbols == 20_000
+    # the bound builds, and its last batch is drawn at full size
     bound = simulator._MAX_SYMBOLS
-    assert len(SimSpec(n_symbols=bound).batches()) == 100_000
+    run = SimSpec(n_symbols=bound)
+    assert run.n_batches == 100_000 and run.draw(cfg, "noma", 99_999).n_symbols == 100_000
     for n in (bound + 1, 10**25):
         with pytest.raises(ValueError, match=re.escape(
                 f"n_symbols must be at most {bound}, got {n}")):
@@ -87,9 +88,16 @@ def test_closed_forms_import_only_the_model():
 
 
 def test_batches_cover_the_workload():
-    assert SimSpec(n_symbols=250_000).batches() == [100_000, 100_000, 50_000]
-    assert SimSpec(n_symbols=37_123).batches() == [37_123]
-    assert sum(SimSpec(n_symbols=1_234_567 * 2).batches()) == 2_469_134
+    """A run is full batches of 100000 symbols, then one shorter last batch
+    for any remainder."""
+    cfg = SystemConfig.defaults()
+    for n, sizes in ((250_000, [100_000, 100_000, 50_000]), (37_123, [37_123]),
+                     (100_000, [100_000]), (100_001, [100_000, 1])):
+        spec = SimSpec(n_symbols=n)
+        assert spec.n_batches == len(sizes)
+        assert [spec.draw(cfg, "noma", i).n_symbols for i in range(spec.n_batches)] == sizes
+    spec = SimSpec(n_symbols=1_234_567 * 2)
+    assert spec.n_batches == 25 and spec.draw(cfg, "noma", 24).n_symbols == 69_134
 
 
 def test_result_from_counts():
@@ -146,8 +154,8 @@ def test_drawn_batches_sum_to_the_run():
     configs = [SystemConfig.defaults(snr_db=snr_db) for snr_db in (20.0, 5.0)]
     for scheme in analytic.SCHEMES:
         batches = [spec.draw(configs[0], scheme, index)
-                   for index in range(len(spec.batches()))]
-        assert [b.n_symbols for b in batches] == spec.batches()
+                   for index in range(spec.n_batches)]
+        assert [b.n_symbols for b in batches] == [100_000, 50_000]
         for cfg in configs:
             parts = [simulator.simulate(cfg, scheme, b.at(cfg)) for b in batches]
             whole = simulator.simulate(cfg, scheme, spec)
@@ -178,7 +186,8 @@ def test_drawn_batch_is_read_only_and_bound_to_its_scheme():
     with pytest.raises(ValueError, match="batch holds the hops .*'s',.*not 'r', which cnoma-wdl"):
         simulator.simulate(cfg, "cnoma-wdl", spec.draw(cfg, "noma", 0).at(cfg))
     for index in (1, -1):
-        with pytest.raises(ValueError, match="batch index must be in"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"batch index must be in [0, 1), got {index}")):
             spec.draw(cfg, "noma", index)
     for index in (1.5, np.float64(0.0), "0", None, True):
         with pytest.raises(ValueError, match=re.escape(
@@ -408,7 +417,8 @@ def test_a_reception_refuses_another_scenario():
     cfg = SystemConfig.defaults(snr_db=10.0)
     batch = spec.draw(cfg, analytic.SCHEMES, 0)
     reception = batch.at(cfg)
-    for other in (cfg.with_snr_db(20.0), cfg.with_hwi(0.1), cfg.with_alpha1(0.8)):
+    for other in (cfg.with_snr_db(20.0), cfg.with_hwi(0.1), cfg.with_alpha1(0.8),
+                  cfg.with_alpha1(0.7)):
         for scheme in analytic.SCHEMES:
             with pytest.raises(ValueError, match="reception was built at another scenario"):
                 simulator.simulate(other, scheme, reception)
@@ -956,7 +966,7 @@ def test_interference_cancellation_errors_hurt_the_near_user():
     cfg = SystemConfig.defaults(snr_db=5.0)
     spec = SimSpec(n_symbols=400_000, seed=7)
     slips = slip_errors = errors = 0
-    for index in range(len(spec.batches())):
+    for index in range(spec.n_batches):
         reception = spec.draw(cfg, "noma", index).at(cfg)
         _, phi2, gain2 = reception.hop("s")
         far, near = simulator._decide(phi2, gain2, math.sqrt(cfg.alpha1))
