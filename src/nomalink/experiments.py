@@ -12,6 +12,7 @@ grid-major, then scheme, user, method.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import os
@@ -161,44 +162,46 @@ def _closed_forms(spec: SweepSpec, configs: list[SystemConfig], pool) -> dict:
 
 
 def _simulate_batch(sim: simulator.SimSpec, configs: list[SystemConfig],
-                    schemes: tuple[str, ...], index: int) -> dict[str, list]:
+                    schemes: tuple[str, ...], index: int) -> dict:
     """One pool task: draw batch ``index`` once for all of ``schemes``, at
     the geometry the grid points share, and go through the grid point by
     point: hear the batch once at each point (``Batch.at``) and simulate
     each scheme on that one reception, which is dropped before the next
-    point is heard.  Each scheme's entries are, per point, its result or,
-    when the draw or the simulation raised, the message."""
+    point is heard.  Maps each (point, scheme) to its result or, when the
+    draw or the simulation raised, the message."""
     batch = _attempt(sim.draw, configs[0], schemes, index)
     if isinstance(batch, str):
-        return dict.fromkeys(schemes, [batch] * len(configs))
-    outcomes = {scheme: [] for scheme in schemes}
-    for cfg in configs:
+        return {(point, scheme): batch for point in range(len(configs)) for scheme in schemes}
+    outcomes = {}
+    for point, cfg in enumerate(configs):
         reception = batch.at(cfg)
         for scheme in schemes:
-            outcomes[scheme].append(_attempt(simulator.simulate, cfg, scheme, reception))
+            outcomes[point, scheme] = _attempt(simulator.simulate, cfg, scheme, reception)
     return outcomes
+
+
+def _fold(totals: dict, batch: dict) -> dict:
+    """Add one batch's results to ``totals`` (``McResult.__add__``), in
+    place: per (point, scheme), the first error message stays."""
+    for key, result in batch.items():
+        if not isinstance(totals[key], str):
+            totals[key] = result if isinstance(result, str) else totals[key] + result
+    return totals
 
 
 def _simulations(spec: SweepSpec, configs: list[SystemConfig], pool) -> dict:
     """The ``monte-carlo`` method: one pool task per batch index below
     ``spec.sim.n_batches``, so the grid points and the requested schemes share
-    each batch's draws, yet each point's counts, summed over its batches,
-    equal those of ``simulate`` with the sweep's SimSpec.  A point keeps the
-    first error among its batches."""
-    tasks = [pool.submit(_simulate_batch, spec.sim, configs, spec.schemes, index)
-             for index in range(spec.sim.n_batches)]
-    per_batch = [task.result() for task in tasks]
-    outcomes = {}
-    for scheme in spec.schemes:
-        for point, results in enumerate(zip(*(batch[scheme] for batch in per_batch))):
-            error = next((r for r in results if isinstance(r, str)), None)
-            if error is None:
-                total = simulator.McResult(sum(r.trials for r in results),
-                                           sum(r.errors_u1 for r in results),
-                                           sum(r.errors_u2 for r in results))
-            for user in analytic.USERS:
-                outcomes[point, scheme, user] = error or (total.ber(user), total.std_err(user))
-    return outcomes
+    each batch's draws.  The tasks' results are folded in batch-index order,
+    each as soon as it and every batch before it are done, into one total
+    per point and scheme, so no list of every batch's results is kept.  Each
+    point's counts equal those of ``simulate`` with the sweep's SimSpec, and
+    a point keeps the first error by batch index, not by time."""
+    tasks = functools.partial(_simulate_batch, spec.sim, configs, spec.schemes)
+    totals = functools.reduce(_fold, pool.map(tasks, range(spec.sim.n_batches)))
+    return {(point, scheme, user): total if isinstance(total, str) else
+            (total.ber(user), total.std_err(user))
+            for (point, scheme), total in totals.items() for user in analytic.USERS}
 
 
 # Each method's evaluator maps (spec, configs, pool) to, for every (point, scheme,

@@ -38,6 +38,13 @@ LINKS = ("s1", "s2", "sr", "r1", "r2")
 
 _ALPHA_SUM_TOL = 1e-12
 
+# The sign each scenario number must have; the power split is checked as a pair.
+_SIGNS = {
+    **dict.fromkeys((*(f"d_{link}" for link in LINKS), "a", "N0"), "positive"),
+    **dict.fromkeys(("P_s", "P_r", *(f"k_{link}" for link in LINKS), "sigma_eps_sq"),
+                    "nonnegative"),
+}
+
 
 def _power_at_snr_db(snr_db: float) -> float:
     """Transmit power 10**(snr_db/10) at N0 = 1; an SNR past the float range
@@ -113,18 +120,12 @@ class SystemConfig:
         for name, value in zip(_FIELD_NAMES, _field_values(self)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+            sign = _SIGNS.get(name)
+            if sign and (value <= 0 if sign == "positive" else value < 0):
+                raise ValueError(f"{name} must be {sign}")
             if type(value) is not float:
                 object.__setattr__(self, name, float(value))
         distances, factors = _distances(self), _hwi_factors(self)
-        for link, d in zip(LINKS, distances):
-            if d <= 0:
-                raise ValueError(f"d_{link} must be positive")
-        if self.a <= 0:
-            raise ValueError("a must be positive")
-        if self.P_s < 0 or self.P_r < 0:
-            raise ValueError("transmit powers P_s and P_r must be nonnegative")
-        if self.N0 <= 0:
-            raise ValueError("N0 must be positive")
         if not 0 <= self.alpha2 <= self.alpha1 <= 1:
             raise ValueError(
                 f"power allocation must satisfy 0 <= alpha2 <= alpha1 <= 1, "
@@ -134,11 +135,6 @@ class SystemConfig:
             raise ValueError(
                 f"alpha1 + alpha2 must equal 1, got {self.alpha1 + self.alpha2}"
             )
-        for link, k in zip(LINKS, factors):
-            if k < 0:
-                raise ValueError(f"k_{link} must be nonnegative")
-        if self.sigma_eps_sq < 0:
-            raise ValueError("sigma_eps_sq must be nonnegative")
         links = {}
         for link, d, k in zip(LINKS, distances, factors):
             budget = _budget(d, self.a, self.sigma_eps_sq)

@@ -96,7 +96,8 @@ def _user(user: str) -> str:
 @dataclass(frozen=True)
 class McResult:
     """Bit-error counts of one simulation run, from which each user's rate
-    and its standard error are read."""
+    and its standard error are read.  Results add: the sum of two runs'
+    results is the result of both runs together."""
 
     trials: int
     errors_u1: int
@@ -105,6 +106,13 @@ class McResult:
     @classmethod
     def from_counts(cls, trials: int, errors_u1: int, errors_u2: int) -> "McResult":
         return cls(trials, errors_u1, errors_u2)
+
+    def __add__(self, other: "McResult") -> "McResult":
+        """Each count summed; any other operand is not a result."""
+        if not isinstance(other, McResult):
+            return NotImplemented
+        return McResult(self.trials + other.trials, self.errors_u1 + other.errors_u1,
+                        self.errors_u2 + other.errors_u2)
 
     def ber(self, user: str) -> float:
         return _binomial(getattr(self, f"errors_{_user(user)}"), self.trials)[0]

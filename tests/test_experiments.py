@@ -5,6 +5,7 @@ import hashlib
 import math
 import os
 import re
+import threading
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -246,7 +247,7 @@ def test_sweep_pool_defaults_to_the_usable_cores(monkeypatch):
     assert experiments._cores() == (os.cpu_count() or 1)
 
 
-def test_failed_carrier_draw_is_recorded_on_every_scheme_it_serves(monkeypatch):
+def test_failed_draw_is_recorded_on_every_scheme_it_was_drawn_for(monkeypatch):
     """A batch index is drawn once for every requested scheme, so the batch
     carries them all and a failed draw lands on the monte-carlo rows of
     every one; the analytic rows stay clean."""
@@ -269,6 +270,37 @@ def test_failed_carrier_draw_is_recorded_on_every_scheme_it_serves(monkeypatch):
             assert row.error == "synthetic draw failure"
         else:
             assert row == before
+
+
+def test_the_first_error_by_batch_index_wins_whatever_fails_first(monkeypatch):
+    """Batches 1 and 2 both fail, and batch 2 fails first: batch 1 waits
+    until it has.  A point keeps the first error by batch index, not by
+    time, so every monte-carlo row carries batch 1's message; the analytic
+    rows stay clean."""
+    spec = SweepSpec(swept_parameter="snr_db", grid=(0.0, 10.0),
+                     sim=SimSpec(n_symbols=250_000, seed=4))
+    assert spec.sim.n_batches == 3
+    clean = run_sweep(dataclasses.replace(spec, methods=("analytic",))).rows
+    real, failed, batch_2_failed = SimSpec.draw, [], threading.Event()
+
+    def draw(self, cfg, schemes, index):
+        if index == 1:
+            batch_2_failed.wait(timeout=10.0)
+        if index in (1, 2):
+            failed.append(index)
+            batch_2_failed.set()
+            raise RuntimeError(f"draw {index} failed")
+        return real(self, cfg, schemes, index)
+
+    monkeypatch.setattr(SimSpec, "draw", draw)
+    rows = run_sweep(spec, max_workers=2).rows
+    assert failed == [2, 1]
+    assert len(rows) == 2 * 3 * 2 * 2
+    for row in rows:
+        if row.method == "monte-carlo":
+            assert math.isnan(row.ber) and row.std_err is None
+            assert row.error == "draw 1 failed"
+    assert [row for row in rows if row.method == "analytic"] == list(clean)
 
 
 def test_failed_draw_is_recorded_on_its_scheme_alone(monkeypatch):

@@ -61,6 +61,7 @@ def test_config_allows_zero_power():
     {"d_r2": -1.0},
     {"a": 0.0},
     {"P_s": -1.0},
+    {"P_r": -1.0},
     {"N0": 0.0},
     {"alpha1": 0.3, "alpha2": 0.7},      # far user must get the larger share
     {"alpha1": 0.8, "alpha2": 0.3},      # shares must sum to one

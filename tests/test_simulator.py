@@ -101,7 +101,8 @@ def test_batches_cover_the_workload():
 
 
 def test_result_from_counts():
-    """A result is its counts: every rate is derived from them on read."""
+    """A result is its counts: every rate is derived from them on read, and
+    two results add count by count, but never to anything else."""
     assert [f.name for f in fields(McResult)] == ["trials", "errors_u1", "errors_u2"]
     assert [f.name for f in fields(CondPropStats)] == [
         "events_u1", "errors_u1", "events_u2", "errors_u2"]
@@ -113,6 +114,12 @@ def test_result_from_counts():
     none_all = McResult.from_counts(10_000, 0, 10_000)
     assert none_all.ber("u1") == 0.0 and none_all.std_err("u1") == 0.0
     assert none_all.ber("u2") == 1.0 and none_all.std_err("u2") == 0.0
+    assert r + none_all == McResult(20_000, 100, 10_400)
+    for other in (1, None, (10_000, 0, 0)):
+        with pytest.raises(TypeError):
+            r + other
+        with pytest.raises(TypeError):
+            other + r
     stats = CondPropStats(0, 0, 5, 1)
     assert math.isnan(stats.rate("u1")) and math.isnan(stats.std_err("u1"))
     assert stats.low_confidence("u1") and stats.low_confidence("u2")
@@ -159,12 +166,10 @@ def test_drawn_batches_sum_to_the_run():
         for cfg in configs:
             parts = [simulator.simulate(cfg, scheme, b.at(cfg)) for b in batches]
             whole = simulator.simulate(cfg, scheme, spec)
-            assert McResult.from_counts(sum(p.trials for p in parts),
-                                        sum(p.errors_u1 for p in parts),
-                                        sum(p.errors_u2 for p in parts)) == whole
+            assert parts[0] + parts[1] == whole
 
 
-def test_drawn_batch_is_read_only_and_bound_to_its_scheme():
+def test_drawn_batch_is_read_only_and_serves_the_schemes_whose_hops_it_holds():
     spec = SimSpec(n_symbols=20_000, seed=3)
     cfg = SystemConfig.defaults()
     batch = spec.draw(cfg, "CNOMA-wdl", 0)
@@ -326,7 +331,7 @@ def test_a_scheme_on_a_shared_batch_equals_it_on_its_own(order):
             simulator.simulate(base, scheme, moved.at(base))
 
 
-def test_spec_must_be_a_simspec_or_a_batch():
+def test_spec_must_be_a_simspec_or_a_reception():
     """A simulation takes a SimSpec or a Reception; a drawn batch is heard
     first (``batch.at(cfg)``), so a bare Batch is refused like any other
     type."""
@@ -346,7 +351,7 @@ def test_spec_must_be_a_simspec_or_a_batch():
     assert isinstance(batch.at(cfg), simulator.Reception)
 
 
-def test_a_simulation_refuses_a_switch_that_is_not_a_bool_or_a_cfg_that_is_not_a_config():
+def test_a_simulation_refuses_any_switch_and_a_cfg_that_is_not_a_config():
     """A simulation takes no switch at all, so a call that passes one fails
     instead of running without it; a cfg of another type is named, not
     read."""
@@ -513,7 +518,7 @@ def test_batch_shared_between_threads_gives_serial_counts():
     assert _shared_counts(spec, jobs) == serial
 
 
-def test_unsettled_batch_shared_by_16_threads_gives_serial_counts():
+def test_batch_shared_by_16_threads_across_three_grids_gives_serial_counts():
     """Sixteen threads share one batch at points of SNR, hardware and split
     grids; since the batch is settled when drawn, none of them changes what
     the others read, and each gets the count of a freshly drawn batch."""
