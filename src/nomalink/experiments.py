@@ -64,7 +64,10 @@ class SweepSpec:
     ``base`` supplies everything that is not swept.  For SNR sweeps the grid
     replaces both transmit powers (N0 stays at one); for hardware sweeps it
     replaces the factor on all five links; for power-allocation sweeps it
-    replaces the split.
+    replaces the split.  Validation builds each grid point's scenario once,
+    in grid order, and keeps them as ``configs``: derived, not a field, so
+    equality, hash and ``repr`` ignore it and ``dataclasses.replace``
+    rebuilds it.
     """
 
     swept_parameter: str
@@ -84,9 +87,9 @@ class SweepSpec:
                 f"swept_parameter must be one of {tuple(SWEEPS)}, "
                 f"got {self.swept_parameter!r}"
             )
-        grid = tuple(float(v) for v in self.grid)
+        grid = () if isinstance(self.grid, str) else tuple(float(v) for v in self.grid)
         if not grid:
-            raise ValueError("grid must not be empty")
+            raise ValueError(f"grid must be a nonempty sequence of numbers, got {self.grid!r}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("grid values must be strictly increasing")
         object.__setattr__(self, "grid", grid)
@@ -101,8 +104,8 @@ class SweepSpec:
             if len(set(names)) < len(names):
                 raise ValueError(f"{name} must not repeat an entry, got {names}")
             object.__setattr__(self, name, names)
-        for value in grid:
-            self.config_at(value)  # every grid point must yield a valid scenario
+        # every grid point must yield a valid scenario; each is built once, here
+        object.__setattr__(self, "configs", tuple(map(self.config_at, grid)))
 
     def config_at(self, value: float) -> SystemConfig:
         return getattr(self.base, SWEEPS[self.swept_parameter].constructor)(value)
@@ -150,10 +153,10 @@ def _attempt(evaluate, *args):
         return str(exc) or type(exc).__name__
 
 
-def _closed_forms(spec: SweepSpec, configs: list[SystemConfig], pool) -> dict:
+def _closed_forms(spec: SweepSpec, pool) -> dict:
     """The ``analytic`` method: every closed form, on the calling thread."""
     outcomes = {}
-    for point, cfg in enumerate(configs):
+    for point, cfg in enumerate(spec.configs):
         for scheme in spec.schemes:
             for user in analytic.USERS:
                 ber = _attempt(analytic.scheme_ber, cfg, scheme, user)
@@ -161,15 +164,15 @@ def _closed_forms(spec: SweepSpec, configs: list[SystemConfig], pool) -> dict:
     return outcomes
 
 
-def _simulate_batch(sim: simulator.SimSpec, configs: list[SystemConfig],
-                    schemes: tuple[str, ...], index: int) -> dict:
-    """One pool task: draw batch ``index`` once for all of ``schemes``, at
-    the geometry the grid points share, and go through the grid point by
-    point: hear the batch once at each point (``Batch.at``) and simulate
-    each scheme on that one reception, which is dropped before the next
-    point is heard.  Maps each (point, scheme) to its result or, when the
-    draw or the simulation raised, the message."""
-    batch = _attempt(sim.draw, configs[0], schemes, index)
+def _simulate_batch(spec: SweepSpec, index: int) -> dict:
+    """One pool task: draw batch ``index`` of ``spec.sim`` once for all of
+    ``spec.schemes``, at the geometry the grid points share, and go through
+    ``spec.configs`` point by point: hear the batch once at each point
+    (``Batch.at``) and simulate each scheme on that one reception, which is
+    dropped before the next point is heard.  Maps each (point, scheme) to
+    its result or, when the draw or the simulation raised, the message."""
+    configs, schemes = spec.configs, spec.schemes
+    batch = _attempt(spec.sim.draw, configs[0], schemes, index)
     if isinstance(batch, str):
         return {(point, scheme): batch for point in range(len(configs)) for scheme in schemes}
     outcomes = {}
@@ -189,23 +192,25 @@ def _fold(totals: dict, batch: dict) -> dict:
     return totals
 
 
-def _simulations(spec: SweepSpec, configs: list[SystemConfig], pool) -> dict:
+def _simulations(spec: SweepSpec, pool) -> dict:
     """The ``monte-carlo`` method: one pool task per batch index below
-    ``spec.sim.n_batches``, so the grid points and the requested schemes share
-    each batch's draws.  The tasks' results are folded in batch-index order,
-    each as soon as it and every batch before it are done, into one total
-    per point and scheme, so no list of every batch's results is kept.  Each
-    point's counts equal those of ``simulate`` with the sweep's SimSpec, and
-    a point keeps the first error by batch index, not by time."""
-    tasks = functools.partial(_simulate_batch, spec.sim, configs, spec.schemes)
+    ``spec.sim.n_batches``, each reading the whole spec, so the grid points
+    and the requested schemes share each batch's draws.  The tasks' results
+    are folded in batch-index order, each as soon as it and every batch
+    before it are done, into one total per point and scheme, so no list of
+    every batch's results is kept.  Each point's counts equal those of
+    ``simulate`` with the sweep's SimSpec, and a point keeps the first error
+    by batch index, not by time."""
+    tasks = functools.partial(_simulate_batch, spec)
     totals = functools.reduce(_fold, pool.map(tasks, range(spec.sim.n_batches)))
     return {(point, scheme, user): total if isinstance(total, str) else
             (total.ber(user), total.std_err(user))
             for (point, scheme), total in totals.items() for user in analytic.USERS}
 
 
-# Each method's evaluator maps (spec, configs, pool) to, for every (point, scheme,
-# user), a (ber, std_err) pair (std_err None for a closed form) or an error message.
+# Each method's evaluator maps (spec, pool) to, for every (point, scheme, user), a
+# (ber, std_err) pair (std_err None for a closed form) or an error message; the
+# grid point's scenario is spec.configs[point].
 METHODS = {"analytic": _closed_forms, "monte-carlo": _simulations}
 
 
@@ -217,10 +222,9 @@ def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> SweepResult:
     if max_workers is not None and (isinstance(max_workers, bool) or not isinstance(
             max_workers, numbers.Integral) or max_workers < 1):
         raise ValueError(f"max_workers must be a positive integer, got {max_workers!r}")
-    configs = [spec.config_at(value) for value in spec.grid]
     workers = _cores() if max_workers is None else int(max_workers)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        outcomes = {method: METHODS[method](spec, configs, pool) for method in spec.methods}
+        outcomes = {method: METHODS[method](spec, pool) for method in spec.methods}
     rows = []
     for point, value in enumerate(spec.grid):
         for scheme in spec.schemes:

@@ -56,6 +56,7 @@ class SimSpec:
             value = getattr(self, name)
             if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy integer is stored as an int
         if self.n_symbols < _MIN_SYMBOLS:
             raise ValueError(f"n_symbols must be at least {_MIN_SYMBOLS}")
         if self.n_symbols > _MAX_SYMBOLS:
@@ -65,7 +66,7 @@ class SimSpec:
 
     @property
     def n_batches(self) -> int:
-        return -(-int(self.n_symbols) // _BATCH_SYMBOLS)
+        return -(-self.n_symbols // _BATCH_SYMBOLS)
 
     def draw(self, cfg: SystemConfig, schemes, index: int) -> "Batch":
         """Draw batch ``index`` of this run for ``schemes`` (one name or

@@ -36,8 +36,11 @@ def analytic_spec(grid=(0.0, 10.0), schemes=("noma",)):
 def test_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(swept_parameter="power", grid=(1.0,))
-    with pytest.raises(ValueError):
-        SweepSpec(swept_parameter="snr_db", grid=())
+    # a string is not a grid of its characters' values, nor is an empty grid
+    for bad in ("123", "0", ()):
+        with pytest.raises(ValueError, match=re.escape(
+                f"grid must be a nonempty sequence of numbers, got {bad!r}")):
+            SweepSpec(swept_parameter="snr_db", grid=bad)
     with pytest.raises(ValueError):
         SweepSpec(swept_parameter="snr_db", grid=(0.0, 0.0))
     with pytest.raises(ValueError):
@@ -188,10 +191,35 @@ def test_sweep_shares_each_batch_yet_every_point_equals_simulate(swept, grid):
     assert run_sweep(spec, max_workers=1).rows == rows
 
 
+@pytest.mark.parametrize("swept", SWEEPS)
+def test_a_sweep_builds_each_grid_scenario_once(swept, monkeypatch):
+    """The spec builds each grid point's scenario when it is validated and
+    keeps it (``spec.configs``); no evaluator and no pool task builds one
+    again."""
+    calls = Counter()
+    real = getattr(SystemConfig, SWEEPS[swept].constructor)
+
+    def spy(self, value):
+        calls[value] += 1
+        return real(self, value)
+
+    monkeypatch.setattr(SystemConfig, SWEEPS[swept].constructor, spy)
+    spec = SweepSpec(swept, SWEEPS[swept].grid[:3], schemes=("noma",), sim=FAST_SIM)
+    run_sweep(spec)
+    assert calls == Counter(spec.grid)
+    assert spec.configs == tuple(map(spec.config_at, spec.grid))
+    # derived, not a field: replace rebuilds it, and equality and repr ignore it
+    assert "configs" not in {f.name for f in dataclasses.fields(spec)}
+    assert "configs" not in repr(spec)
+    shorter = dataclasses.replace(spec, grid=spec.grid[:2])
+    assert shorter.configs == spec.configs[:2]
+    assert dataclasses.replace(shorter, grid=spec.grid) == spec
+
+
 def test_method_table_is_the_one_place_that_names_a_method(monkeypatch, capsys):
-    def fake(spec, configs, pool):
+    def fake(spec, pool):
         return {(point, scheme, user): (point / 8, 0.01) if user == "u1" else "no u2"
-                for point in range(len(configs)) for scheme in spec.schemes
+                for point in range(len(spec.configs)) for scheme in spec.schemes
                 for user in ("u1", "u2")}
 
     monkeypatch.setitem(experiments.METHODS, "fake", fake)
@@ -355,17 +383,19 @@ def test_a_sweep_task_holds_one_points_reception_at_a_time():
     one; holding every point's reception would add three receptions'
     rows."""
     sim = SimSpec(n_symbols=100_000, seed=2)
-    configs = [SystemConfig.defaults(snr_db=v) for v in (0.0, 10.0, 20.0, 30.0)]
+    grid = (0.0, 10.0, 20.0, 30.0)
 
     def peak(points):
+        spec = SweepSpec("snr_db", grid[:points], methods=("monte-carlo",), sim=sim)
         tracemalloc.start()
         try:
-            experiments._simulate_batch(sim, configs[:points], analytic.SCHEMES, 0)
+            experiments._simulate_batch(spec, 0)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    reception = sim.draw(configs[0], analytic.SCHEMES, 0).at(configs[0])
+    cfg = SystemConfig.defaults(snr_db=grid[0])
+    reception = sim.draw(cfg, analytic.SCHEMES, 0).at(cfg)
     held = [*reception.hop("s"), *reception.hop("r"), *reception.relay(), reception._tx()]
     reception_bytes = sum(row.nbytes for row in held)
     peak(1)  # warm up

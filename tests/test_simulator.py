@@ -48,6 +48,13 @@ def test_spec_validation():
     cfg = SystemConfig.defaults()
     spec = SimSpec(n_symbols=np.int64(20_000), seed=np.uint32(3))
     assert spec.n_batches == 1 and spec.draw(cfg, "noma", 0).n_symbols == 20_000
+    # numpy integers are stored as ints, so counts, repr and JSON see plain ints
+    assert type(spec.n_symbols) is int and type(spec.seed) is int
+    assert repr(spec) == "SimSpec(n_symbols=20000, seed=3)"
+    mc = simulator.simulate(cfg, "noma", spec)
+    plain = simulator.simulate(cfg, "noma", SimSpec(20_000, 3))
+    assert type(mc.trials) is int and mc.trials == plain.trials == 20_000
+    assert mc == plain
     # the bound builds, and its last batch is drawn at full size
     bound = simulator._MAX_SYMBOLS
     run = SimSpec(n_symbols=bound)
