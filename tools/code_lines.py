@@ -6,17 +6,15 @@ docstring of a module, class or function.  So blank lines, comment lines
 and docstrings are not counted; a statement that spans three lines counts
 3, and a string literal that is not a docstring counts like any other code.
 
-Run with no arguments to print the count of each ``src/nomalink/*.py`` and
-their total; or pass the files to count:
+Run it to print the count of each ``src/nomalink/*.py`` and their total:
 
-    python tools/code_lines.py [FILE ...]
+    python tools/code_lines.py
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
 
@@ -53,16 +51,14 @@ def count(source: str) -> int:
     return len(lines)
 
 
-def main(argv: list[str]) -> int:
-    paths = [Path(a) for a in argv] or sorted(_PACKAGE.glob("*.py"))
+def main() -> None:
     total = 0
-    for path in paths:
+    for path in sorted(_PACKAGE.glob("*.py")):
         n = count(path.read_text())
         total += n
-        print(f"{n:6d}  {path.name if not argv else path}")
+        print(f"{n:6d}  {path.name}")
     print(f"{total:6d}  total")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    main()
